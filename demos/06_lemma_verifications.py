@@ -1,6 +1,7 @@
-"""Exhaustive verification of the fooling bounds at the headline desk scale.
+"""Exact verification of the fooling bounds at the headline desk scale.
 
-Two blocks of twelve bits: 2^24 points per sweep.  The asymptotic slack of
+Two blocks of twelve bits, counted exactly by per-block syndrome counting
+(a 2^24-point cube sweep gives the same integers).  The asymptotic slack of
 the source bounds becomes the explicit budget eta = (1 + 2*maxcoeff)^n - 1,
 here 65/1024, small enough that the conditional-fooling step constant
 (1/2)(1+eta)/(1-eta) lands below 3/4 and the bounds have real teeth.

@@ -3,7 +3,7 @@
 Builds lifted Tseitin contradictions, computes F2 closure and amortized
 closure, analyzes gadget spectra exactly, samples the hard distribution over
 edge assignments, plays the coin game against decision trees, verifies the
-fooling and equidistribution bounds by exhaustive counting, and checks
+fooling and equidistribution bounds by exact counting, and checks
 Res(oplus) refutations as affine DAGs.
 """
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when every assertion made by the command holds, 1 when a
-verification fails (with the offending report printed), 2 on usage errors.
+verification fails (with the offending report printed), 2 on usage errors
+and on library errors for out-of-scope input (a cap exceeded, an empty
+space or preimage, an unsafe space), reported in one line on stderr.
 Stochastic commands require an explicit --seed so reruns are byte-identical.
 """
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from . import dtfooling, lemmalab, pdt, resproof, tseitin
 from .blocks import BlockLayout
 from .cnf import Cnf
-from .f2 import FVec
-from .gadget import Gadget, ip_gadget, lift_cnf, walsh_spectrum
+from .f2 import EmptySpaceError, EnumerationCapError, FVec
+from .gadget import EmptyPreimageError, Gadget, ip_gadget, lift_cnf, walsh_spectrum
 
 
 def _graph_from_args(args) -> tseitin.Graph:
@@ -172,7 +174,8 @@ def cmd_pdt_refute(args) -> int:
     return 0 if result.ok else 1
 
 
-def _verify_exponential_sum(args) -> list[lemmalab.LemmaReport]:
+def _verify_safe_space_lemma(args, check) -> list[lemmalab.LemmaReport]:
+    """Run check(space, layout, gadget, z) on --count random safe spaces."""
     layout = BlockLayout(args.n, args.b)
     g = ip_gadget(args.b)
     rng = random.Random(args.seed)
@@ -183,21 +186,7 @@ def _verify_exponential_sum(args) -> list[lemmalab.LemmaReport]:
         z = FVec(layout.n, rng.getrandbits(layout.n))
         jobs.append((space, z))
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(lambda sz: lemmalab.check_exponential_sum(sz[0], layout, g, sz[1]), jobs))
-
-
-def _verify_uniform_coset(args) -> list[lemmalab.LemmaReport]:
-    layout = BlockLayout(args.n, args.b)
-    g = ip_gadget(args.b)
-    rng = random.Random(args.seed)
-    jobs = []
-    for _ in range(args.count):
-        codim = rng.randint(0, min(3, layout.n))
-        space = lemmalab.random_safe_space(layout, codim, rng)
-        z = FVec(layout.n, rng.getrandbits(layout.n))
-        jobs.append((space, z))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(lambda sz: lemmalab.check_uniform_coset(sz[0], layout, g, sz[1]), jobs))
+        return list(pool.map(lambda sz: check(sz[0], layout, g, sz[1]), jobs))
 
 
 def _verify_conditional_fooling(args) -> list[lemmalab.LemmaReport]:
@@ -228,9 +217,9 @@ def cmd_verify_lemma(args) -> int:
         _emit(rep.to_text(), args.out)
         return 0 if rep.ok else 1
     if args.lemma == "exponential-sum":
-        reports = _verify_exponential_sum(args)
+        reports = _verify_safe_space_lemma(args, lemmalab.check_exponential_sum)
     elif args.lemma == "uniform-coset":
-        reports = _verify_uniform_coset(args)
+        reports = _verify_safe_space_lemma(args, lemmalab.check_uniform_coset)
     elif args.lemma == "conditional-fooling":
         reports = _verify_conditional_fooling(args)
     else:
@@ -355,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_pdt_refute)
 
-    sp = sub.add_parser("verify-lemma", help="exhaustive lemma verification")
+    sp = sub.add_parser(
+        "verify-lemma", help="exact lemma verification (syndrome counting, cube sweep as oracle)"
+    )
     sp.add_argument(
         "lemma",
         choices=["exponential-sum", "uniform-coset", "conditional-fooling", "counterexample", "closure-laws"],
@@ -391,10 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Library errors that mean the input is out of scope (a cap, an empty set,
+# an unsafe space), not that a verification failed.
+_USAGE_ERRORS = (EnumerationCapError, EmptySpaceError, lemmalab.UnsafeSpaceError, EmptyPreimageError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USAGE_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

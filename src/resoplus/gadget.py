@@ -115,7 +115,7 @@ class Spectrum:
         return Fraction(self.numerators[mask], self.denominator)
 
     def max_abs(self) -> Fraction:
-        return Fraction(max(abs(v) for v in self.numerators), self.denominator)
+        return Fraction(max(map(abs, self.numerators)), self.denominator)
 
     def parseval_holds(self) -> bool:
         return sum(v * v for v in self.numerators) == self.denominator ** 2
@@ -129,14 +129,18 @@ class Spectrum:
 
 
 def _fwht_inplace(vals: np.ndarray) -> None:
+    """Unnormalised Walsh-Hadamard transform of a length-2^b integer array.
+
+    One butterfly per level over all blocks at once: viewed as (-1, 2, h),
+    each block's low half becomes a + b and its high half a - b.
+    """
     h = 1
     size = len(vals)
     while h < size:
-        for start in range(0, size, h * 2):
-            a = vals[start : start + h].copy()
-            b = vals[start + h : start + 2 * h].copy()
-            vals[start : start + h] = a + b
-            vals[start + h : start + 2 * h] = a - b
+        pairs = vals.reshape(-1, 2, h)
+        a = pairs[:, 0, :].copy()
+        pairs[:, 0, :] += pairs[:, 1, :]
+        pairs[:, 1, :] = a - pairs[:, 1, :]
         h *= 2
 
 
@@ -144,14 +148,13 @@ def walsh_spectrum(g: Gadget, convention: str = PM_ONE) -> Spectrum:
     """Exact Walsh transform; coefficients are dyadic with denominator 2^b."""
     if g.b > SPECTRUM_ARITY_CAP:
         raise ValueError(f"arity {g.b} exceeds spectrum cap {SPECTRUM_ARITY_CAP}")
-    if convention == PM_ONE:
-        vals = np.array([1 - 2 * t for t in g.table], dtype=np.int64)
-    elif convention == ZERO_ONE:
-        vals = np.array(g.table, dtype=np.int64)
-    else:
+    if convention not in (PM_ONE, ZERO_ONE):
         raise ValueError(f"unknown convention {convention!r}")
+    vals = np.array(g.table, dtype=np.int64)
+    if convention == PM_ONE:
+        vals = 1 - 2 * vals
     _fwht_inplace(vals)
-    return Spectrum(g.b, convention, tuple(int(v) for v in vals))
+    return Spectrum(g.b, convention, tuple(vals.tolist()))
 
 
 def walsh_spectrum_direct(g: Gadget, convention: str = PM_ONE) -> Spectrum:
@@ -226,10 +229,10 @@ def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[FVec]:
 
 
 def count_preimages(g: Gadget, layout: BlockLayout, z) -> int:
-    entries = _fixed_entries(layout, z)
+    """|G^-1(z)| over the fixed blocks, read off the truth table."""
     total = 1
-    for _, bit in entries:
-        total *= len(g.preimage(bit))
+    for _, bit in _fixed_entries(layout, z):
+        total *= g.table.count(bit)
     return total
 
 
@@ -245,20 +248,19 @@ def _xor_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _block_syndrome_table(space: AffineSpace, layout: BlockLayout, i: int, values: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Syndromes of candidate block values against the space equations.
+def _block_syndrome_table(rows: Sequence[tuple[int, int]], layout: BlockLayout, i: int, values: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Syndromes of candidate block values against the equations in rows.
 
     Returns (syndrome per value, counts per syndrome).  The syndrome of a
     value v is the bit vector of <form_j restricted to block i, v>.
     """
-    m = space.codim
     syn = np.zeros(len(values), dtype=np.int64)
-    for j, (form, _) in enumerate(space.rows):
+    for j, (form, _) in enumerate(rows):
         part = (form >> (i * layout.b)) & mask_bits(layout.b)
         if part:
             bits = parity_u64(values & np.uint64(part))
             syn |= bits.astype(np.int64) << j
-    counts = np.bincount(syn, minlength=1 << m)
+    counts = np.bincount(syn, minlength=1 << len(rows))
     return syn, [int(c) for c in counts]
 
 
@@ -271,28 +273,43 @@ def _candidate_values(g: Gadget, layout: BlockLayout, fixed: Mapping[int, int], 
 def count_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, z) -> int:
     """Exact |{x : x in space, g(x(i)) = z_i for fixed i}| by per-block counting.
 
-    Works per block: each block contributes a distribution of equation
-    syndromes over its candidate values, and the contributions combine by
-    XOR-convolution; the answer is the weight of the right-hand-side syndrome.
+    An equation whose support lies inside one block only filters that
+    block's candidate values.  The other (cross-block) equations give each
+    block a distribution of syndromes over its remaining candidates; these
+    combine by XOR-convolution, and the answer is the weight of the
+    right-hand-side syndrome.  The syndrome dimension is the number of
+    cross-block equations.
     """
     if space is EMPTY:
         return 0
     if space.width != layout.width:
         raise ValueError("width mismatch")
-    m = space.codim
+    local: list[list[tuple[int, int]]] = [[] for _ in range(layout.n)]
+    cross = []
+    for form, bit in space.rows:
+        # rows are nonzero; a row is local when its lowest and highest bits share a block
+        low = ((form & -form).bit_length() - 1) // layout.b
+        if low == (form.bit_length() - 1) // layout.b:
+            local[low].append((form, bit))
+        else:
+            cross.append((form, bit))
+    m = len(cross)
     if m > SYNDROME_DIM_CAP:
         raise f2.EnumerationCapError(f"syndrome dimension {m} exceeds cap {SYNDROME_DIM_CAP}")
     fixed = dict(_fixed_entries(layout, z))
     rhs = 0
-    for j, (_, bit) in enumerate(space.rows):
+    for j, (_, bit) in enumerate(cross):
         rhs |= bit << j
     dist = [0] * (1 << m)
     dist[0] = 1
     for i in range(layout.n):
         values = _candidate_values(g, layout, fixed, i)
+        for form, bit in local[i]:
+            part = np.uint64(form >> (i * layout.b))
+            values = values[parity_u64(values & part) == bit]
         if len(values) == 0:
             return 0
-        _, counts = _block_syndrome_table(space, layout, i, values)
+        _, counts = _block_syndrome_table(cross, layout, i, values)
         dist = _xor_convolve(dist, counts)
     return dist[rhs]
 
@@ -314,7 +331,7 @@ def sample_in_space(space: AffineSpace, layout: BlockLayout, g: Gadget, z, rng) 
     per_block = []
     for i in range(layout.n):
         values = _candidate_values(g, layout, fixed, i)
-        syn, counts = _block_syndrome_table(space, layout, i, values)
+        syn, counts = _block_syndrome_table(space.rows, layout, i, values)
         per_block.append((values, syn, counts))
     suffix = [[0] * (1 << m) for _ in range(layout.n + 1)]
     suffix[layout.n][0] = 1
@@ -338,7 +355,8 @@ def sample_in_space(space: AffineSpace, layout: BlockLayout, g: Gadget, z, rng) 
         bits |= v << (i * layout.b)
         need ^= s
     out = FVec(layout.width, bits)
-    assert space.contains(out)
+    if not space.contains(out):
+        raise RuntimeError("sampled point lies outside the space")
     return out
 
 

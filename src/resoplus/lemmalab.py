@@ -1,10 +1,13 @@
-"""Exact brute-force verification of the fooling and equidistribution lemmas.
+"""Exact verification of the fooling and equidistribution lemmas.
 
-Probabilities are exact rationals from exhaustive integer counts over the
-full cube.  The asymptotic slack terms of the source bounds are replaced by
-the explicit finite-scale budget eta = (1 + 2*maxcoeff)^n - 1, where maxcoeff
-bounds the gadget's PM_ONE Fourier coefficients; this equals the error
-summation sum_k C(n,k) 2^k maxcoeff^k term by term.
+Probabilities are exact rationals from integer counts made by per-block
+syndrome counting (`gadget.count_in_space`), which needs no enumeration of
+the cube; `cube_counts`, the exhaustive full-cube sweep, is kept as the
+oracle that tests compare it with.  The asymptotic slack terms of the
+source bounds are replaced by the explicit finite-scale budget
+eta = (1 + 2*maxcoeff)^n - 1, where maxcoeff bounds the gadget's PM_ONE
+Fourier coefficients; this equals the error summation
+sum_k C(n,k) 2^k maxcoeff^k term by term.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .blocks import (
     substitute,
 )
 from .f2 import EMPTY, AffineSpace, FVec, is_subspace, space_from_pairs
-from .gadget import Gadget, lift_eval, max_fourier
+from .gadget import Gadget, count_in_space, count_preimages, lift_eval, max_fourier
 
 CUBE_WIDTH_CAP = 26
 _CHUNK_BITS = 21
@@ -119,6 +122,7 @@ def cube_counts(layout: BlockLayout, g: Gadget, z: FVec, spaces: Sequence[Affine
     """Full-cube sweep: |G^-1(z)| and |space ∩ G^-1(z)| for each space.
 
     Enumerates all 2^(n*b) points in vectorized chunks; exact integer counts.
+    This is the oracle for the syndrome counting that the checks use.
     """
     width = layout.width
     if width > CUBE_WIDTH_CAP:
@@ -153,7 +157,7 @@ def check_exponential_sum(a: AffineSpace, layout: BlockLayout, g: Gadget, z: FVe
     if not is_safe(a.forms(), layout):
         raise UnsafeSpaceError("the lemma requires a safe space")
     m = a.codim
-    _, (count,) = cube_counts(layout, g, z, [a])
+    count = count_in_space(a, layout, g, z)
     p = Fraction(count, 1 << layout.width)
     budget = ErrorBudget.for_gadget(g, layout.n)
     target = Fraction(1, 1 << (layout.n + m))
@@ -183,10 +187,10 @@ def check_uniform_coset(a: AffineSpace, layout: BlockLayout, g: Gadget, z: FVec)
     if not is_safe(a.forms(), layout):
         raise UnsafeSpaceError("the lemma requires a safe space")
     m = a.codim
-    gz, (count,) = cube_counts(layout, g, z, [a])
+    gz = count_preimages(g, layout, z)
     if gz == 0:
         raise f2.EmptySpaceError("target has no preimages")
-    p = Fraction(count, gz)
+    p = Fraction(count_in_space(a, layout, g, z), gz)
     budget = ErrorBudget.for_gadget(g, layout.n)
     eta = budget.eta
     params = (
@@ -242,7 +246,8 @@ def check_conditional_fooling(
     a_sub = substitute(a_space, y)
     b_sub = substitute(b_space, y)
     z_sub = FVec(sub_layout.n, sum(z.get(blk) << pos for pos, blk in enumerate(kept)))
-    _, (cnt_a, cnt_b) = cube_counts(sub_layout, g, z_sub, [a_sub, b_sub])
+    cnt_a = count_in_space(a_sub, sub_layout, g, z_sub)
+    cnt_b = count_in_space(b_sub, sub_layout, g, z_sub)
     budget = ErrorBudget.for_gadget(g, sub_layout.n)
     eta = budget.eta
     params = (
@@ -349,10 +354,13 @@ def counterexample_demo(n: int, g: Gadget) -> CounterexampleReport:
     pairs_b = pairs_a + [(1 << layout.flat(i, j), (t >> j) & 1) for i in range(n)]
     a = space_from_pairs(layout.width, pairs_a)
     b_sp = space_from_pairs(layout.width, pairs_b)
-    assert a is not EMPTY and b_sp is not EMPTY
+    if a is EMPTY or b_sp is EMPTY:
+        raise RuntimeError("the base point must satisfy the equations of A and B")
     z = FVec(n, mask_bits(n) if target_bit else 0)
-    _, (cnt_a, cnt_b) = cube_counts(layout, g, z, [a, b_sp])
-    assert cnt_a > 0
+    cnt_a = count_in_space(a, layout, g, z)
+    if cnt_a == 0:
+        raise RuntimeError("the base point must lie in A and in the preimage of z")
+    cnt_b = count_in_space(b_sp, layout, g, z)
     return CounterexampleReport(
         n,
         g.b,

@@ -90,6 +90,28 @@ def test_verify_lemma_counterexample(capsys):
     assert "verdict: OK" in out
 
 
+def test_verify_lemma_past_the_cube_cap(capsys):
+    # 3 blocks of 12 bits: 36 bits, beyond any full-cube sweep
+    code, out = run(capsys, "verify-lemma", "exponential-sum", "--n", "3", "--b", "12", "--seed", "5")
+    assert code == 0
+    assert out.count("verdict: OK") == 3
+    code, out = run(capsys, "verify-lemma", "counterexample", "--n", "3", "--b", "12", "--seed", "1")
+    assert code == 0
+    assert "verdict: OK" in out
+
+
+def test_library_cap_is_usage_error(tmp_path, capsys):
+    # 26 free edges exceed the exact root-law cap: exit 2 and one stderr line
+    gpath = tmp_path / "r13.graph"
+    run(capsys, "gen-graph", "--type", "random", "--vertices", "13", "--degree", "4", "--seed", "1",
+        "--out", str(gpath))
+    code = main(["root-dist", "--graph", str(gpath)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "EnumerationCapError" in captured.err
+
+
 def test_verify_lemma_closure_laws(capsys):
     code, out = run(capsys, "verify-lemma", "closure-laws", "--trials", "120", "--seed", "5")
     assert code == 0

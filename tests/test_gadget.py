@@ -2,12 +2,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from resoplus.blocks import BlockLayout
-from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, random_space, space_from_pairs
+from resoplus.f2 import EMPTY, EnumerationCapError, FVec, enumerate_points, full_space, random_space, space_from_pairs
 from resoplus.gadget import (
     PM_ONE,
+    SYNDROME_DIM_CAP,
     ZERO_ONE,
     EmptyPreimageError,
     EmptySupportError,
@@ -27,6 +29,7 @@ from resoplus.gadget import (
     sample_lifted,
     walsh_spectrum,
     walsh_spectrum_direct,
+    _fwht_inplace,
 )
 from resoplus.cnf import Cnf
 
@@ -59,6 +62,17 @@ def test_fast_transform_matches_direct_summation():
         g = Gadget(b, tuple(rng.getrandbits(1) for _ in range(1 << b)))
         for conv in (PM_ONE, ZERO_ONE):
             assert walsh_spectrum(g, conv).numerators == walsh_spectrum_direct(g, conv).numerators
+
+
+def test_vectorised_fwht_matches_direct_summation():
+    rng = random.Random(12)
+    for b in range(7):
+        for _ in range(6):
+            g = Gadget(b, tuple(rng.getrandbits(1) for _ in range(1 << b)))
+            for conv, signal in ((PM_ONE, [1 - 2 * t for t in g.table]), (ZERO_ONE, list(g.table))):
+                vals = np.array(signal, dtype=np.int64)
+                _fwht_inplace(vals)
+                assert vals.tolist() == list(walsh_spectrum_direct(g, conv).numerators)
 
 
 def test_zero_one_empty_set_coefficient_is_average():
@@ -133,6 +147,21 @@ def test_count_in_space_matches_enumeration():
         z = FVec(n, rng.getrandbits(n))
         brute = sum(1 for p in enumerate_points(sp) if lift_eval(g, lay, p) == z)
         assert count_in_space(sp, lay, g, z) == brute
+
+
+def test_count_in_space_caps_cross_block_rows_only():
+    # a chain x_i + x_{i+1} over b=1 blocks: every row crosses two blocks
+    lay = BlockLayout(SYNDROME_DIM_CAP + 2, 1)
+    g = parity_gadget(1)
+    rows = [((1 << i) | (1 << (i + 1)), 0) for i in range(SYNDROME_DIM_CAP + 1)]
+    sp = space_from_pairs(lay.width, rows)
+    with pytest.raises(EnumerationCapError):
+        count_in_space(sp, lay, g, FVec(lay.n, 0))
+    # the same number of single-block rows is folded into the candidates
+    unit = space_from_pairs(lay.width, [(1 << i, 0) for i in range(SYNDROME_DIM_CAP + 1)])
+    assert count_in_space(unit, lay, g, FVec(lay.n, 0)) == 1
+    assert count_in_space(unit, lay, g, FVec(lay.n, 1 << (lay.n - 1))) == 1
+    assert count_in_space(unit, lay, g, FVec(lay.n, 1)) == 0
 
 
 def test_sample_in_space_uniform():

@@ -5,7 +5,7 @@ import pytest
 
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure
 from resoplus.f2 import FVec, full_space, space_from_pairs
-from resoplus.gadget import count_in_space, ip_gadget
+from resoplus.gadget import SYNDROME_DIM_CAP, Gadget, count_in_space, count_preimages, ip_gadget, lift_eval
 from resoplus.lemmalab import (
     INCONCLUSIVE,
     OK,
@@ -22,8 +22,9 @@ from resoplus.lemmalab import (
     random_safe_space,
 )
 
-# most unit-level checks run at b=8 (2^16 cube) to stay quick; the acceptance
-# suite exercises the full b=12 scale
+# most unit-level checks run at b=8 to stay quick; the acceptance suite
+# exercises the full b=12 scale.  The checks count by syndrome counting;
+# cube_counts, the full-cube sweep, is the oracle the tests below compare with.
 
 
 def test_error_budget_matches_summation():
@@ -34,20 +35,97 @@ def test_error_budget_matches_summation():
     assert ErrorBudget(2, 12, Fraction(1, 64)).eta == Fraction(65, 1024)
 
 
+def _parity(x: int) -> int:
+    return bin(x).count("1") & 1
+
+
+def _single_block_rows(space, lay) -> int:
+    return sum(len(lay.blocks_touched(f)) == 1 for f in space.forms())
+
+
+def _mixed_space(lay, rng):
+    """A non-empty space whose rows mix single-block and cross-block forms."""
+    x0 = rng.getrandbits(lay.width)
+    pairs = []
+    for _ in range(rng.randint(0, lay.width)):
+        if rng.random() < 0.6:
+            form = rng.getrandbits(lay.b) << (lay.b * rng.randrange(lay.n))
+        else:
+            form = rng.getrandbits(lay.width)
+        pairs.append((form, _parity(form & x0)))
+    return space_from_pairs(lay.width, pairs)
+
+
 def test_cube_counts_against_per_block_counting():
-    rng = random.Random(2)
-    for _ in range(40):
-        n, b = rng.randint(1, 2), rng.choice([2, 4])
+    # single-block rows are folded into the candidates, cross-block rows form the syndrome
+    rng = random.Random(21)
+    single = cross = 0
+    for _ in range(120):
+        n, b = rng.choice([1, 2, 3]), rng.choice([2, 4, 6])
         lay = BlockLayout(n, b)
-        g = ip_gadget(b)
-        pairs = [(rng.getrandbits(lay.width), rng.getrandbits(1)) for _ in range(rng.randint(0, 3))]
-        sp = space_from_pairs(lay.width, pairs)
+        g = ip_gadget(b) if rng.random() < 0.5 else Gadget(b, tuple(rng.getrandbits(1) for _ in range(1 << b)))
+        sp = _mixed_space(lay, rng)
         z = FVec(n, rng.getrandbits(n))
         gz, (cnt,) = cube_counts(lay, g, z, [sp])
-        from resoplus.gadget import count_preimages
-
-        assert gz == count_preimages(g, lay, z)
         assert cnt == count_in_space(sp, lay, g, z)
+        assert gz == count_preimages(g, lay, z)
+        local = _single_block_rows(sp, lay)
+        single += local
+        cross += sp.codim - local
+    assert single > 0 and cross > 0
+
+
+def test_folded_counting_past_the_syndrome_cap_matches_cube_sweep():
+    # 21 single-block rows (more than the syndrome cap) and 2 cross-block rows
+    lay = BlockLayout(4, 6)
+    g = ip_gadget(6)
+    x0 = random.Random(22).getrandbits(lay.width)
+    c1, c2, c3 = lay.flat(1, 0), lay.flat(2, 3), lay.flat(3, 5)
+    local = [(1 << c, (x0 >> c) & 1) for c in range(lay.width) if c not in (c1, c2, c3)]
+    forms = [(1 << c1) | (1 << c2), (1 << c2) | (1 << c3)]
+    sp = space_from_pairs(lay.width, local + [(f, _parity(f & x0)) for f in forms])
+    assert _single_block_rows(sp, lay) == SYNDROME_DIM_CAP + 1 and sp.codim == SYNDROME_DIM_CAP + 3
+    z = lift_eval(g, lay, FVec(lay.width, x0))
+    _, (cnt,) = cube_counts(lay, g, z, [sp])
+    assert cnt > 0
+    assert cnt == count_in_space(sp, lay, g, z)
+
+
+def _closure_fixed(space, lay, y):
+    """space ∩ {x : x agrees with y on y's blocks}."""
+    pins = [
+        (1 << lay.flat(blk, j), (y.value(blk) >> j) & 1) for blk in sorted(y.blocks) for j in range(lay.b)
+    ]
+    return space_from_pairs(lay.width, list(space.rows) + pins)
+
+
+def test_lemma_reports_match_cube_sweep_counts():
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        for b in (2, 4, 6):
+            lay = BlockLayout(n, b)
+            g = ip_gadget(b)
+            for _ in range(3):
+                sp = random_safe_space(lay, rng.randint(0, n), rng)
+                z = FVec(n, rng.getrandbits(n))
+                gz, (cnt,) = cube_counts(lay, g, z, [sp])
+                assert check_exponential_sum(sp, lay, g, z).probability == Fraction(cnt, 1 << lay.width)
+                assert check_uniform_coset(sp, lay, g, z).probability == Fraction(cnt, gz)
+            for k, base in ((1, 0), (1, 1), (n, 0)):
+                a, b_sp, y, z = nested_pair_with_gap(lay, g, k, min(base, n - k), rng)
+                rep = check_conditional_fooling(b_sp, a, lay, g, y, z, k)
+                _, (cnt_a, cnt_b) = cube_counts(lay, g, z, [_closure_fixed(a, lay, y), _closure_fixed(b_sp, lay, y)])
+                assert dict(rep.params)["count_A"] == str(cnt_a)
+                assert rep.probability == (Fraction(cnt_b, cnt_a) if cnt_a else 0)
+            rep = counterexample_demo(n, g)
+            t, j = rep.base_point, rep.sensitive_coord
+            pins_a = [(1 << lay.flat(i, jj), (t >> jj) & 1) for i in range(n) for jj in range(b) if jj != j]
+            pins_b = [(1 << lay.flat(i, j), (t >> j) & 1) for i in range(n)]
+            a = space_from_pairs(lay.width, pins_a)
+            b_sp = space_from_pairs(lay.width, pins_a + pins_b)
+            z = FVec(n, (1 << n) - 1 if rep.target_bit else 0)
+            _, (cnt_a, cnt_b) = cube_counts(lay, g, z, [a, b_sp])
+            assert rep.conditional_probability == Fraction(cnt_b, cnt_a)
 
 
 def test_exponential_sum_full_space():
