@@ -12,6 +12,7 @@ block.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -281,14 +282,9 @@ def is_safe_bruteforce(rows: Sequence[int], layout: BlockLayout) -> bool:
 
 def is_safe_span_bruteforce(rows: Sequence[int], layout: BlockLayout) -> bool:
     """Direct span form: any k independent span vectors touch >= k blocks."""
-    basis = [row for row in rows]
-    r = rank_of_rows(basis)
+    reduced = f2.space_from_pairs(layout.width, [(row, 0) for row in rows]).forms()
+    r = len(reduced)
     span = []
-    reduced = []
-    for row in basis:
-        row2 = f2.reduce_against(row, reduced)
-        if row2:
-            reduced.append(row2)
     for coeffs in range(1, 1 << len(reduced)):
         v = 0
         for j in range(len(reduced)):
@@ -348,7 +344,8 @@ def amortized_closure_bruteforce(rows: Sequence[int], layout: BlockLayout) -> fr
     for S in acceptable_sets_bruteforce(rows, layout):
         if best is None or blockset_lex_ge(S, best):
             best = S
-    assert best is not None
+    if best is None:
+        raise RuntimeError("the empty block set is always acceptable")
     return best
 
 
@@ -419,6 +416,16 @@ class ClosureAssignment:
         return cls.from_dict(layout, values)
 
 
+def fixed_blocks(a: AffineSpace, layout: BlockLayout) -> frozenset[int]:
+    """Blocks whose every coordinate is constant on the space.
+
+    A unit vector is in the span of reduced echelon rows exactly when it is
+    one of the rows, so a block is fixed iff its b unit forms are all rows.
+    """
+    units = Counter(layout.block_of(f.bit_length() - 1) for f in a.forms() if f & (f - 1) == 0)
+    return frozenset(i for i, k in units.items() if k == layout.b)
+
+
 def is_extendable(a: AffineSpace, y: ClosureAssignment) -> bool:
     """True iff some point of the space agrees with the assignment."""
     if a.width != y.layout.width:
@@ -450,5 +457,6 @@ def restrict(a: AffineSpace, y: ClosureAssignment) -> AffineSpace:
     if not is_extendable(a, y):
         raise NotExtendableError("no point of the space matches the assignment")
     result = substitute(a, y)
-    assert result is not EMPTY
+    if result is EMPTY:
+        raise RuntimeError("an extendable assignment substituted to the empty space")
     return result

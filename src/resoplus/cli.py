@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 when every assertion made by the command holds, 1 when a
-verification fails (with the offending report printed), 2 on usage errors
-and on library errors for out-of-scope input (a cap exceeded, an empty
-space or preimage, an unsafe space), reported in one line on stderr.
+verification fails (with the offending report printed), 2 on usage errors,
+on unreadable or malformed input files and on library errors for
+out-of-scope input (a cap exceeded, an empty space or preimage, an unsafe
+space), reported in one line on stderr.
 Stochastic commands require an explicit --seed so reruns are byte-identical.
 """
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import dtfooling, lemmalab, pdt, resproof, tseitin
@@ -35,6 +35,7 @@ def _graph_from_args(args) -> tseitin.Graph:
         return tseitin.cycle_graph(args.vertices)
     if kind == "random":
         if args.seed is None:
+            print("error: --type random needs --seed", file=sys.stderr)
             raise SystemExit(2)
         return tseitin.random_regular_graph(args.vertices, args.degree, args.seed)
     raise SystemExit(2)
@@ -179,32 +180,28 @@ def _verify_safe_space_lemma(args, check) -> list[lemmalab.LemmaReport]:
     layout = BlockLayout(args.n, args.b)
     g = ip_gadget(args.b)
     rng = random.Random(args.seed)
-    jobs = []
+    reports = []
     for _ in range(args.count):
         codim = rng.randint(0, min(3, layout.n))
         space = lemmalab.random_safe_space(layout, codim, rng)
         z = FVec(layout.n, rng.getrandbits(layout.n))
-        jobs.append((space, z))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(lambda sz: check(sz[0], layout, g, sz[1]), jobs))
+        reports.append(check(space, layout, g, z))
+    return reports
 
 
 def _verify_conditional_fooling(args) -> list[lemmalab.LemmaReport]:
     layout = BlockLayout(args.n, args.b)
     g = ip_gadget(args.b)
     rng = random.Random(args.seed)
-    jobs = []
+    reports = []
     # the amortized closure of A plus the gap cannot exceed the block count
     slack = layout.n - args.k
     for i in range(args.count):
         concentrate = 0 if (args.k == 1 and i % 3 == 2 and slack >= 1) else None
         base_codim = rng.randint(0, min(1, slack)) if concentrate is None else 3
         a, b_sp, y, z = lemmalab.nested_pair_with_gap(layout, g, args.k, base_codim, rng, concentrate)
-        jobs.append((b_sp, a, y, z))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(
-            pool.map(lambda t: lemmalab.check_conditional_fooling(t[0], t[1], layout, g, t[2], t[3], args.k), jobs)
-        )
+        reports.append(lemmalab.check_conditional_fooling(b_sp, a, layout, g, y, z, args.k))
+    return reports
 
 
 def cmd_verify_lemma(args) -> int:
@@ -275,6 +272,14 @@ def cmd_hardness_experiment(args) -> int:
     return 0 if ok else 1
 
 
+def nonnegative_int(text: str) -> int:
+    # random.Random(-s) draws the same stream as random.Random(s)
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="resoplus", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -283,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", choices=["k5", "k7", "complete", "cycle", "random"], default="k5")
     sp.add_argument("--vertices", type=int, default=5)
     sp.add_argument("--degree", type=int, default=4)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=nonnegative_int)
     sp.add_argument("--graph", help="copy an existing graph file instead")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_gen_graph)
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--rho")
     sp.add_argument("--samples", type=int, default=10)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_sample_dtfooling)
 
@@ -356,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--count", type=int, default=3)
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--format", choices=["csv", "text"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify_lemma)
@@ -369,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=6)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--strategy", action="append")
     sp.add_argument("--budget", help="coin budget as a fraction, default |V|/(50d)")
     sp.add_argument("--require-lower-bound", type=float)
@@ -382,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Library errors that mean the input is out of scope (a cap, an empty set,
-# an unsafe space), not that a verification failed.
-_USAGE_ERRORS = (EnumerationCapError, EmptySpaceError, lemmalab.UnsafeSpaceError, EmptyPreimageError)
+# Errors that mean the input is unreadable, malformed or out of scope (a
+# cap, an empty set, an unsafe space), not that a verification failed.
+_USAGE_ERRORS = (
+    OSError, ValueError, resproof.ProofSyntaxError, resproof.DanglingNodeError, resproof.CycleError,
+    EnumerationCapError, EmptySpaceError, lemmalab.UnsafeSpaceError, EmptyPreimageError,
+)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -116,7 +116,8 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     if not analysis.valid:
         raise InvalidAssignmentError("source assignment is not valid")
     odd = analysis.odd_component
-    assert odd is not None
+    if odd is None:
+        raise RuntimeError("a valid assignment has exactly one odd component")
     f = analysis.f_rho
     root = sorted(odd)[rng.randrange(len(odd))]
     values = rho.as_dict()
@@ -214,7 +215,8 @@ def exact_root_distribution(
     if not analysis.valid:
         raise InvalidAssignmentError("source assignment is not valid")
     odd = analysis.odd_component
-    assert odd is not None
+    if odd is None:
+        raise RuntimeError("a valid assignment has exactly one odd component")
     free = rho.free_edges()
     if len(free) > cap:
         raise EnumerationCapError(f"{len(free)} free edges exceed cap {cap}")

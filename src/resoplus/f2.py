@@ -4,10 +4,13 @@ Vectors and equation systems are stored as Python ints used as bitsets;
 coordinate i of a width-w vector is bit i (little-endian by index, and the
 textual form puts coordinate 0 leftmost).  Affine spaces are kept eagerly
 normalized in reduced row-echelon form, so two spaces are equal as sets
-exactly when their dataclass fields compare equal.
+exactly when their dataclass fields compare equal.  `AffineSpace.with_equation`
+is the one place a (form, bit) row enters that form: every other constructor
+and intersection here is a fold of it.
 """
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -123,39 +126,6 @@ def rank(m: FMat) -> int:
     return rank_of_rows(m.rows)
 
 
-def reduce_against(row: int, basis: Sequence[int]) -> int:
-    """Reduce a row against pivot-reduced basis rows (lowest set bit pivots)."""
-    for b in basis:
-        low = b & -b
-        if row & low:
-            row ^= b
-    return row
-
-
-def _rref(pairs: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-    """Reduced row-echelon form of (form, bit) pairs; None if inconsistent.
-
-    Pivot of a row is its lowest set bit; result rows are sorted by pivot and
-    every pivot appears in exactly one row.
-    """
-    rows: list[tuple[int, int]] = []
-    for form, bit in pairs:
-        for f, c in rows:
-            low = f & -f
-            if form & low:
-                form ^= f
-                bit ^= c
-        if form == 0:
-            if bit == 1:
-                return None
-            continue
-        low = form & -form
-        rows = [(f ^ form if f & low else f, c ^ bit if f & low else c) for f, c in rows]
-        rows.append((form, bit))
-    rows.sort(key=lambda fc: fc[0] & -fc[0])
-    return rows
-
-
 class _EmptySpace:
     """Distinguished empty result so set algebra composes without exceptions."""
 
@@ -172,6 +142,9 @@ class _EmptySpace:
     def __bool__(self) -> bool:
         return False
 
+    def with_equation(self, form: int, bit: int) -> "_EmptySpace":
+        return self
+
 
 EMPTY = _EmptySpace()
 
@@ -180,9 +153,10 @@ EMPTY = _EmptySpace()
 class AffineSpace:
     """A non-empty affine subspace {x : <form_i, x> = bit_i for all i}.
 
-    Stored in reduced row-echelon form; construct via `affine_from_equations`,
-    `full_space` or the intersection helpers, which return EMPTY on an
-    inconsistent system.
+    Stored in reduced row-echelon form: the pivot of a row is its lowest set
+    bit, rows are sorted by pivot and every pivot appears in exactly one row.
+    Construct via `affine_from_equations`, `full_space`, `with_equation` or
+    the intersection helpers, which return EMPTY on an inconsistent system.
     """
 
     width: int
@@ -223,36 +197,56 @@ class AffineSpace:
     def to_text(self) -> str:
         return "\n".join(f"{bits_to_string(f, self.width)} = {c}" for f, c in self.rows)
 
+    def with_equation(self, form: int, bit: int) -> "AffineSpace | _EmptySpace":
+        """The space cut by <form, x> = bit: self if implied, EMPTY if contradicted.
+
+        The form is reduced by every row whose pivot it contains; as each pivot
+        sits in one row, the order does not matter.  A nonzero remainder is
+        cleared from the rows containing its pivot and inserted by pivot.
+        """
+        if form < 0 or form >> self.width:
+            raise ValueError("form out of range for width")
+        bit &= 1
+        for f, c in self.rows:
+            if form & f & -f:
+                form ^= f
+                bit ^= c
+        if form == 0:
+            return EMPTY if bit else self
+        low = form & -form
+        rows = [(f ^ form, c ^ bit) if f & low else (f, c) for f, c in self.rows]
+        rows.insert(bisect.bisect(rows, low, key=lambda fc: fc[0] & -fc[0]), (form, bit))
+        return AffineSpace(self.width, tuple(rows))
+
 
 def full_space(width: int) -> AffineSpace:
     return AffineSpace(width, ())
+
+
+def _fold(space: AffineSpace | _EmptySpace, pairs) -> AffineSpace | _EmptySpace:
+    for form, bit in pairs:
+        space = space.with_equation(form, bit)
+        if space is EMPTY:
+            break
+    return space
 
 
 def affine_from_equations(eqs: FMat, rhs: FVec) -> AffineSpace | _EmptySpace:
     """Normalize an equation system into a space, or EMPTY if inconsistent."""
     if rhs.width != len(eqs.rows):
         raise ValueError("rhs length must equal the number of equation rows")
-    pairs = [(row, (rhs.bits >> i) & 1) for i, row in enumerate(eqs.rows)]
-    rows = _rref(pairs)
-    if rows is None:
-        return EMPTY
-    return AffineSpace(eqs.width, tuple(rows))
+    return _fold(full_space(eqs.width), ((row, (rhs.bits >> i) & 1) for i, row in enumerate(eqs.rows)))
 
 
 def space_from_pairs(width: int, pairs: Sequence[tuple[int, int]]) -> AffineSpace | _EmptySpace:
-    rows = _rref(list(pairs))
-    if rows is None:
-        return EMPTY
-    return AffineSpace(width, tuple(rows))
+    return _fold(full_space(width), pairs)
 
 
 def intersect(a: AffineSpace | _EmptySpace, form: FVec, bit: int) -> AffineSpace | _EmptySpace:
     """Intersect with one equation {x : <form, x> = bit}."""
-    if a is EMPTY:
-        return EMPTY
-    if form.width != a.width:
+    if a is not EMPTY and form.width != a.width:
         raise ValueError("width mismatch")
-    return space_from_pairs(a.width, list(a.rows) + [(form.bits, bit & 1)])
+    return a.with_equation(form.bits, bit)
 
 
 def intersect_space(a: AffineSpace | _EmptySpace, b: AffineSpace | _EmptySpace) -> AffineSpace | _EmptySpace:
@@ -260,7 +254,7 @@ def intersect_space(a: AffineSpace | _EmptySpace, b: AffineSpace | _EmptySpace) 
         return EMPTY
     if a.width != b.width:
         raise ValueError("width mismatch")
-    return space_from_pairs(a.width, list(a.rows) + list(b.rows))
+    return _fold(a, b.rows)
 
 
 def is_subspace(inner: AffineSpace | _EmptySpace, outer: AffineSpace | _EmptySpace) -> bool:

@@ -67,6 +67,8 @@ class Gadget:
     @classmethod
     def from_text(cls, text: str) -> "Gadget":
         lines = text.split()
+        if len(lines) < 2:
+            raise ValueError("gadget text needs an arity line and a truth-table line")
         b = int(lines[0])
         bits = lines[1]
         return cls(b, tuple(int(ch) for ch in bits))

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import f2
-from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure
+from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure, fixed_blocks
 from .dtfooling import root_space, sample as dtf_sample
-from .f2 import EMPTY, AffineSpace, FVec, full_space, intersect, points_array, reduce_against
+from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
 from .gadget import Gadget, LiftedDistribution, lift_eval, sample_lifted
 from .tseitin import EdgePartialAssignment, Graph, PartialAnalysis, analyze_partial
 
@@ -182,9 +182,9 @@ def run_pdt(t: Pdt, x: FVec, steps: int | None = None) -> tuple[PdtNode, AffineS
     made = 0
     while isinstance(node, Query) and (steps is None or made < steps):
         bit = f2.FVec(t.width, node.form).dot(x)
-        nxt = intersect(space, FVec(t.width, node.form), bit)
-        assert nxt is not EMPTY
-        space = nxt
+        space = space.with_equation(node.form, bit)
+        if space is EMPTY:
+            raise RuntimeError("a point left the space of its own answers")
         node = node.child(bit)
         made += 1
     return node, space
@@ -213,9 +213,11 @@ def block_complete(
     start_amortized = len(amortized_closure(a.forms(), layout)[0])
     if p_cap is not None and start_amortized > p_cap:
         raise f2.EnumerationCapError(f"amortized closure {start_amortized} exceeds cap {p_cap}")
-    base = f2.space_from_pairs(layout.width, list(a.rows) + y.coordinate_pairs())
-    if base is EMPTY:
-        raise ValueError("closure assignment is not extendable in the space")
+    base = a
+    for form, bit in y.coordinate_pairs():
+        base = base.with_equation(form, bit)
+        if base is EMPTY:
+            raise ValueError("closure assignment is not extendable in the space")
     closed0 = closure(base.forms(), layout)
     if not y.blocks <= closed0:
         raise ValueError("assignment blocks must be closed in the starting space")
@@ -234,7 +236,7 @@ def block_complete(
             form = 1 << coords[pos]
 
             def kid(bit: int):
-                nxt = f2.space_from_pairs(layout.width, list(sp.rows) + [(form, bit)])
+                nxt = sp.with_equation(form, bit)
                 if nxt is EMPTY:
                     return Leaf("dead")
                 return fill(pos + 1, nxt)
@@ -243,10 +245,11 @@ def block_complete(
 
         def main_query(sp: AffineSpace) -> PdtNode:
             def kid(bit: int):
-                nxt = f2.space_from_pairs(layout.width, list(sp.rows) + [(orig.form, bit)])
+                nxt = sp.with_equation(orig.form, bit)
                 if nxt is EMPTY:
                     return Leaf("dead")
-                assert closure(nxt.forms(), layout) == closed_next
+                if closure(nxt.forms(), layout) != closed_next:
+                    raise AssertionError("closure after a stage differs from the queried blocks")
                 return descend(orig.child(bit), nxt, closed_next, stage_idx + 1)
 
             return Query(orig.form, lambda: kid(0), lambda: kid(1), note="stage-end")
@@ -300,7 +303,8 @@ class _Accountant:
         self.budget = Fraction(budget)
         self.remaining = Fraction(budget)
         analysis = analyze_partial(graph, rho)
-        assert analysis.odd_component is not None and root in analysis.odd_component
+        if analysis.odd_component is None or root not in analysis.odd_component:
+            raise ValueError(f"root {root} is not in the unique odd component of rho")
         self.odd: frozenset[int] = analysis.odd_component
         self.initial = len(self.odd)
         self.steps: list[GameStep] = []
@@ -399,7 +403,8 @@ def exact_lifted_root_law(
         from .dtfooling import root_of
 
         root = root_of(graph, z)
-        assert isinstance(root, int)
+        if not isinstance(root, int):
+            raise RuntimeError(f"support point {z} has no unique root")
         fiber = count_preimages(g, layout, z)
         cnt = count_in_space(space, layout, g, z)
         weights[root] = weights.get(root, Fraction(0)) + Fraction(w * cnt, fiber)
@@ -407,14 +412,6 @@ def exact_lifted_root_law(
     if total == 0:
         raise f2.EmptySpaceError("conditioning removes the whole lifted support")
     return tuple(sorted((v, p / total) for v, p in weights.items()))
-
-
-def _determined_blocks(basis: list[int], layout: BlockLayout, candidates: Iterable[int]) -> set[int]:
-    out = set()
-    for i in candidates:
-        if all(reduce_against(1 << layout.flat(i, j), basis) == 0 for j in range(layout.b)):
-            out.add(i)
-    return out
 
 
 def coin_game(
@@ -441,18 +438,17 @@ def coin_game(
     if not isinstance(root, int):
         raise ValueError("sampled assignment does not have a unique root")
     acct = _Accountant(rho.graph, rho, root, budget)
-    basis: list[int] = []
+    space: AffineSpace = full_space(layout.width)
     determined: set[int] = set(k for k, _ in rho.entries)
     node = tprime.root
     made = 0
     while isinstance(node, Query) and acct.outcome is None and (max_steps is None or made < max_steps):
         bit = f2.FVec(layout.width, node.form).dot(x)
-        reduced = reduce_against(node.form, basis)
-        if reduced:
-            basis.append(reduced)
+        nxt = space.with_equation(node.form, bit)
+        if nxt is not space:
+            space = nxt
             # a new equation can complete blocks it does not even touch
-            candidates = set(range(layout.n)) - determined
-            newly = _determined_blocks(basis, layout, candidates)
+            newly = fixed_blocks(space, layout) - determined
             if newly:
                 determined |= newly
                 acct.reveal({k: z.get(k) for k in sorted(newly)})
@@ -638,6 +634,58 @@ def default_strategies() -> dict[str, Callable[[], EdgeQueryStrategy]]:
     }
 
 
+def _experiment(
+    graph: Graph,
+    names: Iterable[str],
+    q: int,
+    trials: int,
+    seed: int,
+    budget: Fraction | None,
+    play: Callable[[str, random.Random, Fraction], tuple[int, GameTranscript, EdgePartialAssignment | None]],
+) -> ExperimentReport:
+    """Run `trials` plays per name and summarize them.
+
+    play(name, rng, budget) returns (root, transcript, final partial
+    assignment); a trial succeeds when that assignment is still valid.
+    Per-trial seeds split off the master seed in counter mode.
+    """
+    d = graph.degree_if_regular()
+    if d is None:
+        raise ValueError("hardness experiment expects a regular graph")
+    if budget is None:
+        budget = Fraction(graph.num_vertices, 50 * d)
+    rows: list[TrialRow] = []
+    summaries: list[StrategySummary] = []
+    for name in sorted(names):
+        successes = 0
+        identities = True
+        max_paid = 0
+        for trial in range(trials):
+            rng = random.Random((seed << 24) ^ zlib.crc32(name.encode()) ^ trial)
+            root, transcript, final = play(name, rng, budget)
+            if final is None:
+                raise RuntimeError(f"trial {trial} of {name} ended without a final partial assignment")
+            ok = analyze_partial(graph, final).valid
+            successes += ok
+            ident = transcript.identity_holds()
+            identities &= ident
+            max_paid = max(max_paid, transcript.total_paid)
+            rows.append(TrialRow(name, trial, root, ok, transcript.outcome, transcript.total_paid, ident))
+        low, high = wilson_interval(successes, trials)
+        summaries.append(StrategySummary(name, trials, successes, low, high, identities, max_paid))
+    return ExperimentReport(
+        graph.num_vertices,
+        graph.num_edges,
+        d,
+        q,
+        trials,
+        seed,
+        budget,
+        tuple(rows),
+        tuple(summaries),
+    )
+
+
 def lifted_hardness_experiment(
     graph: Graph,
     g: Gadget,
@@ -660,51 +708,17 @@ def lifted_hardness_experiment(
     """
     if rho is None:
         rho = EdgePartialAssignment.empty(graph)
-    d = graph.degree_if_regular()
-    if d is None:
-        raise ValueError("lifted experiment expects a regular graph")
-    if budget is None:
-        budget = Fraction(graph.num_vertices, 50 * d)
     layout = BlockLayout(graph.num_edges, g.b)
     dist = lifted_dtfooling_distribution(layout, g, rho)
     base_space = full_space(layout.width)
     y = ClosureAssignment.from_dict(layout, {})
-    rows: list[TrialRow] = []
-    summaries: list[StrategySummary] = []
-    for name in sorted(trees):
-        build = trees[name]
-        successes = 0
-        identities = True
-        max_paid = 0
-        for trial in range(trials):
-            rng = random.Random((seed << 24) ^ zlib.crc32(name.encode()) ^ trial)
-            tree = build(rng)
-            tprime = block_complete(tree, layout, base_space, y, p_cap=p_cap)
-            transcript = coin_game(
-                tprime, layout, g, rho, lambda r: sample_lifted(dist, None, r), budget, rng
-            )
-            assert transcript.final_partial is not None
-            ok = analyze_partial(graph, transcript.final_partial).valid
-            successes += ok
-            ident = transcript.identity_holds()
-            identities &= ident
-            max_paid = max(max_paid, transcript.total_paid)
-            rows.append(
-                TrialRow(name, trial, transcript.root, ok, transcript.outcome, transcript.total_paid, ident)
-            )
-        low, high = wilson_interval(successes, trials)
-        summaries.append(StrategySummary(name, trials, successes, low, high, identities, max_paid))
-    return ExperimentReport(
-        graph.num_vertices,
-        graph.num_edges,
-        d,
-        q,
-        trials,
-        seed,
-        budget,
-        tuple(rows),
-        tuple(summaries),
-    )
+
+    def play(name: str, rng: random.Random, budget: Fraction):
+        tprime = block_complete(trees[name](rng), layout, base_space, y, p_cap=p_cap)
+        transcript = coin_game(tprime, layout, g, rho, lambda r: sample_lifted(dist, None, r), budget, rng)
+        return transcript.root, transcript, transcript.final_partial
+
+    return _experiment(graph, trees, q, trials, seed, budget, play)
 
 
 def hardness_experiment(
@@ -720,47 +734,16 @@ def hardness_experiment(
 
     Per trial: sample the hard distribution, run the adversary for q edge
     queries, record whether the revealed partial assignment is still valid,
-    plus the coin-game transcript and its accounting identity.  Per-trial
-    seeds split off the master seed in counter mode.
+    plus the coin-game transcript and its accounting identity.
     """
     if strategies is None:
         strategies = default_strategies()
     if rho is None:
         rho = EdgePartialAssignment.empty(graph)
-    d = graph.degree_if_regular()
-    if d is None:
-        raise ValueError("hardness experiment expects a regular graph")
-    if budget is None:
-        budget = Fraction(graph.num_vertices, 50 * d)
-    rows: list[TrialRow] = []
-    summaries: list[StrategySummary] = []
-    for name in sorted(strategies):
-        factory = strategies[name]
-        successes = 0
-        identities = True
-        max_paid = 0
-        for trial in range(trials):
-            rng = random.Random((seed << 24) ^ zlib.crc32(name.encode()) ^ trial)
-            drawn = dtf_sample(rho, rng)
-            transcript, final = run_unlifted_game(rho, factory(), drawn.assignment, q, budget, rng)
-            ok = analyze_partial(graph, final).valid
-            successes += ok
-            ident = transcript.identity_holds()
-            identities &= ident
-            max_paid = max(max_paid, transcript.total_paid)
-            rows.append(
-                TrialRow(name, trial, drawn.root, ok, transcript.outcome, transcript.total_paid, ident)
-            )
-        low, high = wilson_interval(successes, trials)
-        summaries.append(StrategySummary(name, trials, successes, low, high, identities, max_paid))
-    return ExperimentReport(
-        graph.num_vertices,
-        graph.num_edges,
-        d,
-        q,
-        trials,
-        seed,
-        budget,
-        tuple(rows),
-        tuple(summaries),
-    )
+
+    def play(name: str, rng: random.Random, budget: Fraction):
+        drawn = dtf_sample(rho, rng)
+        transcript, final = run_unlifted_game(rho, strategies[name](), drawn.assignment, q, budget, rng)
+        return drawn.root, transcript, final
+
+    return _experiment(graph, strategies, q, trials, seed, budget, play)

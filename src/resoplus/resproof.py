@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import f2
 from ._bits import bits_to_string, string_to_bits
 from .cnf import Cnf
-from .f2 import EMPTY, AffineSpace, FVec, full_space, intersect, is_subspace, space_from_pairs
+from .f2 import EMPTY, AffineSpace, FVec, full_space, is_subspace, space_from_pairs
 
 LEAF = "LEAF"
 WEAK = "WEAK"
@@ -257,12 +257,9 @@ def check(dag: ProofDag, cnf: Cnf) -> CheckResult:
     for node in sorted(dag.nodes, key=lambda n: n.node_id):
         space = node.space
         if node.kind == QRY:
-            form = FVec(dag.width, node.form)
-            want0 = intersect(space, form, 0) if space is not EMPTY else EMPTY
-            want1 = intersect(space, form, 1) if space is not EMPTY else EMPTY
-            if dag.by_id[node.child0].space != want0:
+            if dag.by_id[node.child0].space != space.with_equation(node.form, 0):
                 return CheckResult(False, node.node_id, "QUERY-SPLIT-0")
-            if dag.by_id[node.child1].space != want1:
+            if dag.by_id[node.child1].space != space.with_equation(node.form, 1):
                 return CheckResult(False, node.node_id, "QUERY-SPLIT-1")
         elif node.kind == WEAK:
             if not is_subspace(space, dag.by_id[node.child].space):
@@ -371,12 +368,10 @@ def pdt_refute(cnf: Cnf, var_cap: int = REFUTE_VAR_CAP) -> ProofDag:
                 return idx
         return None
 
-    def build(level: int, mask: int, value: int) -> int:
+    def build(level: int, mask: int, value: int, space: AffineSpace) -> int:
         nonlocal counter
         node_id = counter
         counter += 1
-        pairs = [(1 << i, (value >> i) & 1) for i in range(level)]
-        space = space_from_pairs(cnf.num_vars, pairs)
         clause = falsified_clause(mask, value)
         if clause is not None:
             nodes.append(ProofNode(node_id, LEAF, space, clause=clause))
@@ -386,12 +381,12 @@ def pdt_refute(cnf: Cnf, var_cap: int = REFUTE_VAR_CAP) -> ProofDag:
         placeholder = len(nodes)
         nodes.append(None)  # reserve the preorder slot
         bit = 1 << level
-        c0 = build(level + 1, mask | bit, value)
-        c1 = build(level + 1, mask | bit, value | bit)
+        c0 = build(level + 1, mask | bit, value, space.with_equation(bit, 0))
+        c1 = build(level + 1, mask | bit, value | bit, space.with_equation(bit, 1))
         nodes[placeholder] = ProofNode(node_id, QRY, space, form=bit, child0=c0, child1=c1)
         return node_id
 
-    build(0, 0, 0)
+    build(0, 0, 0, full_space(cnf.num_vars))
     return ProofDag.build(cnf.num_vars, nodes)
 
 

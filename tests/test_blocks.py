@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resoplus.blocks import (
     BlockLayout,
@@ -13,6 +15,7 @@ from resoplus.blocks import (
     blockset_sort_key,
     closure,
     closure_bruteforce,
+    fixed_blocks,
     is_deviolator,
     is_extendable,
     is_safe,
@@ -21,7 +24,7 @@ from resoplus.blocks import (
     restrict,
     substitute,
 )
-from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, sample_point, space_from_pairs
+from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, rank_of_rows, sample_point, space_from_pairs
 
 
 def unit(layout, i, j):
@@ -255,3 +258,22 @@ def test_substitute_agrees_with_pointwise_filtering():
                 expected.add(compact)
         got = set() if out is EMPTY else {p.bits for p in enumerate_points(out)}
         assert got == expected
+
+
+@st.composite
+def layout_and_forms(draw):
+    lay = BlockLayout(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    # unit forms make fixed blocks common; arbitrary forms fix them indirectly
+    form = st.one_of(st.integers(0, lay.width - 1).map(lambda i: 1 << i), st.integers(0, (1 << lay.width) - 1))
+    return lay, draw(st.lists(form, max_size=2 * lay.width))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(layout_and_forms())
+def test_fixed_blocks_matches_span_definition(case):
+    # a block is fixed iff every unit vector of it leaves the rank unchanged
+    lay, forms = case
+    space = space_from_pairs(lay.width, [(f, 0) for f in forms])
+    r = rank_of_rows(forms)
+    want = {i for i in range(lay.n) if all(rank_of_rows(forms + [unit(lay, i, j)]) == r for j in range(lay.b))}
+    assert fixed_blocks(space, lay) == want

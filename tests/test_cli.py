@@ -145,16 +145,6 @@ def test_verify_lemma_k2_many_draws(capsys):
         assert code == 0
 
 
-def test_verify_lemma_jobs_deterministic(capsys):
-    base = ["verify-lemma", "exponential-sum", "--n", "2", "--b", "8", "--seed", "4",
-            "--count", "4", "--format", "csv"]
-    code, out1 = run(capsys, *base, "--jobs", "1")
-    assert code == 0
-    code, out2 = run(capsys, *base, "--jobs", "3")
-    assert code == 0
-    assert out1 == out2
-
-
 def test_hardness_experiment_and_determinism(tmp_path, capsys):
     args = [
         "hardness-experiment", "--type", "k5", "--q", "2", "--trials", "25", "--seed", "1", "--format", "csv",
@@ -176,3 +166,51 @@ def test_missing_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample-dtfooling", "--graph", "x.graph", "--samples", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["root-dist", "--graph", "{empty}"], "ValueError"),
+        (["root-dist", "--graph", "{missing}"], "FileNotFoundError"),
+        (["check-proof", "{empty}", "{empty}"], "ProofSyntaxError"),
+        (["check-proof", "{dangling}", "{empty}"], "DanglingNodeError"),
+        (["gadget-spectrum", "--gadget", "{empty}"], "ValueError"),
+    ],
+)
+def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
+    # exit 1 means a verification failed; unreadable input is exit 2 and one line
+    empty = tmp_path / "empty"
+    empty.write_text("")
+    dangling = tmp_path / "dangling.rxp"
+    dangling.write_text("rxp 1 1\n0 k=WEAK 7\n")
+    paths = {"empty": str(empty), "missing": str(tmp_path / "missing"), "dangling": str(dangling)}
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {error}: ")
+
+
+def test_random_graph_without_seed_says_why(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-graph", "--type", "random"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-graph", "--type", "random", "--seed", "-1"],
+        ["verify-lemma", "closure-laws", "--seed", "-7"],
+        ["hardness-experiment", "--type", "k5", "--q", "2", "--trials", "5", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    # random.Random(-s) repeats the stream of random.Random(s)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resoplus.f2 import (
     EMPTY,
@@ -158,3 +161,45 @@ def test_vector_text_round_trip():
     assert v.to_string() == "0110"
     assert (v ^ v).is_zero()
     assert FVec.unit(4, 2).support() == (2,)
+
+
+@st.composite
+def pairs_of_width(draw, max_width=8, max_rows=6):
+    width = draw(st.integers(1, max_width))
+    eq = st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 1))
+    return width, draw(st.lists(eq, max_size=max_rows))
+
+
+def _is_rref(space):
+    pivots = [f & -f for f in space.forms()]
+    return pivots == sorted(set(pivots)) and 0 not in pivots and all(
+        not (f & p) for f in space.forms() for p in pivots if p != f & -f
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pairs_of_width(), st.data())
+def test_with_equation_matches_point_filter(case, data):
+    width, pairs = case
+    space = space_from_pairs(width, pairs)
+    form = data.draw(st.integers(0, (1 << width) - 1))
+    bit = data.draw(st.integers(0, 1))
+    out = space.with_equation(form, bit)
+    want = {p.bits for p in enumerate_points(space) if FVec(width, form).dot(p) == bit}
+    assert {p.bits for p in enumerate_points(out)} == want
+    assert out is EMPTY or _is_rref(out)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(pairs_of_width(max_rows=5))
+def test_space_from_pairs_ignores_pair_order(case):
+    width, pairs = case
+    space = space_from_pairs(width, pairs)
+    for perm in itertools.permutations(pairs):
+        assert space_from_pairs(width, perm) == space
+
+
+def test_with_equation_rejects_forms_wider_than_the_space():
+    with pytest.raises(ValueError):
+        full_space(3).with_equation(0b1000, 0)
+    assert EMPTY.with_equation(0b1, 1) is EMPTY
