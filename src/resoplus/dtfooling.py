@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import f2
-from .f2 import AffineSpace, EnumerationCapError, FVec, points_array, space_from_pairs
+from .f2 import AffineSpace, EnumerationCapError, FVec, space_from_pairs
 from .tseitin import EdgePartialAssignment, Graph, analyze_partial, residues
 
 ROOT_LAW_FREE_EDGE_CAP = 22
@@ -204,11 +202,12 @@ def exact_root_distribution(
     condition: Mapping[int, int] | None = None,
     cap: int = ROOT_LAW_FREE_EDGE_CAP,
 ) -> RootLawReport:
-    """Exhaustively count the conditional root law and check root hiding.
+    """Exactly count the conditional root law and check root hiding.
 
     The law of root(z), for z drawn by the sampler and conditioned on agreeing
     with the given free-edge sub-assignment, must be uniform on the unique odd
-    component of the combined partial assignment.
+    component of the combined partial assignment.  Each root's count is the
+    size of its root space cut by the condition: 2^dim, or 0 when EMPTY.
     """
     g = rho.graph
     analysis = analyze_partial(g, rho)
@@ -231,13 +230,12 @@ def exact_root_distribution(
     c1 = comb_analysis.odd_components[0]
 
     pos = {k: i for i, k in enumerate(free)}
-    cmask = np.uint64(sum(1 << pos[k] for k in condition))
-    cval = np.uint64(sum(bit << pos[k] for k, bit in condition.items()))
     counts = []
     for v in sorted(odd):
         space, _ = root_space(rho, v)
-        pts = points_array(space, cap=cap)
-        counts.append((v, int(np.count_nonzero((pts & cmask) == cval))))
+        for k, bit in condition.items():
+            space = space.with_equation(1 << pos[k], bit)
+        counts.append((v, 0 if space is f2.EMPTY else space.size()))
     total = sum(c for _, c in counts)
     if total == 0:
         raise InconsistentConditionError("condition matches no sample")

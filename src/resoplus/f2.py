@@ -214,7 +214,8 @@ class AffineSpace:
         if form == 0:
             return EMPTY if bit else self
         low = form & -form
-        rows = [(f ^ form, c ^ bit) if f & low else (f, c) for f, c in self.rows]
+        # rows without the new pivot are shared with self, not copied: deep trees of spaces stay small
+        rows = [(fc[0] ^ form, fc[1] ^ bit) if fc[0] & low else fc for fc in self.rows]
         rows.insert(bisect.bisect(rows, low, key=lambda fc: fc[0] & -fc[0]), (form, bit))
         return AffineSpace(self.width, tuple(rows))
 

@@ -8,9 +8,10 @@ empty-set coefficient is ~1/2 for any roughly balanced gadget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,22 +45,27 @@ class Gadget:
 
     b: int
     table: tuple[int, ...]
+    # a block's candidate values per class, as read-only uint64 arrays:
+    # g^-1(0), g^-1(1) and (FREE) every value
+    class_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != 1 << self.b:
             raise ValueError("table length must be 2^b")
         if any(t not in (0, 1) for t in self.table):
             raise ValueError("table entries must be bits")
+        table = np.frombuffer(bytes(self.table), dtype=np.uint8)
+        values = [np.flatnonzero(table == bit).astype(np.uint64) for bit in (0, 1)]
+        values.append(np.arange(1 << self.b, dtype=np.uint64))
+        for v in values:
+            v.flags.writeable = False
+        object.__setattr__(self, "class_values", tuple(values))
 
     def eval(self, v: int) -> int:
         return self.table[v]
 
     def preimage(self, bit: int) -> tuple[int, ...]:
         return tuple(v for v in range(1 << self.b) if self.table[v] == bit)
-
-    def preimage_array(self, bit: int) -> np.ndarray:
-        arr = np.frombuffer(bytes(self.table), dtype=np.uint8)
-        return np.nonzero(arr == bit)[0].astype(np.uint64)
 
     def to_text(self) -> str:
         return f"{self.b}\n" + "".join(str(t) for t in self.table) + "\n"
@@ -131,13 +137,13 @@ class Spectrum:
 
 
 def _fwht_inplace(vals: np.ndarray) -> None:
-    """Unnormalised Walsh-Hadamard transform of a length-2^b integer array.
+    """Unnormalised Walsh-Hadamard transform along the last axis, of length 2^b.
 
-    One butterfly per level over all blocks at once: viewed as (-1, 2, h),
-    each block's low half becomes a + b and its high half a - b.
+    One butterfly per level over all blocks (and rows) at once: viewed as
+    (-1, 2, h), each block's low half becomes a + b and its high half a - b.
     """
     h = 1
-    size = len(vals)
+    size = vals.shape[-1]
     while h < size:
         pairs = vals.reshape(-1, 2, h)
         a = pairs[:, 0, :].copy()
@@ -199,7 +205,7 @@ def _fixed_entries(layout: BlockLayout, z) -> list[tuple[int, int]]:
     if isinstance(z, FVec):
         if z.width != layout.n:
             raise ValueError("target width must equal the number of blocks")
-        return [(i, z.get(i)) for i in range(layout.n)]
+        return [(i, (z.bits >> i) & 1) for i in range(layout.n)]
     entries = sorted(dict(z).items())
     for i, bit in entries:
         if not 0 <= i < layout.n:
@@ -238,54 +244,78 @@ def count_preimages(g: Gadget, layout: BlockLayout, z) -> int:
     return total
 
 
-def _xor_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    size = len(a)
-    out = [0] * size
-    for s, av in enumerate(a):
-        if not av:
-            continue
-        for t, bv in enumerate(b):
-            if bv:
-                out[s ^ t] += av * bv
-    return out
+FREE = 2  # class of a block that a partial target leaves unconstrained
+_WALSH_CHUNK = 1 << 16  # entries of the (targets x blocks x 2^m) gather of Walsh tables per pass
 
 
-def _block_syndrome_table(rows: Sequence[tuple[int, int]], layout: BlockLayout, i: int, values: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Syndromes of candidate block values against the equations in rows.
+def _target_classes(layout: BlockLayout, z) -> list[int]:
+    row = [FREE] * layout.n
+    for i, bit in _fixed_entries(layout, z):
+        row[i] = bit
+    return row
 
-    Returns (syndrome per value, counts per syndrome).  The syndrome of a
-    value v is the bit vector of <form_j restricted to block i, v>.
+
+def _syndrome_counts(
+    rows: Sequence[tuple[int, int]], layout: BlockLayout, owners: Sequence[int], chunks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome tables of candidate-value chunks; chunk k holds values of block owners[k].
+
+    The syndrome of a value v of block i is the bit vector of <form_j
+    restricted to block i, v>.  Returns the syndrome of every value, in
+    chunk order, and per chunk the number of its values with each syndrome.
     """
+    size = 1 << len(rows)
+    values = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
+    chunk_of = np.repeat(np.arange(len(chunks)), [len(v) for v in chunks])
     syn = np.zeros(len(values), dtype=np.int64)
+    if rows:
+        block_of = np.asarray(owners, dtype=np.intp)[chunk_of]
     for j, (form, _) in enumerate(rows):
-        part = (form >> (i * layout.b)) & mask_bits(layout.b)
-        if part:
-            bits = parity_u64(values & np.uint64(part))
-            syn |= bits.astype(np.int64) << j
-    counts = np.bincount(syn, minlength=1 << len(rows))
-    return syn, [int(c) for c in counts]
+        parts = np.array([(form >> (i * layout.b)) & mask_bits(layout.b) for i in range(layout.n)], dtype=np.uint64)
+        syn |= parity_u64(values & parts[block_of]).astype(np.int64) << j
+    counts = np.bincount(chunk_of * size + syn, minlength=len(chunks) * size)
+    return syn, counts.reshape(len(chunks), size)
 
 
-def _candidate_values(g: Gadget, layout: BlockLayout, fixed: Mapping[int, int], i: int) -> np.ndarray:
-    if i in fixed:
-        return g.preimage_array(fixed[i])
-    return np.arange(1 << layout.b, dtype=np.uint64)
+def _rhs(rows: Sequence[tuple[int, int]]) -> int:
+    return sum(bit << j for j, (_, bit) in enumerate(rows))
 
 
-def count_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, z) -> int:
-    """Exact |{x : x in space, g(x(i)) = z_i for fixed i}| by per-block counting.
+def _walsh_dtype(m: int, largest: Sequence[int]):
+    """int64 when every product of per-block Walsh entries, summed over 2^m
+    syndromes, stays below 2^62 (|W_i[s]| is at most block i's candidate
+    count); Python ints otherwise."""
+    return np.int64 if m + sum(c.bit_length() for c in largest) <= 62 else object
 
-    An equation whose support lies inside one block only filters that
-    block's candidate values.  The other (cross-block) equations give each
-    block a distribution of syndromes over its remaining candidates; these
-    combine by XOR-convolution, and the answer is the weight of the
-    right-hand-side syndrome.  The syndrome dimension is the number of
-    cross-block equations.
+
+def _inverse_fwht(hat: np.ndarray, m: int) -> np.ndarray:
+    """Exact inverse of `_fwht_inplace`: transform again and divide by 2^m."""
+    vals = hat.copy()
+    _fwht_inplace(vals)
+    if np.count_nonzero(vals % (1 << m)):
+        raise RuntimeError("an inverse Walsh transform left a fraction")
+    return vals // (1 << m)
+
+
+def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, targets: Sequence) -> list[int]:
+    """Exact |{x : x in space, g(x(i)) = z_i for fixed i}| for every target z.
+
+    A target is a full FVec over the blocks or a partial {block: bit}
+    mapping.  An equation whose support lies inside one block only filters
+    that block's candidate values.  The m cross-block equations give each
+    block a table of syndrome counts over its remaining candidates; a
+    block's table depends only on its class (z_i = 0, z_i = 1 or free), so
+    it is built and Walsh-transformed once per class present.  Each count
+    is then read off the Walsh-domain product of per-block syndrome tables:
+    2^-m * sum_s (-1)^<s, rhs> * prod_i W_i[class(z_i)][s].
     """
+    targets = list(targets)
     if space is EMPTY:
-        return 0
+        return [0] * len(targets)
     if space.width != layout.width:
         raise ValueError("width mismatch")
+    if layout.b != g.b:
+        raise ValueError("layout block size differs from gadget arity")
     local: list[list[tuple[int, int]]] = [[] for _ in range(layout.n)]
     cross = []
     for form, bit in space.rows:
@@ -298,61 +328,86 @@ def count_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: 
     m = len(cross)
     if m > SYNDROME_DIM_CAP:
         raise f2.EnumerationCapError(f"syndrome dimension {m} exceeds cap {SYNDROME_DIM_CAP}")
-    fixed = dict(_fixed_entries(layout, z))
-    rhs = 0
-    for j, (_, bit) in enumerate(cross):
-        rhs |= bit << j
-    dist = [0] * (1 << m)
-    dist[0] = 1
-    for i in range(layout.n):
-        values = _candidate_values(g, layout, fixed, i)
-        for form, bit in local[i]:
-            part = np.uint64(form >> (i * layout.b))
-            values = values[parity_u64(values & part) == bit]
-        if len(values) == 0:
-            return 0
-        _, counts = _block_syndrome_table(cross, layout, i, values)
-        dist = _xor_convolve(dist, counts)
-    return dist[rhs]
+    size = 1 << m
+    classes = np.array([_target_classes(layout, z) for z in targets], dtype=np.intp).reshape(len(targets), layout.n)
+    # one Walsh-transformed syndrome table per (block, class) that some target uses
+    present = np.zeros((layout.n, FREE + 1), dtype=bool)
+    present[np.arange(layout.n), classes] = True
+    row_of = np.zeros((layout.n, FREE + 1), dtype=np.intp)
+    owners, chunks, largest = [], [], []
+    for i, used in enumerate(present.tolist()):
+        top = 0
+        for c in (c for c in range(FREE + 1) if used[c]):
+            values = g.class_values[c]
+            for form, bit in local[i]:
+                values = values[parity_u64(values & np.uint64(form >> (i * layout.b))) == bit]
+            row_of[i, c] = len(chunks)
+            owners.append(i)
+            chunks.append(values)
+            top = max(top, len(values))
+        largest.append(top)
+    dtype = _walsh_dtype(m, largest)
+    _, hats = _syndrome_counts(cross, layout, owners, chunks)
+    _fwht_inplace(hats)
+    hats = hats.astype(dtype, copy=False)
+    rows = row_of[np.arange(layout.n), classes]  # per target and block, its row of hats
+    rhs = _rhs(cross)
+    sign = np.ones(1, dtype=dtype)  # (-1)^<s, rhs>, doubled one syndrome bit at a time
+    for j in range(m):
+        sign = np.concatenate((sign, -sign if (rhs >> j) & 1 else sign))
+    out: list[int] = []
+    step = max(1, _WALSH_CHUNK // (size * max(1, layout.n)))
+    for start in range(0, len(targets), step):
+        totals = hats[rows[start:start + step]].prod(axis=1) @ sign
+        if np.count_nonzero(totals % size):
+            raise RuntimeError("a Walsh-domain count is not a multiple of 2^m")
+        out += (totals // size).tolist()
+    return out
+
+
+def count_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, z) -> int:
+    """Exact |{x : x in space, g(x(i)) = z_i for fixed i}|: `counts_in_space` for one target."""
+    return counts_in_space(space, layout, g, [z])[0]
 
 
 def sample_in_space(space: AffineSpace, layout: BlockLayout, g: Gadget, z, rng) -> FVec:
     """Uniform sample from {x : x in space, g(x(i)) = z_i for fixed i}.
 
     Exact sequential sampling: block values are chosen with probability
-    proportional to the number of completions, computed from suffix
-    XOR-convolutions of the per-block syndrome tables.
+    proportional to the number of completions.  The completion counts of
+    blocks i..n-1 are the inverse transform of the Walsh-domain product of
+    per-block syndrome tables, accumulated from the last block down.
     """
     if space.width != layout.width:
         raise ValueError("width mismatch")
+    if layout.b != g.b:
+        raise ValueError("layout block size differs from gadget arity")
     m = space.codim
-    fixed = dict(_fixed_entries(layout, z))
-    rhs = 0
-    for j, (_, bit) in enumerate(space.rows):
-        rhs |= bit << j
-    per_block = []
-    for i in range(layout.n):
-        values = _candidate_values(g, layout, fixed, i)
-        syn, counts = _block_syndrome_table(space.rows, layout, i, values)
-        per_block.append((values, syn, counts))
-    suffix = [[0] * (1 << m) for _ in range(layout.n + 1)]
-    suffix[layout.n][0] = 1
-    for i in range(layout.n - 1, -1, -1):
-        suffix[i] = _xor_convolve(per_block[i][2], suffix[i + 1])
+    size = 1 << m
+    chunks = [g.class_values[c] for c in _target_classes(layout, z)]
+    syn, counts = _syndrome_counts(space.rows, layout, range(layout.n), chunks)
+    hats = counts.copy()
+    _fwht_inplace(hats)
+    # row i: the Walsh-domain product of the tables of blocks i..n-1
+    suffix_hats = np.multiply.accumulate(hats[::-1].astype(_walsh_dtype(m, [len(v) for v in chunks])), axis=0)[::-1]
+    suffix = _inverse_fwht(suffix_hats, m).tolist() + [[1] + [0] * (size - 1)]
+    rhs = _rhs(space.rows)
     if suffix[0][rhs] == 0:
         raise EmptySupportError("no point matches the space and target")
     bits = 0
     need = rhs
-    for i in range(layout.n):
-        values, syn, counts = per_block[i]
-        weights = [counts[s] * suffix[i + 1][need ^ s] for s in range(1 << m)]
+    start = 0
+    for i, (values, block_counts) in enumerate(zip(chunks, counts.tolist())):
+        block_syn = syn[start:start + len(values)]
+        start += len(values)
+        weights = [block_counts[s] * suffix[i + 1][need ^ s] for s in range(size)]
         total = sum(weights)
         pick = rng.randrange(total)
         s = 0
         while pick >= weights[s]:
             pick -= weights[s]
             s += 1
-        members = values[syn == s]
+        members = values[block_syn == s]
         v = int(members[rng.randrange(len(members))])
         bits |= v << (i * layout.b)
         need ^= s
@@ -396,20 +451,16 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     then the lifted point uniformly within the intersection; this equals
     rejection sampling from the lifted distribution conditioned on C.
     """
-    import math as _math
-    from fractions import Fraction as _Fr
-
     layout, g = d.layout, d.gadget
     space = conditioning if conditioning is not None else f2.full_space(layout.width)
+    zs = [FVec(layout.n, z_bits) for z_bits, _ in d.base]
     weights = []
-    for z_bits, w in d.base:
-        zv = FVec(layout.n, z_bits)
+    for (_, w), zv, cnt in zip(d.base, zs, counts_in_space(space, layout, g, zs)):
         fiber = count_preimages(g, layout, zv)
         if fiber == 0:
             raise EmptyPreimageError("base point has an empty fiber")
-        cnt = count_in_space(space, layout, g, zv)
-        weights.append(_Fr(w * cnt, fiber))
-    scale = _math.lcm(*(fr.denominator for fr in weights))
+        weights.append(Fraction(w * cnt, fiber))
+    scale = math.lcm(*(fr.denominator for fr in weights))
     int_weights = [int(fr * scale) for fr in weights]
     total = sum(int_weights)
     if total == 0:
@@ -419,8 +470,7 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     while pick >= int_weights[idx]:
         pick -= int_weights[idx]
         idx += 1
-    z = FVec(layout.n, d.base[idx][0])
-    return sample_in_space(space, layout, g, z, rng)
+    return sample_in_space(space, layout, g, zs[idx], rng)
 
 
 def rejection_sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng, max_tries: int = 100_000) -> FVec:

@@ -21,9 +21,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import f2
 from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure, fixed_blocks
-from .dtfooling import root_space, sample as dtf_sample
+from ._bits import bits_to_string, string_to_bits
+from .dtfooling import root_of, root_space, sample as dtf_sample
 from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
-from .gadget import Gadget, LiftedDistribution, lift_eval, sample_lifted
+from .gadget import Gadget, LiftedDistribution, count_preimages, counts_in_space, lift_eval, sample_lifted
 from .tseitin import EdgePartialAssignment, Graph, PartialAnalysis, analyze_partial
 
 LIFTED_SUPPORT_CAP = 18
@@ -122,8 +123,6 @@ def random_linear_tree(width: int, depth: int, rng: random.Random) -> Pdt:
 
 def tree_to_text(t: Pdt, cap: int = EAGER_TREE_CAP) -> str:
     """Preorder listing: `q <form-bits>` for queries, `l` for leaves."""
-    from ._bits import bits_to_string
-
     lines: list[str] = []
 
     def walk(node):
@@ -141,8 +140,6 @@ def tree_to_text(t: Pdt, cap: int = EAGER_TREE_CAP) -> str:
 
 
 def tree_from_text(width: int, text: str) -> Pdt:
-    from ._bits import string_to_bits
-
     tokens = [line.split() for line in text.splitlines() if line.strip()]
     pos = 0
 
@@ -388,25 +385,21 @@ def exact_lifted_root_law(
 ) -> tuple[tuple[int, Fraction], ...]:
     """Exact law of root(G(x)) for x from the lifted hard distribution given x in C.
 
-    Computed per base support point by counting |G^-1(z) ∩ C| / |G^-1(z)|
-    with exact integers, so the near-uniformity of the lifted root can be
-    checked against the finite-scale spectral budget.
+    Computed per base support point as |G^-1(z) ∩ C| / |G^-1(z)| with exact
+    integers; the counts for all support points come from one Walsh-domain
+    product of per-block syndrome tables.  The near-uniformity of the lifted
+    root can then be checked against the finite-scale spectral budget.
     """
-    from .gadget import count_in_space, count_preimages
-
     graph = rho.graph
     dist = lifted_dtfooling_distribution(layout, g, rho, cap=cap)
     space = conditioning if conditioning is not None else full_space(layout.width)
+    zs = [FVec(layout.n, z_bits) for z_bits, _ in dist.base]
     weights: dict[int, Fraction] = {}
-    for z_bits, w in dist.base:
-        z = FVec(layout.n, z_bits)
-        from .dtfooling import root_of
-
+    for (_, w), z, cnt in zip(dist.base, zs, counts_in_space(space, layout, g, zs)):
         root = root_of(graph, z)
         if not isinstance(root, int):
             raise RuntimeError(f"support point {z} has no unique root")
         fiber = count_preimages(g, layout, z)
-        cnt = count_in_space(space, layout, g, z)
         weights[root] = weights.get(root, Fraction(0)) + Fraction(w * cnt, fiber)
     total = sum(weights.values())
     if total == 0:
@@ -432,8 +425,6 @@ def coin_game(
     """
     x = sampler(rng)
     z = lift_eval(g, layout, x)
-    from .dtfooling import root_of
-
     root = root_of(rho.graph, z)
     if not isinstance(root, int):
         raise ValueError("sampled assignment does not have a unique root")
@@ -534,8 +525,6 @@ def run_unlifted_game(
 ) -> tuple[GameTranscript, EdgePartialAssignment]:
     """Ordinary decision tree over edges against a sampled base assignment."""
     graph = rho.graph
-    from .dtfooling import root_of
-
     root = root_of(graph, z)
     if not isinstance(root, int):
         raise ValueError("assignment does not have a unique root")

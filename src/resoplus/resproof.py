@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import f2
 from ._bits import bits_to_string, string_to_bits
-from .cnf import Cnf
+from .cnf import Cnf, _clause_masks
 from .f2 import EMPTY, AffineSpace, FVec, full_space, is_subspace, space_from_pairs
 
 LEAF = "LEAF"
@@ -352,19 +352,12 @@ def pdt_refute(cnf: Cnf, var_cap: int = REFUTE_VAR_CAP) -> ProofDag:
     nodes: list[ProofNode] = []
     counter = 0
 
+    masks = [(pos | neg, pos, neg) for pos, neg in _clause_masks(cnf)]
+
     def falsified_clause(mask: int, value: int) -> int | None:
-        for idx, clause in enumerate(cnf.clauses):
-            ok = True
-            for lit in clause:
-                bit = 1 << (abs(lit) - 1)
-                if not (mask & bit):
-                    ok = False
-                    break
-                want = 0 if lit > 0 else 1
-                if ((value >> (abs(lit) - 1)) & 1) != want:
-                    ok = False
-                    break
-            if ok:
+        """First clause whose variables are all fixed (mask) to false literals (value)."""
+        for idx, (both, pos, neg) in enumerate(masks):
+            if both & ~mask == 0 and value & pos == 0 and value & neg == neg:
                 return idx
         return None
 

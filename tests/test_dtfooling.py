@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -194,6 +195,32 @@ def test_exact_root_distribution_inconsistent_condition():
             cond[k] = 0
     with pytest.raises(InconsistentConditionError):
         exact_root_distribution(rho, cond)
+
+
+@pytest.mark.parametrize("fixed", [{}, {0: 1}])
+def test_exact_root_distribution_counts_match_point_enumeration(fixed):
+    # counting by rank against the point-enumeration oracle, over every
+    # conditioning of at most two free edges of K5
+    g = complete_graph(5)
+    rho = EdgePartialAssignment.empty(g).extend(fixed)
+    free = rho.free_edges()
+    pos = {k: i for i, k in enumerate(free)}
+    points = {v: points_array(root_space(rho, v)[0]) for v in range(5)}
+    compared = 0
+    for size in range(3):
+        for subset in itertools.combinations(free, size):
+            for bits in range(1 << size):
+                cond = {k: (bits >> j) & 1 for j, k in enumerate(subset)}
+                try:
+                    rep = exact_root_distribution(rho, cond)
+                except InconsistentConditionError:
+                    continue
+                cmask = np.uint64(sum(1 << pos[k] for k in cond))
+                cval = np.uint64(sum(bit << pos[k] for k, bit in cond.items()))
+                want = [(v, int(np.count_nonzero((points[v] & cmask) == cval))) for v in range(5)]
+                assert list(rep.counts) == want
+                compared += 1
+    assert compared > 100
 
 
 def test_sampler_matches_exact_law_conditionally():

@@ -1,9 +1,13 @@
+import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resoplus.blocks import BlockLayout
 from resoplus.f2 import EMPTY, EnumerationCapError, FVec, enumerate_points, full_space, random_space, space_from_pairs
@@ -18,6 +22,7 @@ from resoplus.gadget import (
     constant_gadget,
     count_in_space,
     count_preimages,
+    counts_in_space,
     ip_gadget,
     lift_cnf,
     lift_eval,
@@ -162,6 +167,117 @@ def test_count_in_space_caps_cross_block_rows_only():
     assert count_in_space(unit, lay, g, FVec(lay.n, 0)) == 1
     assert count_in_space(unit, lay, g, FVec(lay.n, 1 << (lay.n - 1))) == 1
     assert count_in_space(unit, lay, g, FVec(lay.n, 1)) == 0
+
+
+def _brute_count(space, lay, g, target) -> int:
+    fixed = dict(target) if isinstance(target, dict) else {i: target.get(i) for i in range(lay.n)}
+    total = 0
+    for p in enumerate_points(space):
+        if all(g.table[lay.block_value(p.bits, i)] == bit for i, bit in fixed.items()):
+            total += 1
+    return total
+
+
+@st.composite
+def counting_instances(draw):
+    """A layout (n <= 3, b <= 4), an IP or random gadget, a space mixing local and cross rows, targets."""
+    n, b = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 4]))
+    lay = BlockLayout(n, b)
+    if b % 2 == 0 and draw(st.booleans()):
+        g = ip_gadget(b)
+    else:
+        g = Gadget(b, tuple(draw(st.lists(st.integers(0, 1), min_size=1 << b, max_size=1 << b))))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            blk = draw(st.integers(0, n - 1))
+            form = draw(st.integers(1, (1 << b) - 1)) << (blk * b)
+        else:
+            form = draw(st.integers(1, (1 << lay.width) - 1))
+        pairs.append((form, draw(st.integers(0, 1))))
+    space = space_from_pairs(lay.width, pairs)
+    targets = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            targets.append(FVec(n, draw(st.integers(0, (1 << n) - 1))))
+        else:
+            blocks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            targets.append({i: draw(st.integers(0, 1)) for i in blocks})
+    return lay, g, space, targets
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(counting_instances())
+def test_counts_in_space_matches_enumeration(instance):
+    lay, g, space, targets = instance
+    counts = counts_in_space(space, lay, g, targets)
+    if space is EMPTY:
+        assert counts == [0] * len(targets)
+        return
+    assert counts == [_brute_count(space, lay, g, z) for z in targets]
+    assert counts == [count_in_space(space, lay, g, z) for z in targets]
+
+
+def test_counts_in_space_past_62_bits_is_exact():
+    # n=17 blocks of IP_4 (68 bits, like the lifted 17-cycle); the cross rows
+    # touch blocks 0-2 only, so the count is (blocks 0-2 by enumeration) x
+    # (the other blocks' candidate counts)
+    n, b = 17, 4
+    lay, g = BlockLayout(n, b), ip_gadget(4)
+    rng = random.Random(62)
+    pairs = [(rng.getrandbits(3 * b) | (1 << rng.randrange(b)) | (1 << (2 * b + rng.randrange(b))), rng.getrandbits(1))
+             for _ in range(4)]
+    pairs.append((0b0110 << b, 1))  # one local row in block 1
+    space = space_from_pairs(lay.width, pairs)
+    head = space_from_pairs(3 * b, pairs)
+    targets = [FVec(n, rng.getrandbits(n)) for _ in range(20)] + [{0: 1, 5: 0}, {}]
+    want = []
+    for z in targets:
+        fixed = dict(z) if isinstance(z, dict) else {i: z.get(i) for i in range(n)}
+        tail = math.prod(len(g.preimage(fixed[i])) if i in fixed else 1 << b for i in range(3, n))
+        want.append(_brute_count(head, BlockLayout(3, b), g, {i: bit for i, bit in fixed.items() if i < 3}) * tail)
+    # the unconstrained target's count does not fit in int64
+    assert want[-1] == head.size() << (b * (n - 3)) >= 1 << 63
+    assert counts_in_space(space, lay, g, targets) == want
+
+
+def test_counts_in_space_rejects_a_gadget_of_another_arity():
+    with pytest.raises(ValueError):
+        counts_in_space(full_space(4), BlockLayout(2, 2), ip_gadget(4), [FVec(2, 0)])
+
+
+def _seeded_draws() -> str:
+    """Digest of 100 sample_in_space and 100 sample_lifted draws on seeded spaces through a known point."""
+    rng = random.Random(20261018)
+    draws = []
+    for t in range(200):
+        n, b = rng.randint(1, 4), rng.choice([2, 4])
+        if t % 50 == 49:
+            n, b = 17, 4  # 68 bits: the counts leave int64
+        lay = BlockLayout(n, b)
+        g = ip_gadget(b) if t % 3 else Gadget(b, (0, 1) + tuple(rng.getrandbits(1) for _ in range((1 << b) - 2)))
+        x0 = rng.getrandbits(lay.width)
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            blk = rng.randrange(n)
+            form = rng.getrandbits(lay.width) if rng.getrandbits(1) else rng.randrange(1, 1 << b) << (blk * b)
+            pairs.append((form, bin(form & x0).count("1") & 1))
+        space = space_from_pairs(lay.width, pairs)
+        z = lift_eval(g, lay, FVec(lay.width, x0))
+        if t < 100:
+            target = z if t % 2 else {i: z.get(i) for i in range(n) if rng.getrandbits(1)}
+            x = sample_in_space(space, lay, g, target, rng)
+        else:
+            others = [rng.getrandbits(n) for _ in range(rng.randint(0, 3))]
+            base = tuple((zb, rng.randint(1, 3)) for zb in [z.bits] + others)
+            x = sample_lifted(LiftedDistribution(lay, g, base), space, rng)
+        draws.append(f"{lay.width}:{x.bits:x}")
+    return hashlib.sha256(",".join(draws).encode()).hexdigest()[:16]
+
+
+def test_seeded_draws_are_pinned():
+    # recorded with the earlier sampler, which combined the per-block tables by direct XOR-convolution
+    assert _seeded_draws() == "c1c69fd05c52985e"
 
 
 def test_sample_in_space_uniform():

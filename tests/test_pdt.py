@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from resoplus import dtfooling
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure
-from resoplus.f2 import EMPTY, FVec, full_space, space_from_pairs
+from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, space_from_pairs
 from resoplus.gadget import ip_gadget, lift_eval, sample_lifted
 from resoplus.pdt import (
     GreedyCutStrategy,
@@ -17,6 +18,7 @@ from resoplus.pdt import (
     coin_game,
     coordinate_tree,
     empty_tree,
+    exact_lifted_root_law,
     hardness_experiment,
     lifted_dtfooling_distribution,
     random_linear_tree,
@@ -26,7 +28,7 @@ from resoplus.pdt import (
     tree_to_text,
     wilson_interval,
 )
-from resoplus.tseitin import EdgePartialAssignment, complete_graph, cycle_graph
+from resoplus.tseitin import EdgePartialAssignment, Graph, analyze_partial, complete_graph, cycle_graph
 
 
 def test_run_pdt_depth_zero():
@@ -292,6 +294,41 @@ def test_lifted_root_law_near_uniform():
         # and the unconditioned law is exactly uniform
     flat = exact_lifted_root_law(lay, g12, rho, None)
     assert all(p == Fraction(1, 3) for _, p in flat)
+
+
+@pytest.mark.parametrize(
+    "graph, b, fixed",
+    [
+        (cycle_graph(3), 4, {}),
+        (Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]), 2, {5: 1}),
+    ],
+)
+def test_exact_lifted_root_law_matches_enumeration(graph, b, fixed):
+    # 12-bit lifts (an even vertex count such as K4's has no valid rho): the
+    # law of root(G(x)) given x in C, x uniform in G^-1(z) and z uniform on
+    # the support, summed point by point over C
+    g = ip_gadget(b)
+    lay = BlockLayout(graph.num_edges, b)
+    rho = EdgePartialAssignment.empty(graph).extend(fixed)
+    odd = analyze_partial(graph, rho).odd_component
+    fibre = [len(g.preimage(0)), len(g.preimage(1))]
+    rng = random.Random(12)
+    for trial in range(10):
+        z0 = dtfooling.sample(rho, rng).assignment
+        x0 = sum(rng.choice(g.preimage(z0.get(i))) << (i * b) for i in range(lay.n))
+        pairs = []
+        for _ in range(trial % 5):
+            form = rng.getrandbits(lay.width)
+            pairs.append((form, bin(form & x0).count("1") & 1))
+        cond = space_from_pairs(lay.width, pairs)
+        weights = {v: Fraction(0) for v in odd}
+        for x in enumerate_points(cond):
+            z = lift_eval(g, lay, x)
+            root = dtfooling.root_of(graph, z)
+            if isinstance(root, int) and all(z.get(k) == bit for k, bit in fixed.items()):
+                weights[root] += Fraction(1, math.prod(fibre[z.get(i)] for i in range(lay.n)))
+        total = sum(weights.values())
+        assert exact_lifted_root_law(lay, g, rho, cond) == tuple((v, w / total) for v, w in sorted(weights.items()))
 
 
 def test_lifted_hardness_experiment_triangle():

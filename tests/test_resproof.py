@@ -123,6 +123,26 @@ def test_refutations_of_small_corpus():
     assert all_inputs_trace_ok(pdt_refute(lifted_tri), lifted_tri)
 
 
+def test_refutation_leaves_name_the_first_falsified_clause():
+    # the mask test against a literal-by-literal scan, on a CNF with a
+    # tautological clause and a repeated literal in front of shuffled clauses
+    clauses = list(tseitin_cnf(complete_graph(5)).cnf.clauses)
+    random.Random(3).shuffle(clauses)
+    cnf = Cnf(10, tuple([(1, -1), (2, 2, -3)] + clauses))
+    dag = pdt_refute(cnf)
+
+    def first_falsified(space):
+        fixed = {(f & -f).bit_length(): bit for f, bit in space.rows}
+        for idx, clause in enumerate(cnf.clauses):
+            if all(fixed.get(abs(lit)) == (0 if lit > 0 else 1) for lit in clause):
+                return idx
+        return None
+
+    for node in dag.nodes:
+        assert first_falsified(node.space) == (node.clause if node.kind == LEAF else None)
+    assert check(dag, cnf).ok
+
+
 def test_trace_length_bounded_by_depth():
     tri = tseitin_cnf(cycle_graph(3)).cnf
     dag = pdt_refute(tri)
