@@ -5,9 +5,10 @@ coordinate (i, j) sits at flat index i*b + j.  A set of equation forms is
 "safe" when any k independent vectors in its span touch at least k distinct
 blocks; equivalently, one can pick rank-many columns in pairwise distinct
 blocks that are linearly independent.  The closure is the unique minimal set
-of blocks whose removal restores safety; the amortized closure is the
-lexicographically largest block set that admits one independent column per
-block.
+of blocks whose removal restores safety; it is read off the certificate of
+the matroid intersection that decides safety, with no cap on the block
+count.  The amortized closure is the lexicographically largest block set that
+admits one independent column per block.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from typing import Iterable, Sequence
 from . import f2
 from ._bits import bits_to_string, mask_bits, parity, string_to_bits
 from .f2 import EMPTY, AffineSpace, rank_of_rows
-
-SUBSET_SCAN_CAP = 24
 
 
 class NotExtendableError(Exception):
@@ -95,12 +94,16 @@ def _independent(cols: Sequence[int]) -> bool:
     return rank_of_rows(cols) == len(cols)
 
 
-def _augment(solution: list[tuple[int, int, int]], ground: dict[int, list[tuple[int, int]]]) -> list[tuple[int, int, int]] | None:
+def _augment(
+    solution: list[tuple[int, int, int]], ground: dict[int, list[tuple[int, int]]]
+) -> tuple[list[tuple[int, int, int]] | None, frozenset[int]]:
     """One matroid-intersection augmentation step.
 
     solution: common independent set as (block, col index, col mask) triples,
     at most one per block, column masks linearly independent.  ground maps a
-    block to its usable columns.  Returns a larger solution or None.
+    block to its usable columns.  Returns (a larger solution, empty set), or,
+    when no augmenting path is left, (None, the blocks of every element the
+    search reached from the M1-addable columns).
     """
     in_sol = {(blk, c) for blk, c, _ in solution}
     used_blocks = {blk for blk, _, _ in solution}
@@ -149,7 +152,7 @@ def _augment(solution: list[tuple[int, int, int]], ground: dict[int, list[tuple[
                         break
                     queue.append(("y", j))
     if goal is None:
-        return None
+        return None, frozenset((outside[i] if kind == "y" else solution[i])[0] for kind, i in parents)
     add: list[int] = []
     drop: list[int] = []
     node: tuple[str, int] | None = goal
@@ -159,20 +162,18 @@ def _augment(solution: list[tuple[int, int, int]], ground: dict[int, list[tuple[
         node = parents[node]
     new_solution = [t for j, t in enumerate(solution) if j not in set(drop)]
     new_solution += [outside[j] for j in add]
-    return new_solution
+    return new_solution, frozenset()
 
 
-def _max_one_per_block(rows: Sequence[int], layout: BlockLayout, allowed_blocks: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
-    """Largest independent column set using at most one column per block."""
+def _max_one_per_block(rows: Sequence[int], layout: BlockLayout) -> tuple[list[tuple[int, int, int]], frozenset[int]]:
+    """Largest independent column set using at most one column per block,
+    with the blocks the final, failed augmenting-path search reached."""
     ground = _nonzero_columns(rows, layout)
-    if allowed_blocks is not None:
-        allowed = set(allowed_blocks)
-        ground = {blk: cols for blk, cols in ground.items() if blk in allowed}
     solution: list[tuple[int, int, int]] = []
     while True:
-        bigger = _augment(solution, ground)
+        bigger, reached = _augment(solution, ground)
         if bigger is None:
-            return solution
+            return solution, reached
         solution = bigger
 
 
@@ -182,7 +183,7 @@ def is_safe(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> bool:
     r = rank_of_rows(rows)
     if r == 0:
         return True
-    return len(_max_one_per_block(rows, layout)) == r
+    return len(_max_one_per_block(rows, layout)[0]) == r
 
 
 def is_deviolator(vecs: Sequence[int] | f2.FMat, layout: BlockLayout, blocks: Iterable[int]) -> bool:
@@ -192,33 +193,15 @@ def is_deviolator(vecs: Sequence[int] | f2.FMat, layout: BlockLayout, blocks: It
 
 
 def closure(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> frozenset[int]:
-    """The minimal deviolator, by iterated repair with smallest violating sets.
+    """The minimal deviolator, read off the final augmenting-path search.
 
-    A block set S violates when more than |S| independent span vectors live on
-    its columns, i.e. rank(rows without S's columns) < rank(rows) - |S|.  Every
-    smallest violating set is contained in the minimal deviolator, so adding
-    them all and recursing converges to exactly the closure.
+    f(S) = dim{span vectors supported on S's columns} - |S| is supermodular and
+    every deviolator contains its least maximiser, so that is the closure.  By
+    the matroid-intersection min-max theorem, the blocks the final, failed
+    search reaches from the M1-addable columns form exactly that least maximiser.
     """
-    rows = list(vecs.rows if isinstance(vecs, f2.FMat) else vecs)
-    found: set[int] = set()
-    while True:
-        sub_layout, kept = layout.without(found)
-        proj = project_rows(rows, layout, kept)
-        if is_safe(proj, sub_layout):
-            return frozenset(found)
-        if sub_layout.n > SUBSET_SCAN_CAP:
-            raise f2.EnumerationCapError("closure violation scan needs <= %d blocks" % SUBSET_SCAN_CAP)
-        r = rank_of_rows(proj)
-        for size in range(1, sub_layout.n + 1):
-            viols = [
-                S
-                for S in itertools.combinations(range(sub_layout.n), size)
-                if rank_of_rows(project_rows(proj, sub_layout, [i for i in range(sub_layout.n) if i not in S])) < r - size
-            ]
-            if viols:
-                for S in viols:
-                    found.update(kept[i] for i in S)
-                break
+    rows = vecs.rows if isinstance(vecs, f2.FMat) else list(vecs)
+    return _max_one_per_block(rows, layout)[1]
 
 
 def blockset_sort_key(blocks: Iterable[int]) -> int:
@@ -255,7 +238,7 @@ def amortized_closure(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> tup
         if i not in ground:
             continue
         candidate = {blk: cols for blk, cols in ground.items() if blk == i or blk in chosen}
-        bigger = _augment(solution, candidate)
+        bigger, _ = _augment(solution, candidate)
         if bigger is not None:
             chosen.append(i)
             solution = bigger

@@ -387,10 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Errors that mean the input is unreadable, malformed or out of scope (a
-# cap, an empty set, an unsafe space), not that a verification failed.
+# cap, an empty set, an unsafe space, an invalid or inconsistent edge
+# assignment), not that a verification failed.
 _USAGE_ERRORS = (
     OSError, ValueError, resproof.ProofSyntaxError, resproof.DanglingNodeError, resproof.CycleError,
     EnumerationCapError, EmptySpaceError, lemmalab.UnsafeSpaceError, EmptyPreimageError,
+    dtfooling.InvalidAssignmentError, dtfooling.InconsistentConditionError,
 )
 
 

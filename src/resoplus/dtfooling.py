@@ -11,13 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import f2
-from .f2 import AffineSpace, EnumerationCapError, FVec, space_from_pairs
+from .f2 import AffineSpace, FVec, space_from_pairs
 from .tseitin import EdgePartialAssignment, Graph, analyze_partial, residues
-
-ROOT_LAW_FREE_EDGE_CAP = 22
 
 
 class InvalidAssignmentError(Exception):
@@ -136,16 +134,14 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     return RootedSample(FVec(g.num_edges, bits), root, rho)
 
 
-def root_of(g: Graph, z: FVec, charge: Sequence[int] | None = None) -> int | Many:
-    """The unique vertex whose parity constraint z violates, or Many."""
-    if charge is None:
-        charge = (1,) * g.num_vertices
+def root_of(g: Graph, z: FVec) -> int | Many:
+    """The unique vertex whose odd-charge parity constraint z violates, or Many."""
     violated = []
     for v in range(g.num_vertices):
         acc = 0
         for k, _ in g.incident(v):
             acc ^= z.get(k)
-        if acc != (charge[v] & 1):
+        if acc != 1:
             violated.append(v)
     if len(violated) == 1:
         return violated[0]
@@ -200,7 +196,6 @@ class RootLawReport:
 def exact_root_distribution(
     rho: EdgePartialAssignment,
     condition: Mapping[int, int] | None = None,
-    cap: int = ROOT_LAW_FREE_EDGE_CAP,
 ) -> RootLawReport:
     """Exactly count the conditional root law and check root hiding.
 
@@ -217,8 +212,6 @@ def exact_root_distribution(
     if odd is None:
         raise RuntimeError("a valid assignment has exactly one odd component")
     free = rho.free_edges()
-    if len(free) > cap:
-        raise EnumerationCapError(f"{len(free)} free edges exceed cap {cap}")
     condition = dict(condition or {})
     for k in condition:
         if k not in set(free):

@@ -68,6 +68,55 @@ def test_closure_is_minimal_deviolator():
                     assert cl <= frozenset(s)
 
 
+@st.composite
+def closure_cases(draw):
+    n, b = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    lay = BlockLayout(n, b)
+    block, value = st.integers(0, n - 1), st.integers(1, (1 << b) - 1)
+    # local and two-block rows pile onto few blocks, so closures are often non-empty
+    local = st.builds(lambda i, v: v << (i * b), block, value)
+    two = st.builds(lambda i, j, v, w: (v << (i * b)) ^ (w << (j * b)), block, block, value, value)
+    dense = st.integers(0, (1 << lay.width) - 1)
+    return lay, draw(st.lists(st.one_of(local, two, dense), max_size=2 * n))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(closure_cases())
+def test_closure_matches_bruteforce(case):
+    lay, rows = case
+    assert closure(rows, lay) == closure_bruteforce(rows, lay)
+
+
+def relabel(rows, lay, perm):
+    """Move block i of every row to block perm[i]."""
+    return [
+        sum(lay.block_value(row, i) << (perm[i] * lay.b) for i in range(lay.n))
+        for row in rows
+    ]
+
+
+def test_closure_at_64_blocks():
+    # 64 blocks is far past any subset scan: check the structure, not an oracle
+    lay = BlockLayout(64, 2)
+    rng = random.Random(11)
+    rows = []
+    for first in range(0, 36, 3):
+        # four independent forms on three blocks overload them
+        while rank_of_rows(group := [rng.getrandbits(3 * lay.b) << (first * lay.b) for _ in range(4)]) < 4:
+            pass
+        rows += group
+    for _ in range(40):
+        i, j = rng.sample(range(lay.n), 2)
+        rows.append((rng.randrange(1, 1 << lay.b) << (i * lay.b)) | (rng.randrange(1, 1 << lay.b) << (j * lay.b)))
+    cl = closure(rows, lay)
+    assert 12 < len(cl) < lay.n
+    assert is_deviolator(rows, lay, cl)
+    assert not any(is_deviolator(rows, lay, cl - {i}) for i in cl)
+    perm = list(range(lay.n))
+    rng.shuffle(perm)
+    assert closure(relabel(rows, lay, perm), lay) == frozenset(perm[i] for i in cl)
+
+
 def test_amortized_closure_examples():
     lay = BlockLayout(2, 2)
     rows = [unit(lay, 0, 0), unit(lay, 0, 1), unit(lay, 1, 0)]

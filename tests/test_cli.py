@@ -1,6 +1,7 @@
 import pytest
 
 from resoplus.cli import main
+from resoplus.tseitin import complete_graph
 
 
 def run(capsys, *argv):
@@ -100,16 +101,26 @@ def test_verify_lemma_past_the_cube_cap(capsys):
     assert "verdict: OK" in out
 
 
-def test_library_cap_is_usage_error(tmp_path, capsys):
-    # 26 free edges exceed the exact root-law cap: exit 2 and one stderr line
-    gpath = tmp_path / "r13.graph"
-    run(capsys, "gen-graph", "--type", "random", "--vertices", "13", "--degree", "4", "--seed", "1",
-        "--out", str(gpath))
-    code = main(["root-dist", "--graph", str(gpath)])
+def test_library_cap_is_usage_error(capsys):
+    # 19 free edges exceed the lifted support cap: exit 2 and one stderr line
+    code = main([
+        "hardness-experiment", "--lifted", "--type", "cycle", "--vertices", "19", "--q", "2", "--trials", "2",
+        "--seed", "1",
+    ])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "EnumerationCapError" in captured.err
+
+
+def test_root_dist_counts_by_rank_past_22_free_edges(tmp_path, capsys):
+    # 26 free edges: the root law is counted by rank, so no cap applies
+    gpath = tmp_path / "r13.graph"
+    run(capsys, "gen-graph", "--type", "random", "--vertices", "13", "--degree", "4", "--seed", "1",
+        "--out", str(gpath))
+    code, out = run(capsys, "root-dist", "--graph", str(gpath))
+    assert code == 0
+    assert "12,1,13" in out and "uniform_ok,1" in out
 
 
 def test_verify_lemma_closure_laws(capsys):
@@ -176,6 +187,9 @@ def test_missing_seed_is_usage_error(capsys):
         (["check-proof", "{empty}", "{empty}"], "ProofSyntaxError"),
         (["check-proof", "{dangling}", "{empty}"], "DanglingNodeError"),
         (["gadget-spectrum", "--gadget", "{empty}"], "ValueError"),
+        (["root-dist", "--graph", "{k5}", "--rho", "{isolated0}"], "InvalidAssignmentError"),
+        (["sample-dtfooling", "--graph", "{k5}", "--rho", "{isolated0}", "--seed", "1"], "InvalidAssignmentError"),
+        (["root-dist", "--graph", "{k5}", "--condition", "{split}"], "InconsistentConditionError"),
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
@@ -184,7 +198,18 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
     empty.write_text("")
     dangling = tmp_path / "dangling.rxp"
     dangling.write_text("rxp 1 1\n0 k=WEAK 7\n")
-    paths = {"empty": str(empty), "missing": str(tmp_path / "missing"), "dangling": str(dangling)}
+    k5 = tmp_path / "k5.graph"
+    k5.write_text(complete_graph(5).to_text())
+    # edges 0..3 are vertex 0's: all 0 leaves it violated and cut off, so rho is invalid
+    isolated0 = tmp_path / "isolated0.rho"
+    isolated0.write_text("".join(f"{k} 0\n" for k in range(4)))
+    # edges 0..8 all 0 leave vertices 0, 1 and 2 as separate odd components
+    split = tmp_path / "split.rho"
+    split.write_text("".join(f"{k} 0\n" for k in range(9)))
+    paths = {
+        "empty": str(empty), "missing": str(tmp_path / "missing"), "dangling": str(dangling),
+        "k5": str(k5), "isolated0": str(isolated0), "split": str(split),
+    }
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
