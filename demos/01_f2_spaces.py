@@ -6,12 +6,10 @@ the distinguished EMPTY value lets set algebra compose without exceptions.
 """
 import random
 
-from resoplus import EMPTY, FMat, FVec, affine_from_equations, enumerate_points, full_space, intersect, rank, sample_point
+from resoplus import enumerate_points, rank_of_rows, sample_point, space_from_pairs
 
 # A 4-coordinate space cut out by two parity equations.
-eqs = FMat(4, (0b0011, 0b0110))  # x0+x1 and x1+x2
-rhs = FVec(2, 0b01)              # = 1 and = 0
-space = affine_from_equations(eqs, rhs)
+space = space_from_pairs(4, [(0b0011, 1), (0b0110, 0)])  # x0+x1 = 1 and x1+x2 = 0
 print("space:")
 print(space.to_text())
 print("codim:", space.codim, " size:", space.size())
@@ -22,15 +20,15 @@ for p in enumerate_points(space):
 
 # Intersecting with a redundant equation leaves the space untouched;
 # an inconsistent one collapses it to EMPTY.
-same = intersect(space, FVec(4, 0b0011), 1)
+same = space.with_equation(0b0011, 1)
 print("\nredundant intersect unchanged:", same == space)
-gone = intersect(space, FVec(4, 0b0011), 0)
+gone = space.with_equation(0b0011, 0)
 print("inconsistent intersect:", gone)
 
 # Rank ignores presentation: shuffling rows or xoring one row into another
 # never changes it.
-m = FMat(3, (0b011, 0b110, 0b101))
-print("\nrank of three pairwise-xor rows:", rank(m), "(third row = xor of the first two)")
+rows = [0b011, 0b110, 0b101]
+print("\nrank of three pairwise-xor rows:", rank_of_rows(rows), "(third row = xor of the first two)")
 
 # Uniform sampling fills free coordinates at random and solves the pivots.
 rng = random.Random(0)

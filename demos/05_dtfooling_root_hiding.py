@@ -18,7 +18,7 @@ rng = random.Random(1)
 counts = Counter()
 for _ in range(5000):
     s = sample(rho, rng)
-    assert root_of(k5, s.assignment) == s.root
+    assert root_of(k5, s.assignment.bits) == s.root
     counts[s.root] += 1
 print("empirical root frequencies over 5000 samples:")
 for v in sorted(counts):

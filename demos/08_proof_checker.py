@@ -7,7 +7,7 @@ querying; the checker verifies all four conditions semantically.
 """
 import random
 
-from resoplus import Cnf, FVec, check, complete_graph, cycle_graph, metrics, pdt_refute, trace, tseitin_cnf
+from resoplus import Cnf, check, complete_graph, cycle_graph, metrics, pdt_refute, trace, tseitin_cnf
 from resoplus.resproof import LEAF, ProofDag, ProofNode, parse_text, to_text
 
 tri = tseitin_cnf(cycle_graph(3)).cnf
@@ -17,7 +17,7 @@ print("checker verdict:", check(dag, tri))
 
 # Trace an input to the clause it falsifies.
 for bits in (0b000, 0b101):
-    t = trace(dag, tri, FVec(3, bits))
+    t = trace(dag, tri, bits)
     print(f"input {bits:03b} falsifies clause {t.clause_index} after {t.path_length} queries")
 
 # The proof file format stores explicit equations per node.

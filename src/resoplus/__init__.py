@@ -22,14 +22,12 @@ from .dtfooling import RootedSample, exact_root_distribution, root_of, root_spac
 from .f2 import (
     EMPTY,
     AffineSpace,
-    FMat,
     FVec,
-    affine_from_equations,
     enumerate_points,
     full_space,
-    intersect,
-    rank,
+    rank_of_rows,
     sample_point,
+    space_from_pairs,
 )
 from .gadget import (
     Gadget,
@@ -86,7 +84,6 @@ __all__ = [
     "EMPTY",
     "EdgePartialAssignment",
     "ErrorBudget",
-    "FMat",
     "FVec",
     "Gadget",
     "GameTranscript",
@@ -97,7 +94,6 @@ __all__ = [
     "RootedSample",
     "Spectrum",
     "TseitinCnf",
-    "affine_from_equations",
     "amortized_closure",
     "analyze_partial",
     "block_complete",
@@ -118,7 +114,6 @@ __all__ = [
     "expander_metrics",
     "full_space",
     "hardness_experiment",
-    "intersect",
     "ip_gadget",
     "is_extendable",
     "is_safe",
@@ -130,7 +125,7 @@ __all__ = [
     "pdt_refute",
     "preimages",
     "random_regular_graph",
-    "rank",
+    "rank_of_rows",
     "restrict",
     "root_of",
     "root_space",
@@ -138,6 +133,7 @@ __all__ = [
     "run_unlifted_game",
     "sample_lifted",
     "sample_point",
+    "space_from_pairs",
     "substitute",
     "trace",
     "tseitin_cnf",

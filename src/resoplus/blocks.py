@@ -177,22 +177,20 @@ def _max_one_per_block(rows: Sequence[int], layout: BlockLayout) -> tuple[list[t
         solution = bigger
 
 
-def is_safe(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> bool:
+def is_safe(rows: Sequence[int], layout: BlockLayout) -> bool:
     """True iff rank-many independent columns exist in pairwise distinct blocks."""
-    rows = vecs.rows if isinstance(vecs, f2.FMat) else list(vecs)
     r = rank_of_rows(rows)
     if r == 0:
         return True
     return len(_max_one_per_block(rows, layout)[0]) == r
 
 
-def is_deviolator(vecs: Sequence[int] | f2.FMat, layout: BlockLayout, blocks: Iterable[int]) -> bool:
-    rows = vecs.rows if isinstance(vecs, f2.FMat) else list(vecs)
+def is_deviolator(rows: Sequence[int], layout: BlockLayout, blocks: Iterable[int]) -> bool:
     sub_layout, kept = layout.without(blocks)
     return is_safe(project_rows(rows, layout, kept), sub_layout)
 
 
-def closure(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> frozenset[int]:
+def closure(rows: Sequence[int], layout: BlockLayout) -> frozenset[int]:
     """The minimal deviolator, read off the final augmenting-path search.
 
     f(S) = dim{span vectors supported on S's columns} - |S| is supermodular and
@@ -200,7 +198,6 @@ def closure(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> frozenset[int
     the matroid-intersection min-max theorem, the blocks the final, failed
     search reaches from the M1-addable columns form exactly that least maximiser.
     """
-    rows = vecs.rows if isinstance(vecs, f2.FMat) else list(vecs)
     return _max_one_per_block(rows, layout)[1]
 
 
@@ -222,7 +219,7 @@ def blockset_lex_ge(a: Iterable[int], b: Iterable[int]) -> bool:
     return len(sa) >= len(sb)
 
 
-def amortized_closure(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
+def amortized_closure(rows: Sequence[int], layout: BlockLayout) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
     """Lexicographically largest acceptable block set plus certificate columns.
 
     Greedy from the highest block index: acceptable sets are downward closed,
@@ -230,7 +227,6 @@ def amortized_closure(vecs: Sequence[int] | f2.FMat, layout: BlockLayout) -> tup
     the indicator-number order.  The certificate pairs (block, flat column)
     have linearly independent columns, one per member block.
     """
-    rows = list(vecs.rows if isinstance(vecs, f2.FMat) else vecs)
     ground = _nonzero_columns(rows, layout)
     chosen: list[int] = []
     solution: list[tuple[int, int, int]] = []

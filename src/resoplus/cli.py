@@ -42,7 +42,7 @@ def _graph_from_args(args) -> tseitin.Graph:
 
 
 def _gadget_from_args(args) -> Gadget:
-    if getattr(args, "ip", None):
+    if getattr(args, "ip", None) is not None:
         return ip_gadget(args.ip)
     if getattr(args, "gadget", None):
         return Gadget.from_file(args.gadget)
@@ -125,7 +125,7 @@ def cmd_sample_dtfooling(args) -> int:
     ok = True
     for i in range(args.samples):
         s = dtfooling.sample(rho, rng)
-        r = dtfooling.root_of(g, s.assignment)
+        r = dtfooling.root_of(g, s.assignment.bits)
         ok &= r == s.root
         lines.append(f"{args.seed},{s.root},{s.assignment.to_string()}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -223,12 +223,8 @@ def cmd_verify_lemma(args) -> int:
         print(f"unknown lemma {args.lemma!r}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        head, rows = None, []
-        for rep in reports:
-            h, r = rep.to_csv().splitlines()
-            head = h
-            rows.append(r)
-        _emit("\n".join([head] + rows) + "\n", args.out)
+        rows = [rep.to_csv().splitlines()[1] for rep in reports]
+        _emit("\n".join([lemmalab.LEMMA_CSV_HEADER] + rows) + "\n", args.out)
     else:
         _emit("".join(rep.to_text() for rep in reports), args.out)
     return 0 if all(rep.ok for rep in reports) else 1
@@ -238,7 +234,7 @@ def cmd_hardness_experiment(args) -> int:
     g = _graph_from_args(args)
     budget = Fraction(args.budget) if args.budget else None
     if args.lifted:
-        gadget = ip_gadget(args.ip or 2)
+        gadget = ip_gadget(2 if args.ip is None else args.ip)
         depth = args.q
 
         def build_tree(rng: random.Random):
@@ -273,11 +269,11 @@ def cmd_hardness_experiment(args) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    # random.Random(-s) draws the same stream as random.Random(s)
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
-    return seed
+    # seeds: random.Random(-s) draws the same stream as random.Random(s)
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample-dtfooling", help="draw hard-distribution samples")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--rho")
-    sp.add_argument("--samples", type=int, default=10)
+    sp.add_argument("--samples", type=nonnegative_int, default=10)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_sample_dtfooling)
@@ -359,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--b", type=int, default=12)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--count", type=int, default=3)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--count", type=nonnegative_int, default=3)
+    sp.add_argument("--trials", type=nonnegative_int, default=1000)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--format", choices=["csv", "text"], default="text")
     sp.add_argument("--out")
@@ -371,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", choices=["k5", "k7", "complete", "cycle", "random"], default="random")
     sp.add_argument("--vertices", type=int, default=51)
     sp.add_argument("--degree", type=int, default=6)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--q", type=nonnegative_int, required=True)
+    sp.add_argument("--trials", type=nonnegative_int, required=True)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--strategy", action="append")
     sp.add_argument("--budget", help="coin budget as a fraction, default |V|/(50d)")

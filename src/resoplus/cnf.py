@@ -126,7 +126,3 @@ def find_model(cnf: Cnf, cap: int = SWEEP_CAP) -> int | None:
     for sat in satisfying_chunks(cnf, cap):
         return int(sat[0])
     return None
-
-
-def count_models(cnf: Cnf, cap: int = SWEEP_CAP) -> int:
-    return sum(len(sat) for sat in satisfying_chunks(cnf, cap))

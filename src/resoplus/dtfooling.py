@@ -134,15 +134,18 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     return RootedSample(FVec(g.num_edges, bits), root, rho)
 
 
-def root_of(g: Graph, z: FVec) -> int | Many:
-    """The unique vertex whose odd-charge parity constraint z violates, or Many."""
-    violated = []
-    for v in range(g.num_vertices):
-        acc = 0
-        for k, _ in g.incident(v):
-            acc ^= z.get(k)
-        if acc != 1:
-            violated.append(v)
+def root_of(g: Graph, z: int) -> int | Many:
+    """The unique vertex whose odd-charge parity constraint z violates, or Many.
+
+    z holds one bit per edge.  Each set edge flips the parity at both of its
+    endpoints; a vertex is violated when its parity stays even.
+    """
+    even = [1] * g.num_vertices
+    for k, (u, v) in enumerate(g.edges):
+        if (z >> k) & 1:
+            even[u] ^= 1
+            even[v] ^= 1
+    violated = [v for v, e in enumerate(even) if e]
     if len(violated) == 1:
         return violated[0]
     return Many(frozenset(violated))

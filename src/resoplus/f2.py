@@ -1,12 +1,13 @@
 """Bit-packed linear algebra over F2.
 
-Vectors and equation systems are stored as Python ints used as bitsets;
+Points, forms and equation systems are Python ints used as bitsets;
 coordinate i of a width-w vector is bit i (little-endian by index, and the
-textual form puts coordinate 0 leftmost).  Affine spaces are kept eagerly
-normalized in reduced row-echelon form, so two spaces are equal as sets
-exactly when their dataclass fields compare equal.  `AffineSpace.with_equation`
-is the one place a (form, bit) row enters that form: every other constructor
-and intersection here is a fold of it.
+textual form puts coordinate 0 leftmost).  `FVec` pairs the bits with their
+width only where a point crosses the library boundary.  Affine spaces are
+kept eagerly normalized in reduced row-echelon form, so two spaces are equal
+as sets exactly when their dataclass fields compare equal.
+`AffineSpace.with_equation` is the one place a (form, bit) row enters that
+form: every other constructor and intersection here is a fold of it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._bits import bits_to_string, iter_bits, mask_bits, parity, string_to_bits
+from ._bits import bits_to_string, mask_bits, parity
 
 ENUMERATION_CAP = 26
 
@@ -32,7 +33,7 @@ class EmptySpaceError(Exception):
 
 @dataclass(frozen=True)
 class FVec:
-    """A vector in F2^width."""
+    """A vector in F2^width: a point handed out or taken in with its width."""
 
     width: int
     bits: int
@@ -43,70 +44,16 @@ class FVec:
         if not 0 <= self.bits <= mask_bits(self.width):
             raise ValueError("bits out of range for width")
 
-    @classmethod
-    def zero(cls, width: int) -> "FVec":
-        return cls(width, 0)
-
-    @classmethod
-    def unit(cls, width: int, i: int) -> "FVec":
-        if not 0 <= i < width:
-            raise ValueError("coordinate out of range")
-        return cls(width, 1 << i)
-
-    @classmethod
-    def from_string(cls, s: str) -> "FVec":
-        return cls(len(s), string_to_bits(s))
-
     def get(self, i: int) -> int:
         if not 0 <= i < self.width:
             raise IndexError("coordinate out of range")
         return (self.bits >> i) & 1
-
-    def dot(self, other: "FVec") -> int:
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return parity(self.bits & other.bits)
-
-    def __xor__(self, other: "FVec") -> "FVec":
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return FVec(self.width, self.bits ^ other.bits)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.bits))
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def to_string(self) -> str:
         return bits_to_string(self.bits, self.width)
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-@dataclass(frozen=True)
-class FMat:
-    """A list of rows sharing one width."""
-
-    width: int
-    rows: tuple[int, ...]
-
-    @classmethod
-    def from_vecs(cls, vecs: Sequence[FVec]) -> "FMat":
-        if not vecs:
-            raise ValueError("cannot infer width from empty sequence; use FMat(width, ())")
-        width = vecs[0].width
-        for v in vecs:
-            if v.width != width:
-                raise ValueError("rows must share a width")
-        return cls(width, tuple(v.bits for v in vecs))
-
-    def row_vecs(self) -> tuple[FVec, ...]:
-        return tuple(FVec(self.width, r) for r in self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def rank_of_rows(rows: Sequence[int]) -> int:
@@ -120,10 +67,6 @@ def rank_of_rows(rows: Sequence[int]) -> int:
         if row:
             basis.append(row)
     return len(basis)
-
-
-def rank(m: FMat) -> int:
-    return rank_of_rows(m.rows)
 
 
 class _EmptySpace:
@@ -155,8 +98,8 @@ class AffineSpace:
 
     Stored in reduced row-echelon form: the pivot of a row is its lowest set
     bit, rows are sorted by pivot and every pivot appears in exactly one row.
-    Construct via `affine_from_equations`, `full_space`, `with_equation` or
-    the intersection helpers, which return EMPTY on an inconsistent system.
+    Construct via `space_from_pairs`, `full_space`, `with_equation` or
+    `intersect_space`, which return EMPTY on an inconsistent system.
     """
 
     width: int
@@ -183,16 +126,8 @@ class AffineSpace:
         piv = set(self.pivots())
         return tuple(i for i in range(self.width) if i not in piv)
 
-    def contains_bits(self, x: int) -> bool:
+    def contains(self, x: int) -> bool:
         return all(parity(x & f) == c for f, c in self.rows)
-
-    def contains(self, x: FVec) -> bool:
-        if x.width != self.width:
-            raise ValueError("width mismatch")
-        return self.contains_bits(x.bits)
-
-    def equations(self) -> tuple[tuple[FVec, int], ...]:
-        return tuple((FVec(self.width, f), c) for f, c in self.rows)
 
     def to_text(self) -> str:
         return "\n".join(f"{bits_to_string(f, self.width)} = {c}" for f, c in self.rows)
@@ -232,22 +167,8 @@ def _fold(space: AffineSpace | _EmptySpace, pairs) -> AffineSpace | _EmptySpace:
     return space
 
 
-def affine_from_equations(eqs: FMat, rhs: FVec) -> AffineSpace | _EmptySpace:
-    """Normalize an equation system into a space, or EMPTY if inconsistent."""
-    if rhs.width != len(eqs.rows):
-        raise ValueError("rhs length must equal the number of equation rows")
-    return _fold(full_space(eqs.width), ((row, (rhs.bits >> i) & 1) for i, row in enumerate(eqs.rows)))
-
-
 def space_from_pairs(width: int, pairs: Sequence[tuple[int, int]]) -> AffineSpace | _EmptySpace:
     return _fold(full_space(width), pairs)
-
-
-def intersect(a: AffineSpace | _EmptySpace, form: FVec, bit: int) -> AffineSpace | _EmptySpace:
-    """Intersect with one equation {x : <form, x> = bit}."""
-    if a is not EMPTY and form.width != a.width:
-        raise ValueError("width mismatch")
-    return a.with_equation(form.bits, bit)
 
 
 def intersect_space(a: AffineSpace | _EmptySpace, b: AffineSpace | _EmptySpace) -> AffineSpace | _EmptySpace:
@@ -323,6 +244,6 @@ def points_array(a: AffineSpace | _EmptySpace, cap: int = ENUMERATION_CAP) -> np
 
 def random_space(width: int, n_rows: int, rng: random.Random) -> AffineSpace | _EmptySpace:
     """Random equation system; mostly a test helper."""
-    eqs = FMat(width, tuple(rng.getrandbits(width) for _ in range(n_rows)))
-    rhs = FVec(n_rows, rng.getrandbits(n_rows) if n_rows else 0)
-    return affine_from_equations(eqs, rhs)
+    forms = [rng.getrandbits(width) for _ in range(n_rows)]
+    rhs = rng.getrandbits(n_rows) if n_rows else 0
+    return space_from_pairs(width, [(f, (rhs >> i) & 1) for i, f in enumerate(forms)])

@@ -215,10 +215,10 @@ def _fixed_entries(layout: BlockLayout, z) -> list[tuple[int, int]]:
     return entries
 
 
-def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[FVec]:
+def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[int]:
     """Stream the preimage product set of a full or partial base target.
 
-    For a partial target the vectors range over the fixed blocks only,
+    For a partial target the points range over the fixed blocks only,
     re-indexed in ascending block order; the last fixed block varies fastest.
     """
     entries = _fixed_entries(layout, z)
@@ -228,12 +228,11 @@ def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[FVec]:
         if not pre:
             raise EmptyPreimageError(f"gadget has no preimage of {bit}")
         per_block.append(pre)
-    width = len(entries) * layout.b
     for choice in itertools.product(*per_block):
         bits = 0
         for pos, v in enumerate(choice):
             bits |= v << (pos * layout.b)
-        yield FVec(width, bits)
+        yield bits
 
 
 def count_preimages(g: Gadget, layout: BlockLayout, z) -> int:
@@ -411,10 +410,9 @@ def sample_in_space(space: AffineSpace, layout: BlockLayout, g: Gadget, z, rng) 
         v = int(members[rng.randrange(len(members))])
         bits |= v << (i * layout.b)
         need ^= s
-    out = FVec(layout.width, bits)
-    if not space.contains(out):
+    if not space.contains(bits):
         raise RuntimeError("sampled point lies outside the space")
-    return out
+    return FVec(layout.width, bits)
 
 
 @dataclass(frozen=True)
@@ -485,7 +483,7 @@ def rejection_sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | N
             idx += 1
         z = FVec(layout.n, d.base[idx][0])
         x = sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
-        if conditioning is None or conditioning.contains(x):
+        if conditioning is None or conditioning.contains(x.bits):
             return x
     raise EmptySupportError("rejection sampler exhausted its tries")
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import f2
-from ._bits import mask_bits, parity_u64
+from ._bits import mask_bits, parity, parity_u64
 from .blocks import (
     BlockLayout,
     ClosureAssignment,
@@ -44,6 +44,8 @@ OK = "OK"
 VIOLATED = "VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
 VACUOUS_OK = "VACUOUS_OK"
+
+LEMMA_CSV_HEADER = "lemma,parameters,numerator,denominator,bound_low,bound_high,verdict"
 
 
 class UnsafeSpaceError(Exception):
@@ -102,7 +104,6 @@ class LemmaReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        head = "lemma,parameters,numerator,denominator,bound_low,bound_high,verdict"
         params = ";".join(f"{k}={v}" for k, v in self.params)
         row = ",".join(
             [
@@ -115,7 +116,7 @@ class LemmaReport:
                 self.verdict,
             ]
         )
-        return head + "\n" + row + "\n"
+        return LEMMA_CSV_HEADER + "\n" + row + "\n"
 
 
 def cube_counts(layout: BlockLayout, g: Gadget, z: FVec, spaces: Sequence[AffineSpace | f2._EmptySpace]) -> tuple[int, list[int]]:
@@ -504,9 +505,7 @@ def nested_pair_with_gap(
         if concentrate_block is not None:
             bmask = layout.block_mask(concentrate_block)
             forms = [f & bmask for f in forms]
-        pairs_a = [
-            (form, f2.FVec(layout.width, form).dot(FVec(layout.width, x0))) for form in forms
-        ]
+        pairs_a = [(form, parity(form & x0)) for form in forms]
         a = space_from_pairs(layout.width, pairs_a)
         if a is EMPTY or a.codim != base_codim:
             continue
@@ -514,7 +513,7 @@ def nested_pair_with_gap(
         extra = []
         for _ in range(k):
             form = rng.getrandbits(layout.width)
-            extra.append((form, f2.FVec(layout.width, form).dot(FVec(layout.width, x0))))
+            extra.append((form, parity(form & x0)))
         b_sp = space_from_pairs(layout.width, pairs_a + extra)
         if b_sp is EMPTY or b_sp.codim != base_codim + k:
             continue

@@ -21,14 +21,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import f2
 from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure, fixed_blocks
-from ._bits import bits_to_string, string_to_bits
+from ._bits import parity
 from .dtfooling import root_of, root_space, sample as dtf_sample
 from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
 from .gadget import Gadget, LiftedDistribution, count_preimages, counts_in_space, lift_eval, sample_lifted
 from .tseitin import EdgePartialAssignment, Graph, PartialAnalysis, analyze_partial
 
 LIFTED_SUPPORT_CAP = 18
-EAGER_TREE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,6 @@ class Pdt:
     root: PdtNode
 
 
-def tree_size(t: Pdt, cap: int = EAGER_TREE_CAP) -> int:
-    """Node count; materializes lazy children up to the cap."""
-    count = 0
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if count > cap:
-            raise f2.EnumerationCapError("tree larger than cap")
-        if isinstance(node, Query):
-            stack.append(node.child(0))
-            stack.append(node.child(1))
-    return count
-
-
-def tree_depth(t: Pdt, cap: int = EAGER_TREE_CAP) -> int:
-    seen = 0
-
-    def walk(node, d):
-        nonlocal seen
-        seen += 1
-        if seen > cap:
-            raise f2.EnumerationCapError("tree larger than cap")
-        if isinstance(node, Leaf):
-            return d
-        return max(walk(node.child(0), d + 1), walk(node.child(1), d + 1))
-
-    return walk(t.root, 0)
-
-
 def empty_tree(width: int) -> Pdt:
     return Pdt(width, Leaf())
 
@@ -121,64 +90,19 @@ def random_linear_tree(width: int, depth: int, rng: random.Random) -> Pdt:
     return Pdt(width, build(depth))
 
 
-def tree_to_text(t: Pdt, cap: int = EAGER_TREE_CAP) -> str:
-    """Preorder listing: `q <form-bits>` for queries, `l` for leaves."""
-    lines: list[str] = []
-
-    def walk(node):
-        if len(lines) > cap:
-            raise f2.EnumerationCapError("tree larger than cap")
-        if isinstance(node, Leaf):
-            lines.append("l")
-        else:
-            lines.append(f"q {bits_to_string(node.form, t.width)}")
-            walk(node.child(0))
-            walk(node.child(1))
-
-    walk(t.root)
-    return "\n".join(lines) + "\n"
-
-
-def tree_from_text(width: int, text: str) -> Pdt:
-    tokens = [line.split() for line in text.splitlines() if line.strip()]
-    pos = 0
-
-    def build() -> PdtNode:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree file")
-        tok = tokens[pos]
-        pos += 1
-        if tok[0] == "l":
-            return Leaf()
-        if tok[0] == "q":
-            if len(tok[1]) != width:
-                raise ValueError("form width mismatch")
-            form = string_to_bits(tok[1])
-            c0 = build()
-            c1 = build()
-            return Query(form, c0, c1)
-        raise ValueError(f"bad tree line: {' '.join(tok)!r}")
-
-    root = build()
-    if pos != len(tokens):
-        raise ValueError("trailing tree lines")
-    return Pdt(width, root)
-
-
-def run_pdt(t: Pdt, x: FVec, steps: int | None = None) -> tuple[PdtNode, AffineSpace]:
-    """Follow x for the given number of queries (all when steps is None).
+def run_pdt(t: Pdt, x: int, steps: int | None = None) -> tuple[PdtNode, AffineSpace]:
+    """Follow the point x for the given number of queries (all when steps is None).
 
     Returns the node reached and the space of inputs answering the same way;
     x is always a member and the codimension is at most the step count.
     """
-    if x.width != t.width:
-        raise ValueError("width mismatch")
+    if x < 0 or x >> t.width:
+        raise ValueError("point out of range for width")
     node = t.root
     space: AffineSpace = full_space(t.width)
     made = 0
     while isinstance(node, Query) and (steps is None or made < steps):
-        bit = f2.FVec(t.width, node.form).dot(x)
+        bit = parity(node.form & x)
         space = space.with_equation(node.form, bit)
         if space is EMPTY:
             raise RuntimeError("a point left the space of its own answers")
@@ -395,8 +319,8 @@ def exact_lifted_root_law(
     space = conditioning if conditioning is not None else full_space(layout.width)
     zs = [FVec(layout.n, z_bits) for z_bits, _ in dist.base]
     weights: dict[int, Fraction] = {}
-    for (_, w), z, cnt in zip(dist.base, zs, counts_in_space(space, layout, g, zs)):
-        root = root_of(graph, z)
+    for (z_bits, w), z, cnt in zip(dist.base, zs, counts_in_space(space, layout, g, zs)):
+        root = root_of(graph, z_bits)
         if not isinstance(root, int):
             raise RuntimeError(f"support point {z} has no unique root")
         fiber = count_preimages(g, layout, z)
@@ -424,7 +348,7 @@ def coin_game(
     new blocks, those base variables are revealed to the accountant.
     """
     x = sampler(rng)
-    z = lift_eval(g, layout, x)
+    z = lift_eval(g, layout, x).bits
     root = root_of(rho.graph, z)
     if not isinstance(root, int):
         raise ValueError("sampled assignment does not have a unique root")
@@ -434,7 +358,7 @@ def coin_game(
     node = tprime.root
     made = 0
     while isinstance(node, Query) and acct.outcome is None and (max_steps is None or made < max_steps):
-        bit = f2.FVec(layout.width, node.form).dot(x)
+        bit = parity(node.form & x.bits)
         nxt = space.with_equation(node.form, bit)
         if nxt is not space:
             space = nxt
@@ -442,7 +366,7 @@ def coin_game(
             newly = fixed_blocks(space, layout) - determined
             if newly:
                 determined |= newly
-                acct.reveal({k: z.get(k) for k in sorted(newly)})
+                acct.reveal({k: (z >> k) & 1 for k in sorted(newly)})
         node = node.child(bit)
         made += 1
     return acct.transcript()
@@ -525,7 +449,7 @@ def run_unlifted_game(
 ) -> tuple[GameTranscript, EdgePartialAssignment]:
     """Ordinary decision tree over edges against a sampled base assignment."""
     graph = rho.graph
-    root = root_of(graph, z)
+    root = root_of(graph, z.bits)
     if not isinstance(root, int):
         raise ValueError("assignment does not have a unique root")
     acct = _Accountant(graph, rho, root, budget)
@@ -543,7 +467,7 @@ def run_unlifted_game(
         if e not in free:
             raise ValueError(f"strategy queried a fixed edge {e}")
         free.discard(e)
-        bit = z.get(e)
+        bit = (z.bits >> e) & 1
         revealed[e] = bit
         current = current.extend({e: bit})
         acct.reveal({e: bit})

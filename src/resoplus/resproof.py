@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import f2
-from ._bits import bits_to_string, string_to_bits
+from ._bits import bits_to_string, parity, string_to_bits
 from .cnf import Cnf, _clause_masks
 from .f2 import EMPTY, AffineSpace, FVec, full_space, is_subspace, space_from_pairs
 
@@ -111,20 +111,6 @@ def _check_acyclic(nodes: list[ProofNode], by_id: dict[int, ProofNode]) -> None:
     for node in nodes:
         if node.node_id not in state:
             visit(node.node_id)
-
-
-@dataclass(frozen=True)
-class LinearClause:
-    """A disjunction of affine equations; its negation is an affine space."""
-
-    width: int
-    disjuncts: tuple[tuple[int, int], ...]  # (form, bit)
-
-    def negation_space(self) -> AffineSpace | f2._EmptySpace:
-        return space_from_pairs(self.width, [(f, 1 ^ b) for f, b in self.disjuncts])
-
-    def eval(self, x: FVec) -> bool:
-        return any(FVec(self.width, f).dot(x) == b for f, b in self.disjuncts)
 
 
 def clause_negation_space(width: int, clause: tuple[int, ...]) -> AffineSpace | f2._EmptySpace:
@@ -319,23 +305,23 @@ class TraceResult:
     path_length: int
 
 
-def trace(dag: ProofDag, cnf: Cnf, x: FVec) -> TraceResult:
-    """Follow the path of x from the root to a leaf whose clause x falsifies."""
-    if x.width != dag.width:
-        raise ValueError("width mismatch")
+def trace(dag: ProofDag, cnf: Cnf, x: int) -> TraceResult:
+    """Follow the path of the point x from the root to a leaf whose clause x falsifies."""
+    if x < 0 or x >> dag.width:
+        raise ValueError("point out of range for width")
     node = dag.root
     length = 0
     while True:
         if node.space is EMPTY or not node.space.contains(x):
             raise AssertionError(f"input left the node space at {node.node_id}")
         if node.kind == LEAF:
-            if not cnf.clause_falsified_by(node.clause, x.bits):
+            if not cnf.clause_falsified_by(node.clause, x):
                 raise AssertionError(f"leaf clause {node.clause} not falsified")
             return TraceResult(node.node_id, node.clause, length)
         if node.kind == WEAK:
             node = dag.by_id[node.child]
             continue
-        bit = FVec(dag.width, node.form).dot(x)
+        bit = parity(node.form & x)
         node = dag.by_id[node.child0 if bit == 0 else node.child1]
         length += 1
 
@@ -388,5 +374,5 @@ def all_inputs_trace_ok(dag: ProofDag, cnf: Cnf, cap: int = 16) -> bool:
     if dag.width > cap:
         raise f2.EnumerationCapError("width too large for exhaustive tracing")
     for bits in range(1 << dag.width):
-        trace(dag, cnf, FVec(dag.width, bits))
+        trace(dag, cnf, bits)
     return True

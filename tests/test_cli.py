@@ -1,6 +1,7 @@
 import pytest
 
 from resoplus.cli import main
+from resoplus.lemmalab import LEMMA_CSV_HEADER
 from resoplus.tseitin import complete_graph
 
 
@@ -231,11 +232,45 @@ def test_random_graph_without_seed_says_why(capsys):
         ["gen-graph", "--type", "random", "--seed", "-1"],
         ["verify-lemma", "closure-laws", "--seed", "-7"],
         ["hardness-experiment", "--type", "k5", "--q", "2", "--trials", "5", "--seed", "-1"],
+        ["hardness-experiment", "--type", "k5", "--q", "2", "--trials", "-3", "--seed", "1"],
+        ["hardness-experiment", "--lifted", "--type", "cycle", "--vertices", "3", "--q", "-1", "--trials", "2",
+         "--seed", "1"],
+        ["sample-dtfooling", "--graph", "x.graph", "--samples", "-2", "--seed", "1"],
+        ["verify-lemma", "exponential-sum", "--count", "-1", "--seed", "1"],
+        ["verify-lemma", "closure-laws", "--trials", "-1", "--seed", "1"],
     ],
 )
-def test_negative_seed_is_usage_error(capsys, argv):
-    # random.Random(-s) repeats the stream of random.Random(s)
+def test_negative_seed_or_count_is_usage_error(capsys, argv):
+    # random.Random(-s) repeats the stream of random.Random(s); a negative
+    # count would run nothing, or recurse without end as a tree depth
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lemma", ["exponential-sum", "uniform-coset", "conditional-fooling"])
+def test_empty_lemma_run_prints_the_csv_header(capsys, lemma):
+    code, out = run(capsys, "verify-lemma", lemma, "--count", "0", "--format", "csv", "--seed", "1")
+    assert code == 0
+    assert out == LEMMA_CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hardness-experiment", "--lifted", "--ip", "0", "--type", "cycle", "--vertices", "3", "--q", "2",
+         "--trials", "2", "--seed", "1"],
+        ["gadget-spectrum", "--ip", "0"],
+        ["lift", "--cnf", "{cnf}", "--ip", "0"],
+    ],
+)
+def test_ip_zero_is_usage_error(tmp_path, capsys, argv):
+    # --ip 0 is an arity to reject, not a missing --ip
+    cnf = tmp_path / "unit.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    code = main([a.format(cnf=cnf) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: inner product needs an even arity >= 2\n"

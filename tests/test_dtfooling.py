@@ -17,8 +17,15 @@ from resoplus.dtfooling import (
     sample,
     tree_complete,
 )
-from resoplus.f2 import FVec, points_array
-from resoplus.tseitin import EdgePartialAssignment, Graph, analyze_partial, complete_graph, cycle_graph
+from resoplus.f2 import points_array
+from resoplus.tseitin import (
+    EdgePartialAssignment,
+    Graph,
+    analyze_partial,
+    complete_graph,
+    cycle_graph,
+    random_regular_graph,
+)
 
 
 def test_sample_roots_uniform_and_single_violation():
@@ -28,7 +35,7 @@ def test_sample_roots_uniform_and_single_violation():
     counts = Counter()
     for _ in range(5000):
         s = sample(rho, rng)
-        assert root_of(g, s.assignment) == s.root
+        assert root_of(g, s.assignment.bits) == s.root
         counts[s.root] += 1
     # 5000 draws over 5 roots: 1000 +- 130
     assert all(870 <= v <= 1130 for v in counts.values())
@@ -61,8 +68,39 @@ def test_sample_roots_restricted_to_odd_component():
 
 def test_root_of_many():
     g = complete_graph(5)
-    r = root_of(g, FVec(10, 0))
+    r = root_of(g, 0)
     assert isinstance(r, Many) and r.violated == frozenset(range(5))
+
+
+def _root_by_incidence(g, z):
+    """Oracle: each vertex's parity summed over `Graph.incident`, vertex by vertex."""
+    violated = []
+    for v in range(g.num_vertices):
+        acc = 0
+        for k, _ in g.incident(v):
+            acc ^= (z >> k) & 1
+        if acc != 1:
+            violated.append(v)
+    return violated[0] if len(violated) == 1 else Many(frozenset(violated))
+
+
+def test_root_of_matches_incidence_parity():
+    graphs = [cycle_graph(n) for n in (3, 4, 7)] + [complete_graph(n) for n in (4, 5, 6)]
+    graphs += [random_regular_graph(n, d, seed=s) for n, d, s in ((7, 4, 1), (8, 3, 2), (11, 6, 3))]
+    rng = random.Random(17)
+    kinds = Counter()
+    for g in graphs:
+        rho = EdgePartialAssignment.empty(g)
+        for _ in range(60):
+            if g.num_vertices % 2 and rng.getrandbits(1):
+                # a sample has one root; flipping an edge moves it or makes three
+                z = sample(rho, rng).assignment.bits ^ (rng.getrandbits(1) << rng.randrange(g.num_edges))
+            else:
+                z = rng.getrandbits(g.num_edges)
+            got = root_of(g, z)
+            assert got == _root_by_incidence(g, z)
+            kinds[type(got)] += 1
+    assert kinds[int] > 50 and kinds[Many] > 50
 
 
 def test_tree_complete_unique_on_path():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resoplus._bits import string_to_bits
 from resoplus.blocks import BlockLayout
 from resoplus.f2 import EMPTY, EnumerationCapError, FVec, enumerate_points, full_space, random_space, space_from_pairs
 from resoplus.gadget import (
@@ -120,8 +121,8 @@ def test_gadget_file_round_trip(tmp_path):
 def test_lift_eval():
     lay = BlockLayout(2, 2)
     g = ip_gadget(2)
-    assert lift_eval(g, lay, FVec.from_string("1101")).to_string() == "10"
-    assert lift_eval(g, lay, FVec.zero(4)).bits == 0
+    assert lift_eval(g, lay, FVec(4, string_to_bits("1101"))).to_string() == "10"
+    assert lift_eval(g, lay, FVec(4, 0)).bits == 0
     lay1 = BlockLayout(1, 2)
     for v in range(4):
         assert lift_eval(g, lay1, FVec(2, v)).bits == g.table[v]
@@ -130,12 +131,12 @@ def test_lift_eval():
 def test_preimages():
     g = ip_gadget(2)
     lay1 = BlockLayout(1, 2)
-    assert [p.to_string() for p in preimages(g, lay1, FVec(1, 1))] == ["11"]
+    assert list(preimages(g, lay1, FVec(1, 1))) == [0b11]
     lay = BlockLayout(2, 2)
-    pts = list(preimages(g, lay, FVec.from_string("10")))
-    assert len(pts) == 3 == count_preimages(g, lay, FVec.from_string("10"))
+    pts = list(preimages(g, lay, FVec(2, string_to_bits("10"))))
+    assert len(pts) == 3 == count_preimages(g, lay, FVec(2, string_to_bits("10")))
     partial = list(preimages(g, lay, {1: 0}))
-    assert len(partial) == 3 and all(p.width == 2 for p in partial)
+    assert len(partial) == 3 and all(p >> 2 == 0 for p in partial)
     with pytest.raises(EmptyPreimageError):
         next(preimages(constant_gadget(2, 0), lay1, FVec(1, 1)))
 
@@ -302,7 +303,7 @@ def test_sample_lifted_matches_preimage_counting():
     for z_bits, _ in dist.base:
         for p in preimages(g, lay, FVec(2, z_bits)):
             # z drawn uniformly between the two base points, then uniform in the fiber
-            support[p.bits] = Fraction(1, 2) * Fraction(1, count_preimages(g, lay, FVec(2, z_bits)))
+            support[p] = Fraction(1, 2) * Fraction(1, count_preimages(g, lay, FVec(2, z_bits)))
     assert set(counts) <= set(support)
     for bits, prob in support.items():
         mean = draws * float(prob)

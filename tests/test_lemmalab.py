@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from resoplus._bits import parity
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure
 from resoplus.f2 import FVec, full_space, space_from_pairs
 from resoplus.gadget import SYNDROME_DIM_CAP, Gadget, count_in_space, count_preimages, ip_gadget, lift_eval
@@ -197,8 +198,8 @@ def test_fooling_nice_subspaces_finite_scale():
         x0 = rng.getrandbits(16)
         f1 = rng.getrandbits(16)
         f2_ = rng.getrandbits(16)
-        a = space_from_pairs(16, [(f1, FVec(16, f1).dot(FVec(16, x0)))])
-        b_sp = space_from_pairs(16, [(f1, FVec(16, f1).dot(FVec(16, x0))), (f2_, FVec(16, f2_).dot(FVec(16, x0)))])
+        a = space_from_pairs(16, [(f1, parity(f1 & x0))])
+        b_sp = space_from_pairs(16, [(f1, parity(f1 & x0)), (f2_, parity(f2_ & x0))])
         from resoplus.blocks import is_safe
 
         if a.codim != 1 or b_sp.codim != 2:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from resoplus import dtfooling
+from resoplus._bits import parity
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure
-from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, space_from_pairs
+from resoplus.f2 import EMPTY, enumerate_points, full_space, space_from_pairs
 from resoplus.gadget import ip_gadget, lift_eval, sample_lifted
 from resoplus.pdt import (
     GreedyCutStrategy,
@@ -24,15 +25,13 @@ from resoplus.pdt import (
     random_linear_tree,
     run_pdt,
     run_unlifted_game,
-    tree_from_text,
-    tree_to_text,
     wilson_interval,
 )
 from resoplus.tseitin import EdgePartialAssignment, Graph, analyze_partial, complete_graph, cycle_graph
 
 
 def test_run_pdt_depth_zero():
-    node, space = run_pdt(empty_tree(4), FVec(4, 0b1010))
+    node, space = run_pdt(empty_tree(4), 0b1010)
     assert isinstance(node, Leaf)
     assert space == full_space(4)
 
@@ -40,9 +39,9 @@ def test_run_pdt_depth_zero():
 def test_run_pdt_coordinate_tree():
     lay = BlockLayout(2, 2)
     t = coordinate_tree(4, [lay.flat(0, 0), lay.flat(0, 1)])
-    node, space = run_pdt(t, FVec(4, 0))
+    node, space = run_pdt(t, 0)
     assert space.codim == 2
-    assert space.contains(FVec(4, 0))
+    assert space.contains(0)
 
 
 def test_run_pdt_fuzz_membership():
@@ -50,20 +49,12 @@ def test_run_pdt_fuzz_membership():
     for _ in range(150):
         w = rng.randint(2, 8)
         t = random_linear_tree(w, rng.randint(0, 5), rng)
-        x = FVec(w, rng.getrandbits(w))
+        x = rng.getrandbits(w)
         _, space = run_pdt(t, x)
         assert space.contains(x)
         steps = rng.randint(0, 3)
         _, partial = run_pdt(t, x, steps)
         assert partial.codim <= steps
-
-
-def test_tree_text_round_trip():
-    rng = random.Random(5)
-    t = random_linear_tree(5, 3, rng)
-    txt = tree_to_text(t)
-    again = tree_from_text(5, txt)
-    assert tree_to_text(again) == txt
 
 
 def test_block_complete_trivial_cases():
@@ -98,13 +89,13 @@ def test_block_complete_injects_whole_blocks():
     y = ClosureAssignment.from_dict(lay, {})
     out = block_complete(orig, lay, a, y)
     # walking any member of a: 2 blocks * 2 bits of coordinate queries, then ell
-    x = FVec(4, 0)
+    x = 0
     assert a.contains(x)
     node = out.root
     kinds = []
     while isinstance(node, Query):
         kinds.append(node.note)
-        bit = FVec(4, node.form).dot(x)
+        bit = parity(node.form & x)
         node = node.child(bit)
     assert kinds == ["block-fill"] * 4 + ["stage-end"]
     assert isinstance(node, Leaf) and node.tag != "dead"
@@ -117,7 +108,7 @@ def test_block_complete_preserves_original_leaves():
     y = ClosureAssignment.from_dict(lay, {})
     out = block_complete(orig, lay, full_space(6), y)
     for bits in range(64):
-        x = FVec(6, bits)
+        x = bits
         leaf_orig, _ = run_pdt(orig, x)
         leaf_new, space = run_pdt(out, x)
         assert leaf_new is leaf_orig
@@ -133,7 +124,7 @@ def test_block_complete_closure_invariant():
     y = ClosureAssignment.from_dict(lay, {})
     out = block_complete(orig, lay, full_space(6), y)
     for bits in range(0, 64, 7):
-        run_pdt(out, FVec(6, bits))
+        run_pdt(out, bits)
 
 
 def test_coin_game_zero_budget_loses_on_any_paying_split():
@@ -281,7 +272,7 @@ def test_lifted_root_law_near_uniform():
         pairs = []
         for _ in range(trial % 3):
             form = rng.getrandbits(lay.width)
-            pairs.append((form, FVec(lay.width, form).dot(FVec(lay.width, x0))))
+            pairs.append((form, parity(form & x0)))
         cond = space_from_pairs(lay.width, pairs)
         from resoplus.blocks import is_safe
 
@@ -324,7 +315,7 @@ def test_exact_lifted_root_law_matches_enumeration(graph, b, fixed):
         weights = {v: Fraction(0) for v in odd}
         for x in enumerate_points(cond):
             z = lift_eval(g, lay, x)
-            root = dtfooling.root_of(graph, z)
+            root = dtfooling.root_of(graph, z.bits)
             if isinstance(root, int) and all(z.get(k) == bit for k, bit in fixed.items()):
                 weights[root] += Fraction(1, math.prod(fibre[z.get(i)] for i in range(lay.n)))
         total = sum(weights.values())

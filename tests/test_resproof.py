@@ -3,7 +3,7 @@ import random
 import pytest
 
 from resoplus.cnf import Cnf
-from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, space_from_pairs
+from resoplus.f2 import EMPTY, enumerate_points, full_space, space_from_pairs
 from resoplus.gadget import ip_gadget, lift_cnf
 from resoplus.resproof import (
     LEAF,
@@ -12,7 +12,6 @@ from resoplus.resproof import (
     CheckResult,
     CycleError,
     DanglingNodeError,
-    LinearClause,
     ProofDag,
     ProofNode,
     ProofSyntaxError,
@@ -31,21 +30,13 @@ from resoplus.tseitin import complete_graph, cycle_graph, tseitin_cnf
 UNIT_PAIR = Cnf(1, ((1,), (-1,)))
 
 
-def test_linear_clause_negation():
-    lc = LinearClause(3, ((0b011, 1), (0b100, 0)))
-    neg = lc.negation_space()
-    for p in enumerate_points(neg):
-        assert not lc.eval(p)
-    assert neg.codim == 2
-
-
 def test_canonical_three_node_proof():
     dag = pdt_refute(UNIT_PAIR)
     assert check(dag, UNIT_PAIR).ok
     assert metrics(dag) == (3, 1)
-    t = trace(dag, UNIT_PAIR, FVec(1, 1))
+    t = trace(dag, UNIT_PAIR, 1)
     assert UNIT_PAIR.clauses[t.clause_index] == (-1,)
-    t = trace(dag, UNIT_PAIR, FVec(1, 0))
+    t = trace(dag, UNIT_PAIR, 0)
     assert UNIT_PAIR.clauses[t.clause_index] == (1,)
 
 
@@ -148,7 +139,7 @@ def test_trace_length_bounded_by_depth():
     dag = pdt_refute(tri)
     _, depth = metrics(dag)
     for bits in range(8):
-        assert trace(dag, tri, FVec(3, bits)).path_length <= depth
+        assert trace(dag, tri, bits).path_length <= depth
 
 
 def test_satisfiable_input_rejected_with_model():

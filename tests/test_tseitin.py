@@ -91,9 +91,7 @@ def test_violation_parity_identity():
     for g in (cycle_graph(3), cycle_graph(5), complete_graph(5)):
         charge_sum = g.num_vertices % 2
         for bits in range(1 << g.num_edges):
-            from resoplus.f2 import FVec
-
-            r = dtfooling.root_of(g, FVec(g.num_edges, bits))
+            r = dtfooling.root_of(g, bits)
             violated = 1 if isinstance(r, int) else len(r.violated)
             assert violated >= 1
             assert violated % 2 == charge_sum % 2
