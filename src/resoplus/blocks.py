@@ -78,20 +78,62 @@ def project_rows(rows: Sequence[int], layout: BlockLayout, kept_blocks: Sequence
 
 
 def _nonzero_columns(rows: Sequence[int], layout: BlockLayout) -> dict[int, list[tuple[int, int]]]:
-    """Per block: list of (flat column index, column bitmask over row indices)."""
+    """Per block, ascending: list of (flat column index, column bitmask over row indices)."""
+    cols: dict[int, int] = {}
+    width = mask_bits(layout.width)
+    for r, row in enumerate(rows):
+        bit = 1 << r
+        row &= width
+        while row:
+            low = row & -row
+            c = low.bit_length() - 1
+            cols[c] = cols.get(c, 0) | bit
+            row ^= low
     by_block: dict[int, list[tuple[int, int]]] = {}
-    for c in range(layout.width):
-        col = 0
-        for r, row in enumerate(rows):
-            if (row >> c) & 1:
-                col |= 1 << r
-        if col:
-            by_block.setdefault(layout.block_of(c), []).append((c, col))
+    for c in sorted(cols):
+        by_block.setdefault(layout.block_of(c), []).append((c, cols[c]))
     return by_block
 
 
 def _independent(cols: Sequence[int]) -> bool:
     return rank_of_rows(cols) == len(cols)
+
+
+def _reduce(basis: list[tuple[int, int, int]], col: int) -> tuple[int, int]:
+    """(residue, tag) of a column against a tagged echelon basis.
+
+    basis holds (pivot bit, row, tag) triples, where the tag marks the
+    solution indices whose column masks sum to the row.  The column equals its
+    residue plus the sum of the solution columns its tag marks.
+    """
+    tag = 0
+    for pivot, row, row_tag in basis:
+        if col & pivot:
+            col ^= row
+            tag ^= row_tag
+    return col, tag
+
+
+def _insert(basis: list[tuple[int, int, int]], col: int, index: int) -> bool:
+    """Add solution column number index to the basis; False if it is dependent."""
+    residue, tag = _reduce(basis, col)
+    if residue:
+        basis.append((residue & -residue, residue, tag ^ (1 << index)))
+    return residue != 0
+
+
+def _coordinates(masks: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
+    """(residue, tag) of each column over an echelon basis of the independent masks."""
+    basis: list[tuple[int, int, int]] = []
+    for j, m in enumerate(masks):
+        _insert(basis, m, j)
+    return [_reduce(basis, col) for col in cols]
+
+
+def _exchangeable(coord: tuple[int, int], x: int) -> bool:
+    """True iff solution - x + y is independent, for y with these coordinates."""
+    residue, tag = coord
+    return residue != 0 or (tag >> x) & 1 == 1
 
 
 def _augment(
@@ -104,50 +146,40 @@ def _augment(
     block to its usable columns.  Returns (a larger solution, empty set), or,
     when no augmenting path is left, (None, the blocks of every element the
     search reached from the M1-addable columns).
+
+    Every outside column is reduced once against an echelon basis of the
+    solution: a nonzero residue makes it M1-addable, and otherwise
+    solution - x + y is independent exactly when bit x of y's tag is set.
     """
-    in_sol = {(blk, c) for blk, c, _ in solution}
-    used_blocks = {blk for blk, _, _ in solution}
-    sol_masks = [m for _, _, m in solution]
+    in_sol = {c for _, c, _ in solution}
+    sol_of_block = {blk: j for j, (blk, _, _) in enumerate(solution)}
     outside = [
         (blk, c, m)
         for blk, cols in ground.items()
         for c, m in cols
-        if (blk, c) not in in_sol
+        if c not in in_sol
     ]
-
-    def m1_ok(without: int | None, extra: int) -> bool:
-        masks = [m for idx, m in enumerate(sol_masks) if idx != without] + [extra]
-        return _independent(masks)
+    coords = _coordinates([m for _, _, m in solution], [m for _, _, m in outside])
 
     # BFS over alternating exchange arcs from M1-addable to M2-addable elements.
-    start = [(i, y) for i, y in enumerate(outside) if m1_ok(None, y[2])]
-    parents: dict[tuple[str, int], tuple[str, int] | None] = {}
-    queue: list[tuple[str, int]] = []
-    for i, _ in start:
-        parents[("y", i)] = None
-        queue.append(("y", i))
-    goal: tuple[str, int] | None = None
-    for i, y in start:
-        if y[0] not in used_blocks:
-            goal = ("y", i)
-            break
+    start = [i for i, (residue, _) in enumerate(coords) if residue]
+    parents: dict[tuple[str, int], tuple[str, int] | None] = {("y", i): None for i in start}
+    queue: list[tuple[str, int]] = list(parents)
+    goal = next((("y", i) for i in start if outside[i][0] not in sol_of_block), None)
     qi = 0
     while goal is None and qi < len(queue):
         kind, idx = queue[qi]
         qi += 1
         if kind == "y":
-            blk = outside[idx][0]
-            for j, (sblk, _, _) in enumerate(solution):
-                if sblk == blk and ("x", j) not in parents:
-                    parents[("x", j)] = (kind, idx)
-                    queue.append(("x", j))
+            j = sol_of_block[outside[idx][0]]
+            if ("x", j) not in parents:
+                parents[("x", j)] = (kind, idx)
+                queue.append(("x", j))
         else:
-            for j, y in enumerate(outside):
-                if ("y", j) in parents:
-                    continue
-                if m1_ok(idx, y[2]):
+            for j, coord in enumerate(coords):
+                if ("y", j) not in parents and _exchangeable(coord, idx):
                     parents[("y", j)] = (kind, idx)
-                    if y[0] not in used_blocks:
+                    if outside[j][0] not in sol_of_block:
                         goal = ("y", j)
                         break
                     queue.append(("y", j))
@@ -167,9 +199,19 @@ def _augment(
 
 def _max_one_per_block(rows: Sequence[int], layout: BlockLayout) -> tuple[list[tuple[int, int, int]], frozenset[int]]:
     """Largest independent column set using at most one column per block,
-    with the blocks the final, failed augmenting-path search reached."""
+    with the blocks the final, failed augmenting-path search reached.
+
+    Augmentation starts from a greedy solution: in ground order, the first
+    column of each block that is independent of those already taken.
+    """
     ground = _nonzero_columns(rows, layout)
     solution: list[tuple[int, int, int]] = []
+    basis: list[tuple[int, int, int]] = []
+    for blk, cols in ground.items():
+        for c, m in cols:
+            if _insert(basis, m, len(solution)):
+                solution.append((blk, c, m))
+                break
     while True:
         bigger, reached = _augment(solution, ground)
         if bigger is None:

@@ -276,8 +276,18 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+class OneLineErrorParser(argparse.ArgumentParser):
+    """Reports a rejected command line in one stderr line, without the usage block.
+
+    Subparsers are built from the same class, so they report the same way.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="resoplus", description=__doc__)
+    p = OneLineErrorParser(prog="resoplus", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-graph", help="write a built-in or random regular graph")

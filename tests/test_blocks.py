@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,9 @@ from hypothesis import strategies as st
 
 from resoplus.blocks import (
     BlockLayout,
+    _coordinates,
+    _exchangeable,
+    _nonzero_columns,
     ClosureAssignment,
     NotExtendableError,
     amortized_closure,
@@ -26,6 +31,9 @@ from resoplus.blocks import (
 )
 from resoplus._bits import parity
 from resoplus.f2 import EMPTY, enumerate_points, full_space, rank_of_rows, sample_point, space_from_pairs
+from resoplus.gadget import ip_gadget, sample_lifted
+from resoplus.pdt import Leaf, Pdt, Query, block_complete, coin_game, lifted_dtfooling_distribution
+from resoplus.tseitin import EdgePartialAssignment, cycle_graph
 
 
 def unit(layout, i, j):
@@ -69,10 +77,28 @@ def test_closure_is_minimal_deviolator():
                     assert cl <= frozenset(s)
 
 
+def independent_forms(rng, count, blocks, lay):
+    """count linearly independent random forms supported on the given blocks."""
+    while True:
+        group = []
+        for _ in range(count):
+            bits = rng.getrandbits(len(blocks) * lay.b)
+            group.append(sum(lay.block_value(bits, k) << (blk * lay.b) for k, blk in enumerate(blocks)))
+        if rank_of_rows(group) == count:
+            return group
+
+
 @st.composite
 def closure_cases(draw):
-    n, b = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    n, b = draw(st.integers(1, 14)), draw(st.integers(1, 4))
     lay = BlockLayout(n, b)
+    if n >= 3 and b >= 2 and draw(st.booleans()):
+        # groups of four independent forms piled on three blocks overload them
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        rows = []
+        for _ in range(draw(st.integers(1, n // 3))):
+            rows += independent_forms(rng, 4, rng.sample(range(n), 3), lay)
+        return lay, rows
     block, value = st.integers(0, n - 1), st.integers(1, (1 << b) - 1)
     # local and two-block rows pile onto few blocks, so closures are often non-empty
     local = st.builds(lambda i, v: v << (i * b), block, value)
@@ -86,6 +112,33 @@ def closure_cases(draw):
 def test_closure_matches_bruteforce(case):
     lay, rows = case
     assert closure(rows, lay) == closure_bruteforce(rows, lay)
+
+
+@st.composite
+def solutions_and_columns(draw):
+    """An independent one-per-block column solution and the columns outside it."""
+    lay = BlockLayout(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    rows = draw(st.lists(st.integers(0, (1 << lay.width) - 1), max_size=6))
+    solution, outside = [], []
+    for cols in _nonzero_columns(rows, lay).values():
+        pick = draw(st.integers(-1, len(cols) - 1))  # -1 leaves the block out
+        for k, (_, m) in enumerate(cols):
+            if k == pick and rank_of_rows(solution + [m]) > len(solution):
+                solution.append(m)
+            else:
+                outside.append(m)
+    return solution, outside
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(solutions_and_columns())
+def test_exchange_coordinates_match_rank_definition(case):
+    solution, outside = case
+    for y, coord in zip(outside, _coordinates(solution, outside)):
+        assert (coord[0] != 0) == (rank_of_rows(solution + [y]) > len(solution))
+        for x in range(len(solution)):
+            swapped = solution[:x] + solution[x + 1:] + [y]
+            assert _exchangeable(coord, x) == (rank_of_rows(swapped) == len(solution))
 
 
 def relabel(rows, lay, perm):
@@ -103,9 +156,7 @@ def test_closure_at_64_blocks():
     rows = []
     for first in range(0, 36, 3):
         # four independent forms on three blocks overload them
-        while rank_of_rows(group := [rng.getrandbits(3 * lay.b) << (first * lay.b) for _ in range(4)]) < 4:
-            pass
-        rows += group
+        rows += independent_forms(rng, 4, range(first, first + 3), lay)
     for _ in range(40):
         i, j = rng.sample(range(lay.n), 2)
         rows.append((rng.randrange(1, 1 << lay.b) << (i * lay.b)) | (rng.randrange(1, 1 << lay.b) << (j * lay.b)))
@@ -116,6 +167,52 @@ def test_closure_at_64_blocks():
     perm = list(range(lay.n))
     rng.shuffle(perm)
     assert closure(relabel(rows, lay, perm), lay) == frozenset(perm[i] for i in cl)
+
+
+def _local_row(rng, lay):
+    """A form on one block or on two blocks, so that closures are often non-empty."""
+    row = 0
+    for blk in rng.sample(range(lay.n), min(lay.n, rng.randint(1, 2))):
+        row |= rng.randrange(1, 1 << lay.b) << (blk * lay.b)
+    return row
+
+
+def _local_tree(lay, depth, rng):
+    """Complete tree of local forms, as the coin-game trees query."""
+    if depth == 0:
+        return Leaf()
+    return Query(_local_row(rng, lay), _local_tree(lay, depth - 1, rng), _local_tree(lay, depth - 1, rng))
+
+
+def _pinned_results():
+    rng = random.Random(71)
+    parts = []
+    for _ in range(500):
+        lay = BlockLayout(rng.randint(1, 8), rng.randint(1, 4))
+        rows = [
+            _local_row(rng, lay) if rng.getrandbits(1) else rng.getrandbits(lay.width)
+            for _ in range(rng.randint(0, lay.n + 2))
+        ]
+        am, cert = amortized_closure(rows, lay)
+        parts.append(f"{sorted(closure(rows, lay))}{sorted(am)}{cert}")
+    graph, g = cycle_graph(5), ip_gadget(4)
+    lay = BlockLayout(graph.num_edges, g.b)
+    rho = EdgePartialAssignment.empty(graph)
+    dist = lifted_dtfooling_distribution(lay, g, rho)
+    y = ClosureAssignment.from_dict(lay, {})
+    sampler = lambda r: sample_lifted(dist, None, r)
+    for i in range(100):
+        rng = random.Random(1000 + i)
+        tree = Pdt(lay.width, _local_tree(lay, 6, rng))
+        tprime = block_complete(tree, lay, full_space(lay.width), y)
+        t = coin_game(tprime, lay, g, rho, sampler, Fraction(1), rng)
+        parts.append(f"{t.root},{t.outcome},{t.total_paid},{len(t.steps)}")
+    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
+
+
+def test_closure_results_are_pinned():
+    # recorded with the rank-based exchange test, which started every closure from an empty solution
+    assert _pinned_results() == "7c0763c7859b7a0e"
 
 
 def test_amortized_closure_examples():

@@ -172,12 +172,16 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: resoplus: argument command: invalid choice: 'frobnicate'")
 
 
 def test_missing_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample-dtfooling", "--graph", "x.graph", "--samples", "1"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error: resoplus sample-dtfooling: the following arguments are required: --seed\n"
 
 
 @pytest.mark.parametrize(
@@ -246,7 +250,10 @@ def test_negative_seed_or_count_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be nonnegative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one line, without argparse's usage block
+    assert err.count("\n") == 1 and err.startswith(f"error: resoplus {argv[0]}: argument ")
+    assert "must be nonnegative, got -" in err
 
 
 @pytest.mark.parametrize("lemma", ["exponential-sum", "uniform-coset", "conditional-fooling"])
