@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import f2
 from .f2 import AffineSpace, FVec, space_from_pairs
@@ -93,16 +93,27 @@ def tree_complete(
     for k in edges - tree_edges:
         if k not in out:
             raise ValueError(f"missing value for non-tree edge {k}")
-    for u in reversed(order):
-        if u == root:
-            continue
+    _solve_tree_edges(g, edges, order, parent_edge, targets, out)
+    return {k: out[k] for k in edges}
+
+
+def _solve_tree_edges(
+    g: Graph,
+    edges: set[int],
+    order: list[int],
+    parent_edge: Mapping[int, int],
+    targets: Mapping[int, int] | Sequence[int],
+    out: dict[int, int],
+) -> None:
+    """Set each tree edge in out, leaves first, so that every vertex below the
+    root (order[0]) has parity targets[u] over the given edges."""
+    for u in reversed(order[1:]):
         k_parent = parent_edge[u]
         acc = 0
         for k, _ in g.incident(u):
             if k in edges and k != k_parent:
                 acc ^= out.get(k, 0)
         out[k_parent] = acc ^ (targets[u] & 1)
-    return {k: out[k] for k in edges}
 
 
 def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
@@ -114,20 +125,22 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     odd = analysis.odd_component
     if odd is None:
         raise RuntimeError("a valid assignment has exactly one odd component")
-    f = analysis.f_rho
     root = sorted(odd)[rng.randrange(len(odd))]
     values = rho.as_dict()
-    free = set(rho.free_edges())
-    for comp in analysis.components:
-        comp_edges = [k for k in free if g.edges[k][0] in comp and g.edges[k][1] in comp]
-        if not comp_edges:
+    comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
+    comp_edges: list[list[int]] = [[] for _ in analysis.components]
+    for k in set(rho.free_edges()):
+        comp_edges[comp_of[g.edges[k][0]]].append(k)
+    for comp, edges in zip(analysis.components, comp_edges):
+        if not edges:
             continue
         comp_root = root if comp == odd else min(comp)
-        _, parent_edge = bfs_tree(g, comp_edges, comp_root)
+        order, parent_edge = bfs_tree(g, edges, comp_root)
         tree_edges = set(parent_edge.values())
-        nontree = {k: rng.getrandbits(1) for k in comp_edges if k not in tree_edges}
-        targets = {v: f[v] for v in comp}
-        values.update(tree_complete(g, comp, comp_edges, targets, comp_root, nontree))
+        for k in edges:
+            if k not in tree_edges:
+                values[k] = rng.getrandbits(1)
+        _solve_tree_edges(g, set(edges), order, parent_edge, analysis.f_rho, values)
     bits = 0
     for k, bit in values.items():
         bits |= bit << k

@@ -7,6 +7,7 @@ empty-set coefficient is ~1/2 for any roughly balanced gadget.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -236,11 +237,10 @@ def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[int]:
 
 
 def count_preimages(g: Gadget, layout: BlockLayout, z) -> int:
-    """|G^-1(z)| over the fixed blocks, read off the truth table."""
-    total = 1
-    for _, bit in _fixed_entries(layout, z):
-        total *= g.table.count(bit)
-    return total
+    """|G^-1(z)| over the fixed blocks: n_0^(fixed zeros) * n_1^(fixed ones), n_c = |g^-1(c)|."""
+    entries = _fixed_entries(layout, z)
+    ones = sum(bit for _, bit in entries)
+    return len(g.class_values[0]) ** (len(entries) - ones) * len(g.class_values[1]) ** ones
 
 
 FREE = 2  # class of a block that a partial target leaves unconstrained
@@ -252,6 +252,16 @@ def _target_classes(layout: BlockLayout, z) -> list[int]:
     for i, bit in _fixed_entries(layout, z):
         row[i] = bit
     return row
+
+
+def _full_target_classes(layout: BlockLayout, targets: Sequence[FVec]) -> np.ndarray:
+    """Per full target and block, the class z_i: one little-endian bit unpack over all targets."""
+    if any(z.width != layout.n for z in targets):
+        raise ValueError("target width must equal the number of blocks")
+    nbytes = (layout.n + 7) // 8
+    raw = np.frombuffer(b"".join(z.bits.to_bytes(nbytes, "little") for z in targets), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(targets), nbytes), axis=1, count=layout.n, bitorder="little")
+    return bits.astype(np.intp)
 
 
 def _syndrome_counts(
@@ -328,7 +338,10 @@ def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
     if m > SYNDROME_DIM_CAP:
         raise f2.EnumerationCapError(f"syndrome dimension {m} exceeds cap {SYNDROME_DIM_CAP}")
     size = 1 << m
-    classes = np.array([_target_classes(layout, z) for z in targets], dtype=np.intp).reshape(len(targets), layout.n)
+    if all(isinstance(z, FVec) for z in targets):
+        classes = _full_target_classes(layout, targets)
+    else:
+        classes = np.array([_target_classes(layout, z) for z in targets], dtype=np.intp).reshape(len(targets), layout.n)
     # one Walsh-transformed syndrome table per (block, class) that some target uses
     present = np.zeros((layout.n, FREE + 1), dtype=bool)
     present[np.arange(layout.n), classes] = True
@@ -422,6 +435,7 @@ class LiftedDistribution:
     layout: BlockLayout
     gadget: Gadget
     base: tuple[tuple[int, int], ...]  # (z bits over n, positive integer weight)
+    totals: tuple[int, ...] = field(init=False, repr=False, compare=False)  # running sums of the weights
 
     def __post_init__(self):
         if not self.base:
@@ -431,6 +445,7 @@ class LiftedDistribution:
                 raise ValueError("weights must be positive")
             if not 0 <= z_bits < (1 << self.layout.n):
                 raise ValueError("base point out of range")
+        object.__setattr__(self, "totals", tuple(itertools.accumulate(w for _, w in self.base)))
 
     @classmethod
     def point_mass(cls, layout: BlockLayout, g: Gadget, z: FVec) -> "LiftedDistribution":
@@ -441,6 +456,20 @@ class LiftedDistribution:
         return cls(layout, g, tuple((z.bits, 1) for z in zs))
 
 
+def _pick(totals: Sequence[int], rng) -> int:
+    """Index drawn with probability proportional to its weight, given the running sums of the weights."""
+    return bisect.bisect_right(totals, rng.randrange(totals[-1]))
+
+
+def _has_empty_fibre(d: LiftedDistribution) -> bool:
+    """Whether some base point fixes a block to a value the gadget never takes."""
+    n0, n1 = (len(v) for v in d.gadget.class_values[:2])
+    if n0 and n1:
+        return False
+    ones = mask_bits(d.layout.n)
+    return any((not n0 and z != ones) or (not n1 and z != 0) for z, _ in d.base)
+
+
 def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) -> FVec:
     """Exact conditioned sample from the lifted distribution.
 
@@ -448,51 +477,38 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     (the division keeps the base law intact when fibers differ in size),
     then the lifted point uniformly within the intersection; this equals
     rejection sampling from the lifted distribution conditioned on C.
+    Unconditioned, the intersection is the whole fibre and the weight is
+    w(z) itself, so nothing is counted.
     """
     layout, g = d.layout, d.gadget
-    space = conditioning if conditioning is not None else f2.full_space(layout.width)
+    if conditioning is None:
+        if _has_empty_fibre(d):
+            raise EmptyPreimageError("base point has an empty fiber")
+        z = FVec(layout.n, d.base[_pick(d.totals, rng)][0])
+        return sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
     zs = [FVec(layout.n, z_bits) for z_bits, _ in d.base]
     weights = []
-    for (_, w), zv, cnt in zip(d.base, zs, counts_in_space(space, layout, g, zs)):
+    for (_, w), zv, cnt in zip(d.base, zs, counts_in_space(conditioning, layout, g, zs)):
         fiber = count_preimages(g, layout, zv)
         if fiber == 0:
             raise EmptyPreimageError("base point has an empty fiber")
         weights.append(Fraction(w * cnt, fiber))
     scale = math.lcm(*(fr.denominator for fr in weights))
-    int_weights = [int(fr * scale) for fr in weights]
-    total = sum(int_weights)
-    if total == 0:
+    totals = list(itertools.accumulate(int(fr * scale) for fr in weights))
+    if totals[-1] == 0:
         raise EmptySupportError("conditioning removes the whole support")
-    pick = rng.randrange(total)
-    idx = 0
-    while pick >= int_weights[idx]:
-        pick -= int_weights[idx]
-        idx += 1
-    return sample_in_space(space, layout, g, zs[idx], rng)
+    return sample_in_space(conditioning, layout, g, zs[_pick(totals, rng)], rng)
 
 
 def rejection_sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng, max_tries: int = 100_000) -> FVec:
     """Oracle sampler: draw from the unconditioned lift, reject outside C."""
     layout, g = d.layout, d.gadget
-    totals = list(_accumulate_weights(d))
-    grand = totals[-1]
     for _ in range(max_tries):
-        pick = rng.randrange(grand)
-        idx = 0
-        while pick >= totals[idx]:
-            idx += 1
-        z = FVec(layout.n, d.base[idx][0])
+        z = FVec(layout.n, d.base[_pick(d.totals, rng)][0])
         x = sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
         if conditioning is None or conditioning.contains(x.bits):
             return x
     raise EmptySupportError("rejection sampler exhausted its tries")
-
-
-def _accumulate_weights(d: LiftedDistribution):
-    acc = 0
-    for _, w in d.base:
-        acc += w
-        yield acc
 
 
 def lift_cnf(phi: Cnf, g: Gadget, width_cap: int = 12) -> Cnf:

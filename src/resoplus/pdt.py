@@ -17,14 +17,22 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import f2
 from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure, fixed_blocks
 from ._bits import parity
 from .dtfooling import root_of, root_space, sample as dtf_sample
 from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
-from .gadget import Gadget, LiftedDistribution, count_preimages, counts_in_space, lift_eval, sample_lifted
+from .gadget import (
+    EmptyPreimageError,
+    Gadget,
+    LiftedDistribution,
+    count_preimages,
+    counts_in_space,
+    lift_eval,
+    sample_lifted,
+)
 from .tseitin import EdgePartialAssignment, Graph, PartialAnalysis, analyze_partial
 
 LIFTED_SUPPORT_CAP = 18
@@ -268,13 +276,11 @@ class _Accountant:
         )
 
 
-def lifted_dtfooling_distribution(
-    layout: BlockLayout, g: Gadget, rho: EdgePartialAssignment, cap: int = LIFTED_SUPPORT_CAP
-) -> LiftedDistribution:
-    """The lift of the hard distribution: explicit uniform support over roots.
+def _rooted_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -> Iterator[tuple[int, int]]:
+    """(root, z) for every point z of the hard distribution's support, root by root.
 
-    The per-root completion spaces are disjoint and equicardinal, so listing
-    every completion with weight one is exactly the sampler's base law.
+    z is rho's fixed bits plus one completion from the root's space, so its
+    root is known by construction.
     """
     graph = rho.graph
     if layout.n != graph.num_edges:
@@ -288,16 +294,33 @@ def lifted_dtfooling_distribution(
     fixed_bits = 0
     for k, bit in rho.entries:
         fixed_bits |= bit << k
-    support = []
+    # spread[j][byte]: the edge bits of the free coordinates 8j..8j+7 set in byte
+    spread = []
+    for j in range(0, len(free), 8):
+        table = [0]
+        for k in free[j:j + 8]:
+            table += [t | 1 << k for t in table]
+        spread.append(table)
     for v in sorted(analysis.odd_component):
         space, order = root_space(rho, v)
-        for pt in points_array(space, cap=cap):
+        if order != free:
+            raise RuntimeError("a root space is not over the free edges in ascending order")
+        for pt in points_array(space, cap=cap).tolist():
             z = fixed_bits
-            for pos, k in enumerate(order):
-                if (int(pt) >> pos) & 1:
-                    z |= 1 << k
-            support.append((z, 1))
-    return LiftedDistribution(layout, g, tuple(support))
+            for j, table in enumerate(spread):
+                z |= table[(pt >> (8 * j)) & 0xFF]
+            yield v, z
+
+
+def lifted_dtfooling_distribution(
+    layout: BlockLayout, g: Gadget, rho: EdgePartialAssignment, cap: int = LIFTED_SUPPORT_CAP
+) -> LiftedDistribution:
+    """The lift of the hard distribution: explicit uniform support over roots.
+
+    The per-root completion spaces are disjoint and equicardinal, so listing
+    every completion with weight one is exactly the sampler's base law.
+    """
+    return LiftedDistribution(layout, g, tuple((z, 1) for _, z in _rooted_support(layout, rho, cap)))
 
 
 def exact_lifted_root_law(
@@ -309,22 +332,26 @@ def exact_lifted_root_law(
 ) -> tuple[tuple[int, Fraction], ...]:
     """Exact law of root(G(x)) for x from the lifted hard distribution given x in C.
 
-    Computed per base support point as |G^-1(z) ∩ C| / |G^-1(z)| with exact
-    integers; the counts for all support points come from one Walsh-domain
-    product of per-block syndrome tables.  The near-uniformity of the lifted
-    root can then be checked against the finite-scale spectral budget.
+    A support point z weighs |G^-1(z) ∩ C| / |G^-1(z)|.  The counts for all
+    support points come from one Walsh-domain product of per-block syndrome
+    tables.  The fibre |G^-1(z)| depends only on |z|, so the counts are
+    summed per (root, |z|) and divided once per group.  The near-uniformity
+    of the lifted root can then be checked against the finite-scale
+    spectral budget.
     """
-    graph = rho.graph
-    dist = lifted_dtfooling_distribution(layout, g, rho, cap=cap)
+    support = list(_rooted_support(layout, rho, cap))
     space = conditioning if conditioning is not None else full_space(layout.width)
-    zs = [FVec(layout.n, z_bits) for z_bits, _ in dist.base]
+    counts = counts_in_space(space, layout, g, [FVec(layout.n, z) for _, z in support])
+    groups: dict[tuple[int, int], list[int]] = {}  # (root, |z|) -> [summed count, one z]
+    for (root, z), cnt in zip(support, counts):
+        group = groups.setdefault((root, z.bit_count()), [0, z])
+        group[0] += cnt
     weights: dict[int, Fraction] = {}
-    for (z_bits, w), z, cnt in zip(dist.base, zs, counts_in_space(space, layout, g, zs)):
-        root = root_of(graph, z_bits)
-        if not isinstance(root, int):
-            raise RuntimeError(f"support point {z} has no unique root")
-        fiber = count_preimages(g, layout, z)
-        weights[root] = weights.get(root, Fraction(0)) + Fraction(w * cnt, fiber)
+    for (root, _), (cnt, z) in groups.items():
+        fibre = count_preimages(g, layout, FVec(layout.n, z))
+        if fibre == 0:
+            raise EmptyPreimageError("a support point has an empty fibre")
+        weights[root] = weights.get(root, Fraction(0)) + Fraction(cnt, fibre)
     total = sum(weights.values())
     if total == 0:
         raise f2.EmptySpaceError("conditioning removes the whole lifted support")

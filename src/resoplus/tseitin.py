@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -58,15 +59,20 @@ class Graph:
         deg = self.degrees()
         return deg[0] if deg and len(set(deg)) == 1 else None
 
-    def incident(self, v: int) -> list[tuple[int, int]]:
-        """(edge index, other endpoint) pairs for edges at v, ascending index."""
-        out = []
+    @cached_property
+    def _incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, its (edge index, other endpoint) pairs in ascending edge index."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
         for k, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append((k, b))
-            elif b == v:
-                out.append((k, a))
-        return out
+            out[a].append((k, b))
+            out[b].append((k, a))
+        return tuple(map(tuple, out))
+
+    def incident(self, v: int) -> tuple[tuple[int, int], ...]:
+        """(edge index, other endpoint) pairs for edges at v, ascending index."""
+        if not 0 <= v < self.num_vertices:
+            raise ValueError("vertex out of range")
+        return self._incidence[v]
 
     def adjacency(self) -> np.ndarray:
         m = np.zeros((self.num_vertices, self.num_vertices), dtype=np.float64)

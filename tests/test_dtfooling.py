@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resoplus.dtfooling import (
     InconsistentConditionError,
@@ -39,6 +41,46 @@ def test_sample_roots_uniform_and_single_violation():
         counts[s.root] += 1
     # 5000 draws over 5 roots: 1000 +- 130
     assert all(870 <= v <= 1130 for v in counts.values())
+
+
+def _sample_by_tree_complete(rho, rng):
+    """The sampler as it was: a BFS per component to pick the non-tree edges,
+    then `tree_complete`, which searches again."""
+    g = rho.graph
+    analysis = analyze_partial(g, rho)
+    odd = analysis.odd_component
+    root = sorted(odd)[rng.randrange(len(odd))]
+    values = rho.as_dict()
+    free = set(rho.free_edges())
+    for comp in analysis.components:
+        comp_edges = [k for k in free if g.edges[k][0] in comp and g.edges[k][1] in comp]
+        if not comp_edges:
+            continue
+        comp_root = root if comp == odd else min(comp)
+        _, parent_edge = bfs_tree(g, comp_edges, comp_root)
+        tree_edges = set(parent_edge.values())
+        nontree = {k: rng.getrandbits(1) for k in comp_edges if k not in tree_edges}
+        targets = {v: analysis.f_rho[v] for v in comp}
+        values.update(tree_complete(g, comp, comp_edges, targets, comp_root, nontree))
+    return root, sum(bit << k for k, bit in values.items())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.sampled_from([cycle_graph(5), cycle_graph(9), complete_graph(5), random_regular_graph(9, 4, seed=9)]),
+    st.integers(0, 2**32),
+    st.floats(0, 0.6),
+)
+def test_sample_matches_tree_complete_draw_for_draw(g, seed, fixed_share):
+    rng = random.Random(seed)
+    rho = EdgePartialAssignment.from_dict(
+        g, {k: rng.getrandbits(1) for k in range(g.num_edges) if rng.random() < fixed_share}
+    )
+    assume(analyze_partial(g, rho).valid)
+    rng1, rng2 = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        drawn = sample(rho, rng1)
+        assert (drawn.root, drawn.assignment.bits) == _sample_by_tree_complete(rho, rng2)
 
 
 def test_sample_requires_valid_rho():

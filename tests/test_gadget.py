@@ -217,6 +217,16 @@ def test_counts_in_space_matches_enumeration(instance):
         return
     assert counts == [_brute_count(space, lay, g, z) for z in targets]
     assert counts == [count_in_space(space, lay, g, z) for z in targets]
+    # all-full targets take the bit-unpack path, mappings the per-target one
+    full = [z for z in targets if isinstance(z, FVec)]
+    assert counts_in_space(space, lay, g, full) == counts_in_space(
+        space, lay, g, [{i: z.get(i) for i in range(lay.n)} for z in full]
+    )
+
+
+def test_counts_in_space_rejects_a_full_target_of_another_width():
+    with pytest.raises(ValueError):
+        counts_in_space(full_space(4), BlockLayout(2, 2), ip_gadget(2), [FVec(2, 0), FVec(3, 0)])
 
 
 def test_counts_in_space_past_62_bits_is_exact():
@@ -345,6 +355,74 @@ def test_lift_cnf_clause_count_formula():
     assert len(lifted.clauses) == expected == 680
     assert lifted.num_vars == 20
     assert lifted.to_dimacs().splitlines()[0] == "p cnf 20 680"
+
+
+def _gadgets(draw, b: int) -> Gadget:
+    """IP_b (fibres of unequal size for b >= 4) or a random table, possibly constant."""
+    if b % 2 == 0 and draw(st.booleans()):
+        return ip_gadget(b)
+    return Gadget(b, tuple(draw(st.lists(st.integers(0, 1), min_size=1 << b, max_size=1 << b))))
+
+
+@st.composite
+def lifted_distributions(draw):
+    """n <= 4 blocks of b in {1, 2, 4}, 1-5 base points with weights 1-5."""
+    n, b = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 4]))
+    lay = BlockLayout(n, b)
+    points = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
+    base = tuple((z, draw(st.integers(1, 5))) for z in points)
+    return LiftedDistribution(lay, _gadgets(draw, b), base)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(lifted_distributions(), st.integers(0, 2**32))
+def test_unconditioned_sample_lifted_matches_full_space_conditioning(dist, seed):
+    # the unconditioned path skips counting; conditioning on the whole space
+    # counts every fibre and must make the same draws from the same stream
+    rng1, rng2 = random.Random(seed), random.Random(seed)
+    whole = full_space(dist.layout.width)
+    for _ in range(8):
+        try:
+            x = sample_lifted(dist, None, rng1)
+        except EmptyPreimageError:
+            with pytest.raises(EmptyPreimageError):
+                sample_lifted(dist, whole, rng2)
+            return
+        assert x == sample_lifted(dist, whole, rng2)
+    assert rng1.random() == rng2.random()
+
+
+@st.composite
+def preimage_targets(draw):
+    n, b = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 4]))
+    lay = BlockLayout(n, b)
+    if draw(st.booleans()):
+        z = FVec(n, draw(st.integers(0, (1 << n) - 1)))
+    else:
+        blocks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        z = {i: draw(st.integers(0, 1)) for i in blocks}
+    return lay, _gadgets(draw, b), z
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(preimage_targets())
+def test_count_preimages_matches_enumeration(instance):
+    lay, g, z = instance
+    try:
+        listed = len(list(preimages(g, lay, z)))
+    except EmptyPreimageError:
+        listed = 0
+    assert count_preimages(g, lay, z) == listed
+
+
+def test_count_preimages_reads_each_class_size():
+    # IP_4 has 10 preimages of 0 and 6 of 1
+    lay = BlockLayout(3, 4)
+    g = ip_gadget(4)
+    assert count_preimages(g, lay, FVec(3, 0b011)) == 10 * 6 * 6
+    assert count_preimages(g, lay, {0: 0, 2: 0}) == 10 * 10
+    assert count_preimages(g, lay, {}) == 1
+    assert count_preimages(constant_gadget(4, 1), lay, FVec(3, 0b101)) == 0
 
 
 def test_exact_sampler_matches_rejection_oracle():

@@ -3,12 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resoplus import dtfooling
 from resoplus._bits import parity
-from resoplus.blocks import BlockLayout, ClosureAssignment, closure
-from resoplus.f2 import EMPTY, enumerate_points, full_space, space_from_pairs
-from resoplus.gadget import ip_gadget, lift_eval, sample_lifted
+from resoplus.blocks import BlockLayout, ClosureAssignment, closure, is_safe
+from resoplus.f2 import EMPTY, EmptySpaceError, FVec, enumerate_points, full_space, space_from_pairs
+from resoplus.gadget import (
+    EmptyPreimageError,
+    Gadget,
+    count_in_space,
+    ip_gadget,
+    lift_eval,
+    preimages,
+    sample_lifted,
+)
+from resoplus.lemmalab import ErrorBudget
 from resoplus.pdt import (
     GreedyCutStrategy,
     Leaf,
@@ -22,6 +33,7 @@ from resoplus.pdt import (
     exact_lifted_root_law,
     hardness_experiment,
     lifted_dtfooling_distribution,
+    lifted_hardness_experiment,
     random_linear_tree,
     run_pdt,
     run_unlifted_game,
@@ -256,9 +268,6 @@ def test_lifted_root_law_near_uniform():
     # finite-scale version of lifted root hiding: conditioned on a safe
     # space, the exact root law stays inside the multiplicative band implied
     # by the spectral budget of the free layout
-    from resoplus.lemmalab import ErrorBudget
-    from resoplus.pdt import exact_lifted_root_law
-
     tri = cycle_graph(3)
     g12 = ip_gadget(12)
     lay = BlockLayout(3, 12)
@@ -274,8 +283,6 @@ def test_lifted_root_law_near_uniform():
             form = rng.getrandbits(lay.width)
             pairs.append((form, parity(form & x0)))
         cond = space_from_pairs(lay.width, pairs)
-        from resoplus.blocks import is_safe
-
         if not is_safe(cond.forms(), lay):
             continue
         law = exact_lifted_root_law(lay, g12, rho, cond)
@@ -322,9 +329,74 @@ def test_exact_lifted_root_law_matches_enumeration(graph, b, fixed):
         assert exact_lifted_root_law(lay, g, rho, cond) == tuple((v, w / total) for v, w in sorted(weights.items()))
 
 
-def test_lifted_hardness_experiment_triangle():
-    from resoplus.pdt import lifted_hardness_experiment, random_linear_tree
+def _per_point_root_law(layout, g, rho, conditioning):
+    """The lifted root law summed point by point: root_of each support point,
+    its fibre by enumeration, one Fraction per point."""
+    space = conditioning if conditioning is not None else full_space(layout.width)
+    weights = {}
+    for z_bits, w in lifted_dtfooling_distribution(layout, g, rho).base:
+        z = FVec(layout.n, z_bits)
+        fibre = len(list(preimages(g, layout, z)))
+        root = dtfooling.root_of(rho.graph, z_bits)
+        weights[root] = weights.get(root, Fraction(0)) + Fraction(w * count_in_space(space, layout, g, z), fibre)
+    total = sum(weights.values())
+    if total == 0:
+        raise EmptySpaceError("conditioning removes the whole lifted support")
+    return tuple(sorted((v, p / total) for v, p in weights.items()))
 
+
+@st.composite
+def lifted_law_instances(draw):
+    """A graph, a gadget with unequal fibres, a random valid rho and a conditioning space or None."""
+    graph = draw(st.sampled_from([cycle_graph(3), cycle_graph(5), cycle_graph(7), complete_graph(5)]))
+    b = 4 if graph.num_edges <= 5 else 2
+    if draw(st.booleans()):
+        g = ip_gadget(b)
+    else:
+        table = draw(st.lists(st.integers(0, 1), min_size=1 << b, max_size=1 << b))
+        assume(0 < sum(table) < len(table))
+        g = Gadget(b, tuple(table))
+    lay = BlockLayout(graph.num_edges, b)
+    fixed = draw(st.lists(st.integers(0, graph.num_edges - 1), unique=True, max_size=3))
+    rho = EdgePartialAssignment.from_dict(graph, {k: draw(st.integers(0, 1)) for k in fixed})
+    assume(analyze_partial(graph, rho).valid)
+    if draw(st.integers(0, 4)) == 4:
+        return lay, g, rho, None
+    pairs = [(draw(st.integers(1, (1 << lay.width) - 1)), draw(st.integers(0, 1))) for _ in range(draw(st.integers(1, 4)))]
+    return lay, g, rho, space_from_pairs(lay.width, pairs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(lifted_law_instances())
+def test_exact_lifted_root_law_matches_per_point_formula(instance):
+    lay, g, rho, cond = instance
+    try:
+        want = _per_point_root_law(lay, g, rho, cond)
+    except EmptySpaceError:
+        with pytest.raises(EmptySpaceError):
+            exact_lifted_root_law(lay, g, rho, cond)
+        return
+    assert exact_lifted_root_law(lay, g, rho, cond) == want
+
+
+def test_lifted_root_law_rejects_k4():
+    # an even vertex count leaves no valid rho: every fixing keeps the residue sum even
+    k4 = complete_graph(4)
+    lay = BlockLayout(k4.num_edges, 2)
+    rng = random.Random(4)
+    for _ in range(20):
+        rho = EdgePartialAssignment.from_dict(k4, {k: rng.getrandbits(1) for k in range(6) if rng.getrandbits(1)})
+        with pytest.raises(ValueError):
+            exact_lifted_root_law(lay, ip_gadget(2), rho)
+
+
+def test_exact_lifted_root_law_rejects_a_constant_gadget():
+    rho = EdgePartialAssignment.empty(cycle_graph(3))
+    with pytest.raises(EmptyPreimageError):
+        exact_lifted_root_law(BlockLayout(3, 2), Gadget(2, (0, 0, 0, 0)), rho)
+
+
+def test_lifted_hardness_experiment_triangle():
     tri = cycle_graph(3)
     g2 = ip_gadget(2)
     trees = {"random-linear": lambda rng: random_linear_tree(6, 3, rng)}
@@ -351,8 +423,6 @@ def test_empty_tree_success_probability_one():
     rng = random.Random(0)
     s = dtfooling.sample(rho, rng)
     transcript, final = run_unlifted_game(rho, ScriptedStrategy([]), s.assignment, 5, Fraction(1), rng)
-    from resoplus.tseitin import analyze_partial
-
     assert analyze_partial(g, final).valid
     assert transcript.outcome == "EXHAUSTED_QUERIES" and transcript.steps == ()
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resoplus import dtfooling
 from resoplus.cnf import Cnf, find_model
@@ -17,6 +19,26 @@ from resoplus.tseitin import (
     random_regular_graph,
     tseitin_cnf,
 )
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(chosen))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(random_graphs())
+def test_cached_incidence_matches_edge_scan(g):
+    for v in range(g.num_vertices):
+        scan = [(k, b if a == v else a) for k, (a, b) in enumerate(g.edges) if v in (a, b)]
+        assert list(g.incident(v)) == scan
+    with pytest.raises(ValueError):
+        g.incident(g.num_vertices)
+    with pytest.raises(ValueError):
+        g.incident(-1)
 
 
 def test_graph_validation():
