@@ -97,8 +97,12 @@ def _clause_masks(cnf: Cnf) -> list[tuple[int, int]]:
     return masks
 
 
-def satisfying_chunks(cnf: Cnf, cap: int = SWEEP_CAP, chunk_bits: int = 20) -> Iterator[np.ndarray]:
-    """Yield arrays of satisfying assignments, sweeping all 2^num_vars points."""
+def satisfying_chunks(cnf: Cnf, cap: int = SWEEP_CAP, chunk_bits: int = 16) -> Iterator[np.ndarray]:
+    """Yield arrays of satisfying assignments, sweeping all 2^num_vars points.
+
+    The sweep goes 2^chunk_bits points at a time: at 2^16 each temporary
+    array is at most 512 KiB, which stays in cache and keeps the peak small.
+    """
     if cnf.num_vars > cap:
         raise SweepCapError(f"{cnf.num_vars} variables exceed sweep cap {cap}")
     masks = _clause_masks(cnf)

@@ -92,7 +92,7 @@ class _EmptySpace:
 EMPTY = _EmptySpace()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineSpace:
     """A non-empty affine subspace {x : <form_i, x> = bit_i for all i}.
 

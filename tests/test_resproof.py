@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resoplus.cnf import Cnf
-from resoplus.f2 import EMPTY, enumerate_points, full_space, space_from_pairs
+from resoplus.f2 import EMPTY, enumerate_points, full_space, is_subspace, space_from_pairs
 from resoplus.gadget import ip_gadget, lift_cnf
 from resoplus.resproof import (
     LEAF,
@@ -19,6 +21,7 @@ from resoplus.resproof import (
     all_inputs_trace_ok,
     check,
     clause_negation_space,
+    _falsifies,
     metrics,
     parse_text,
     pdt_refute,
@@ -209,3 +212,24 @@ def test_mutations_always_rejected():
         res = check(ProofDag.build(dag.width, mutated), cnf)
         assert not res.ok, "a corrupted proof was silently accepted"
         rejected += 1
+
+
+@st.composite
+def space_and_clause(draw):
+    """A space cut by unit and random equations, and a clause over its width
+    that may repeat or negate a literal."""
+    width = draw(st.integers(1, 7))
+    forms = st.one_of(st.integers(0, width - 1).map(lambda v: 1 << v), st.integers(0, (1 << width) - 1))
+    pairs = draw(st.lists(st.tuples(forms, st.integers(0, 1)), max_size=width + 1))
+    literals = st.integers(1, width).flatmap(lambda v: st.sampled_from((v, -v)))
+    return width, space_from_pairs(width, pairs), tuple(draw(st.lists(literals, max_size=4)))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(space_and_clause())
+def test_falsifies_matches_negation_space_and_points(case):
+    width, space, clause = case
+    cnf = Cnf(width, (clause,))
+    want = is_subspace(space, clause_negation_space(width, clause))
+    assert _falsifies(space, clause) == want
+    assert want == all(cnf.clause_falsified_by(0, p.bits) for p in enumerate_points(space))

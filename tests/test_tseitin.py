@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resoplus import dtfooling
-from resoplus.cnf import Cnf, find_model
+from resoplus.cnf import Cnf, find_model, satisfying_chunks
 from resoplus.gadget import ip_gadget, lift_cnf
 from resoplus.tseitin import (
     EdgePartialAssignment,
@@ -105,6 +105,19 @@ def test_brute_unsat_examples():
     lifted = lift_cnf(tri, ip_gadget(2))
     assert lifted.num_vars == 6
     assert brute_unsat(lifted)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v))), max_size=3), max_size=6))))
+def test_sweep_is_independent_of_chunk_size(case):
+    n, clauses = case
+    cnf = Cnf(n, tuple(tuple(c) for c in clauses))
+    want = [x for x in range(1 << n) if cnf.eval_bits(x)]
+    for bits in (0, 3, 16, 20):
+        got = [int(x) for chunk in satisfying_chunks(cnf, chunk_bits=bits) for x in chunk]
+        assert got == want
+    assert find_model(cnf) == (want[0] if want else None)
 
 
 def test_violation_parity_identity():
