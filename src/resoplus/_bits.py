@@ -18,14 +18,6 @@ def mask_bits(width: int) -> int:
     return (1 << width) - 1
 
 
-def iter_bits(x: int):
-    """Yield indices of set bits, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def bits_to_string(x: int, width: int) -> str:
     """Little-endian text form: leftmost character is coordinate 0."""
     return "".join("1" if (x >> i) & 1 else "0" for i in range(width))

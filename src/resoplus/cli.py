@@ -233,6 +233,12 @@ def cmd_verify_lemma(args) -> int:
 def cmd_hardness_experiment(args) -> int:
     g = _graph_from_args(args)
     budget = Fraction(args.budget) if args.budget else None
+    if args.ip is not None and not args.lifted:
+        print("error: --ip applies only with --lifted", file=sys.stderr)
+        return 2
+    if args.lifted and args.strategy:
+        print("error: --strategy does not apply with --lifted, which plays random linear trees", file=sys.stderr)
+        return 2
     if args.lifted:
         gadget = ip_gadget(2 if args.ip is None else args.ip)
         depth = args.q

@@ -4,7 +4,8 @@ A sample violates the parity constraint of exactly one vertex, the root.  The
 root is uniform on the odd component of the source partial assignment; given
 the root, the assignment is uniform on the affine space of completions, which
 is realized by drawing the non-tree edges of a deterministic BFS spanning
-tree uniformly and solving for the tree edges bottom-up.
+tree uniformly, in ascending edge order, and solving for the tree edges
+bottom-up.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     values = rho.as_dict()
     comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
     comp_edges: list[list[int]] = [[] for _ in analysis.components]
-    for k in set(rho.free_edges()):
+    for k in rho.free_edges():
         comp_edges[comp_of[g.edges[k][0]]].append(k)
     for comp, edges in zip(analysis.components, comp_edges):
         if not edges:

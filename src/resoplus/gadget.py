@@ -62,9 +62,6 @@ class Gadget:
             v.flags.writeable = False
         object.__setattr__(self, "class_values", tuple(values))
 
-    def eval(self, v: int) -> int:
-        return self.table[v]
-
     def preimage(self, bit: int) -> tuple[int, ...]:
         return tuple(v for v in range(1 << self.b) if self.table[v] == bit)
 

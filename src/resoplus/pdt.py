@@ -9,6 +9,10 @@ base assignment: when the revealed blocks split the component and the root
 stays in the largest piece, the tree pays the shrinkage in coins; if the root
 lands outside the largest piece the tree wins outright; it loses when a due
 payment exceeds the remaining budget.
+
+Both games drive one accountant, which owns the game state: the revealed
+partial assignment, its free edges and its analysis, made at the start and
+after each reveal.  Unlifted adversaries implement `next_edge(analysis, graph, free, rng)`.
 """
 from __future__ import annotations
 
@@ -210,7 +214,7 @@ class GameTranscript:
     root: int
     initial_odd_size: int
     final_odd_size: int
-    final_partial: EdgePartialAssignment | None = None
+    final_partial: EdgePartialAssignment
 
     @property
     def total_paid(self) -> int:
@@ -223,44 +227,45 @@ class GameTranscript:
 
 
 class _Accountant:
-    """Tracks the odd component, payments and the game outcome."""
+    """Owns a game's state against the hidden edge bits z: partial, free, analysis, payments, outcome."""
 
-    def __init__(self, graph: Graph, rho: EdgePartialAssignment, root: int, budget: Fraction):
-        self.graph = graph
-        self.partial = rho
+    def __init__(self, rho: EdgePartialAssignment, z: int, budget: Fraction):
+        root = root_of(rho.graph, z)
+        if not isinstance(root, int):
+            raise ValueError("assignment does not have a unique root")
+        self.z = z
         self.root = root
         self.budget = Fraction(budget)
         self.remaining = Fraction(budget)
-        analysis = analyze_partial(graph, rho)
-        if analysis.odd_component is None or root not in analysis.odd_component:
+        self.partial = rho
+        self.free = set(rho.free_edges())
+        self.analysis = analyze_partial(rho.graph, rho)
+        if self.analysis.odd_component is None or root not in self.analysis.odd_component:
             raise ValueError(f"root {root} is not in the unique odd component of rho")
-        self.odd: frozenset[int] = analysis.odd_component
+        self.odd: frozenset[int] = self.analysis.odd_component
         self.initial = len(self.odd)
         self.steps: list[GameStep] = []
         self.outcome: str | None = None
 
-    def reveal(self, values: Mapping[int, int]) -> None:
-        if self.outcome is not None or not values:
+    def reveal(self, edges: Iterable[int]) -> None:
+        """Reveal z on the given free edges and settle the step's payment."""
+        edges = sorted(edges)
+        if self.outcome is not None or not edges:
             return
         before = self.odd
-        self.partial = self.partial.extend(values)
-        analysis = analyze_partial(self.graph, self.partial)
-        pieces = [c for c in analysis.components if c <= before]
+        self.free.difference_update(edges)
+        self.partial = self.partial.extend({k: (self.z >> k) & 1 for k in edges})
+        self.analysis = analyze_partial(self.partial.graph, self.partial)
+        pieces = [c for c in self.analysis.components if c <= before]
         after = next(c for c in pieces if self.root in c)
-        if after == before:
-            self.steps.append(GameStep(tuple(sorted(values)), len(before), len(after), 0, False))
-            self.odd = after
-            return
         largest = max(pieces, key=lambda c: (len(c), -min(c)))
-        if after != largest:
-            self.steps.append(GameStep(tuple(sorted(values)), len(before), len(after), 0, True))
-            self.odd = after
-            self.outcome = "WIN"
-            return
-        paid = len(before) - len(largest)
-        self.steps.append(GameStep(tuple(sorted(values)), len(before), len(after), paid, False))
+        won = after != largest
+        paid = 0 if won else len(before) - len(largest)
+        self.steps.append(GameStep(tuple(edges), len(before), len(after), paid, won))
         self.odd = after
-        if paid > self.remaining:
+        if won:
+            self.outcome = "WIN"
+        elif paid > self.remaining:
             self.outcome = "LOSE"
         self.remaining -= paid
 
@@ -375,13 +380,8 @@ def coin_game(
     new blocks, those base variables are revealed to the accountant.
     """
     x = sampler(rng)
-    z = lift_eval(g, layout, x).bits
-    root = root_of(rho.graph, z)
-    if not isinstance(root, int):
-        raise ValueError("sampled assignment does not have a unique root")
-    acct = _Accountant(rho.graph, rho, root, budget)
+    acct = _Accountant(rho, lift_eval(g, layout, x).bits, budget)
     space: AffineSpace = full_space(layout.width)
-    determined: set[int] = set(k for k, _ in rho.entries)
     node = tprime.root
     made = 0
     while isinstance(node, Query) and acct.outcome is None and (max_steps is None or made < max_steps):
@@ -390,24 +390,18 @@ def coin_game(
         if nxt is not space:
             space = nxt
             # a new equation can complete blocks it does not even touch
-            newly = fixed_blocks(space, layout) - determined
-            if newly:
-                determined |= newly
-                acct.reveal({k: (z >> k) & 1 for k in sorted(newly)})
+            acct.reveal(fixed_blocks(space, layout) & acct.free)
         node = node.child(bit)
         made += 1
     return acct.transcript()
 
 
 class EdgeQueryStrategy:
-    """Adaptive ordinary-decision-tree adversary over edge variables."""
+    """Adaptive ordinary-decision-tree adversary over edge variables; one instance per game."""
 
     name = "base"
 
-    def start(self, graph: Graph, rho: EdgePartialAssignment) -> None:  # pragma: no cover
-        pass
-
-    def next_edge(self, analysis: PartialAnalysis, revealed: Mapping[int, int], graph: Graph, free: set[int], rng: random.Random) -> int | None:
+    def next_edge(self, analysis: PartialAnalysis, graph: Graph, free: set[int], rng: random.Random) -> int | None:
         raise NotImplementedError
 
 
@@ -417,10 +411,7 @@ class ScriptedStrategy(EdgeQueryStrategy):
         self.name = name
         self._pos = 0
 
-    def start(self, graph, rho):
-        self._pos = 0
-
-    def next_edge(self, analysis, revealed, graph, free, rng):
+    def next_edge(self, analysis, graph, free, rng):
         while self._pos < len(self.edges):
             e = self.edges[self._pos]
             self._pos += 1
@@ -432,7 +423,7 @@ class ScriptedStrategy(EdgeQueryStrategy):
 class RandomEdgeStrategy(EdgeQueryStrategy):
     name = "random-edge"
 
-    def next_edge(self, analysis, revealed, graph, free, rng):
+    def next_edge(self, analysis, graph, free, rng):
         if not free:
             return None
         return sorted(free)[rng.randrange(len(free))]
@@ -448,7 +439,7 @@ class GreedyCutStrategy(EdgeQueryStrategy):
 
     name = "greedy-cut"
 
-    def next_edge(self, analysis, revealed, graph, free, rng):
+    def next_edge(self, analysis, graph, free, rng):
         odd = analysis.odd_component
         if odd is None or not free:
             return None
@@ -475,30 +466,17 @@ def run_unlifted_game(
     rng: random.Random,
 ) -> tuple[GameTranscript, EdgePartialAssignment]:
     """Ordinary decision tree over edges against a sampled base assignment."""
-    graph = rho.graph
-    root = root_of(graph, z.bits)
-    if not isinstance(root, int):
-        raise ValueError("assignment does not have a unique root")
-    acct = _Accountant(graph, rho, root, budget)
-    strategy.start(graph, rho)
-    revealed: dict[int, int] = {}
-    free = set(rho.free_edges())
-    current = rho
+    acct = _Accountant(rho, z.bits, budget)
     for _ in range(q):
         if acct.outcome is not None:
             break
-        analysis = analyze_partial(graph, current)
-        e = strategy.next_edge(analysis, revealed, graph, free, rng)
+        e = strategy.next_edge(acct.analysis, rho.graph, acct.free, rng)
         if e is None:
             break
-        if e not in free:
+        if e not in acct.free:
             raise ValueError(f"strategy queried a fixed edge {e}")
-        free.discard(e)
-        bit = (z.bits >> e) & 1
-        revealed[e] = bit
-        current = current.extend({e: bit})
-        acct.reveal({e: bit})
-    return acct.transcript(), current
+        acct.reveal((e,))
+    return acct.transcript(), acct.partial
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -581,13 +559,13 @@ def _experiment(
     trials: int,
     seed: int,
     budget: Fraction | None,
-    play: Callable[[str, random.Random, Fraction], tuple[int, GameTranscript, EdgePartialAssignment | None]],
+    play: Callable[[str, random.Random, Fraction], GameTranscript],
 ) -> ExperimentReport:
     """Run `trials` plays per name and summarize them.
 
-    play(name, rng, budget) returns (root, transcript, final partial
-    assignment); a trial succeeds when that assignment is still valid.
-    Per-trial seeds split off the master seed in counter mode.
+    play(name, rng, budget) returns the game's transcript; a trial succeeds
+    when its final partial assignment is still valid.  Per-trial seeds split
+    off the master seed in counter mode.
     """
     d = graph.degree_if_regular()
     if d is None:
@@ -602,15 +580,13 @@ def _experiment(
         max_paid = 0
         for trial in range(trials):
             rng = random.Random((seed << 24) ^ zlib.crc32(name.encode()) ^ trial)
-            root, transcript, final = play(name, rng, budget)
-            if final is None:
-                raise RuntimeError(f"trial {trial} of {name} ended without a final partial assignment")
-            ok = analyze_partial(graph, final).valid
+            transcript = play(name, rng, budget)
+            ok = analyze_partial(graph, transcript.final_partial).valid
             successes += ok
             ident = transcript.identity_holds()
             identities &= ident
             max_paid = max(max_paid, transcript.total_paid)
-            rows.append(TrialRow(name, trial, root, ok, transcript.outcome, transcript.total_paid, ident))
+            rows.append(TrialRow(name, trial, transcript.root, ok, transcript.outcome, transcript.total_paid, ident))
         low, high = wilson_interval(successes, trials)
         summaries.append(StrategySummary(name, trials, successes, low, high, identities, max_paid))
     return ExperimentReport(
@@ -655,8 +631,7 @@ def lifted_hardness_experiment(
 
     def play(name: str, rng: random.Random, budget: Fraction):
         tprime = block_complete(trees[name](rng), layout, base_space, y, p_cap=p_cap)
-        transcript = coin_game(tprime, layout, g, rho, lambda r: sample_lifted(dist, None, r), budget, rng)
-        return transcript.root, transcript, transcript.final_partial
+        return coin_game(tprime, layout, g, rho, lambda r: sample_lifted(dist, None, r), budget, rng)
 
     return _experiment(graph, trees, q, trials, seed, budget, play)
 
@@ -683,7 +658,6 @@ def hardness_experiment(
 
     def play(name: str, rng: random.Random, budget: Fraction):
         drawn = dtf_sample(rho, rng)
-        transcript, final = run_unlifted_game(rho, strategies[name](), drawn.assignment, q, budget, rng)
-        return drawn.root, transcript, final
+        return run_unlifted_game(rho, strategies[name](), drawn.assignment, q, budget, rng)[0]
 
     return _experiment(graph, strategies, q, trials, seed, budget, play)

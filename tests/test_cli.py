@@ -168,6 +168,23 @@ def test_hardness_experiment_and_determinism(tmp_path, capsys):
     assert out1.splitlines()[0].startswith("strategy,trial,")
 
 
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        (["--ip", "4"], "error: --ip applies only with --lifted\n"),
+        (["--lifted", "--strategy", "greedy-cut"],
+         "error: --strategy does not apply with --lifted, which plays random linear trees\n"),
+    ],
+)
+def test_hardness_experiment_rejects_options_it_would_ignore(capsys, extra, error):
+    argv = ["hardness-experiment", "--type", "cycle", "--vertices", "3", "--q", "2", "--trials", "2", "--seed", "1"]
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == error
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -51,7 +51,7 @@ def _sample_by_tree_complete(rho, rng):
     odd = analysis.odd_component
     root = sorted(odd)[rng.randrange(len(odd))]
     values = rho.as_dict()
-    free = set(rho.free_edges())
+    free = rho.free_edges()  # ascending edge order
     for comp in analysis.components:
         comp_edges = [k for k in free if g.edges[k][0] in comp and g.edges[k][1] in comp]
         if not comp_edges:
@@ -79,6 +79,27 @@ def test_sample_matches_tree_complete_draw_for_draw(g, seed, fixed_share):
     assume(analyze_partial(g, rho).valid)
     rng1, rng2 = random.Random(seed), random.Random(seed)
     for _ in range(5):
+        drawn = sample(rho, rng1)
+        assert (drawn.root, drawn.assignment.bits) == _sample_by_tree_complete(rho, rng2)
+
+
+def test_sample_draws_in_edge_order_past_the_set_table():
+    # free edges inside a 33-vertex BFS ball of the 51-vertex graph; every
+    # vertex outside the ball is fixed to an even residue by one edge into it
+    g = random_regular_graph(51, 6, 2026)
+    order, _ = bfs_tree(g, range(g.num_edges), 0)
+    ball = set(order[:33])
+    values = {k: 0 for k, (u, v) in enumerate(g.edges) if u not in ball or v not in ball}
+    for v in sorted(set(range(g.num_vertices)) - ball):
+        values[next(k for k, w in g.incident(v) if w in ball)] = 1
+    rho = EdgePartialAssignment.from_dict(g, values)
+    analysis = analyze_partial(g, rho)
+    assert analysis.valid and analysis.odd_component == frozenset(ball)
+    free = rho.free_edges()
+    # a set of these edges does not iterate in ascending order
+    assert list(set(free)) != free
+    rng1, rng2 = random.Random(0), random.Random(0)
+    for _ in range(20):
         drawn = sample(rho, rng1)
         assert (drawn.root, drawn.assignment.bits) == _sample_by_tree_complete(rho, rng2)
 

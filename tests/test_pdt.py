@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resoplus import dtfooling
+from resoplus import dtfooling, pdt
 from resoplus._bits import parity
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure, is_safe
 from resoplus.f2 import EMPTY, EmptySpaceError, FVec, enumerate_points, full_space, space_from_pairs
@@ -21,10 +23,12 @@ from resoplus.gadget import (
 )
 from resoplus.lemmalab import ErrorBudget
 from resoplus.pdt import (
+    EdgeQueryStrategy,
     GreedyCutStrategy,
     Leaf,
     Pdt,
     Query,
+    RandomEdgeStrategy,
     ScriptedStrategy,
     block_complete,
     coin_game,
@@ -39,7 +43,14 @@ from resoplus.pdt import (
     run_unlifted_game,
     wilson_interval,
 )
-from resoplus.tseitin import EdgePartialAssignment, Graph, analyze_partial, complete_graph, cycle_graph
+from resoplus.tseitin import (
+    EdgePartialAssignment,
+    Graph,
+    analyze_partial,
+    complete_graph,
+    cycle_graph,
+    random_regular_graph,
+)
 
 
 def test_run_pdt_depth_zero():
@@ -211,6 +222,72 @@ def test_per_step_root_side_frequency_matches_exact_law():
     assert len(side_counts) >= 2
     for rep in law_counts.values():
         assert rep.ok
+
+
+class _SeesCurrentState(EdgeQueryStrategy):
+    """Plays the wrapped strategy after checking that the analysis it is handed
+    is that of the current free edges."""
+
+    def __init__(self, inner: EdgeQueryStrategy):
+        self.inner = inner
+
+    def next_edge(self, analysis, graph, free, rng):
+        assert analysis.components == tuple(graph.components(free))
+        return self.inner.next_edge(analysis, graph, free, rng)
+
+
+def _unlifted_games():
+    """Transcripts of seeded unlifted games on K5 and a 21-vertex 4-regular
+    graph, with an empty rho and with a valid rho that isolates one vertex, for
+    three strategies at budgets 0 and 2."""
+    for g, q, script_from in ((complete_graph(5), 4, (0,)), (random_regular_graph(21, 4, seed=11), 8, (1, 2))):
+        isolate = {k: int(i == 0) for i, (k, _) in enumerate(g.incident(g.num_vertices - 1))}
+        script = [k for v in script_from for k, _ in g.incident(v)]
+        for rho in (EdgePartialAssignment.empty(g), EdgePartialAssignment.from_dict(g, isolate)):
+            for make in (GreedyCutStrategy, RandomEdgeStrategy, lambda: ScriptedStrategy(script)):
+                for budget in (Fraction(0), Fraction(2)):
+                    for trial in range(8):
+                        rng = random.Random(1000 * trial + g.num_vertices + len(rho.entries))
+                        drawn = dtfooling.sample(rho, rng)
+                        strategy = _SeesCurrentState(make())
+                        transcript, final = run_unlifted_game(rho, strategy, drawn.assignment, q, budget, rng)
+                        assert final == transcript.final_partial
+                        yield transcript
+
+
+def test_unlifted_games_are_pinned():
+    rows = [
+        (t.root, t.outcome, t.total_paid, [dataclasses.astuple(s) for s in t.steps])
+        for t in _unlifted_games()
+    ]
+    assert {outcome for _, outcome, _, _ in rows} == {"WIN", "LOSE", "EXHAUSTED_QUERIES"}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "c60a241869c893cb"
+
+
+def test_each_game_analyses_once_per_reveal(monkeypatch):
+    calls = []
+    real = pdt.analyze_partial
+    monkeypatch.setattr(pdt, "analyze_partial", lambda g, rho: calls.append(rho) or real(g, rho))
+    # unlifted: analysed at the start and once per revealed edge
+    for transcript in _unlifted_games():
+        assert len(calls) == 1 + len(transcript.steps)
+        calls.clear()
+    # lifted: analysed at the start and once per step that reveals blocks
+    tri, g2 = cycle_graph(3), ip_gadget(2)
+    lay = BlockLayout(3, 2)
+    rho = EdgePartialAssignment.empty(tri)
+    dist = lifted_dtfooling_distribution(lay, g2, rho)
+    y = ClosureAssignment.from_dict(lay, {})
+    calls.clear()
+    steps = 0
+    for i in range(30):
+        tprime = block_complete(random_linear_tree(6, 4, random.Random(i)), lay, full_space(6), y)
+        transcript = coin_game(tprime, lay, g2, rho, lambda r: sample_lifted(dist, None, r), Fraction(1),
+                               random.Random(200 + i))
+        assert len(calls) == 1 + len(transcript.steps)
+        steps += len(transcript.steps)
+        calls.clear()
+    assert steps > 30
 
 
 def test_coin_game_sees_indirectly_determined_blocks():
