@@ -188,6 +188,28 @@ def root_space(rho: EdgePartialAssignment, v: int) -> tuple[AffineSpace, list[in
     return space, free
 
 
+def _tagged_elimination(rows: Sequence[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """(rank, zero rows) of (form, rhs, tag) rows, where XOR combines rows.
+
+    Each row is reduced against the echelon basis of the rows before it, its
+    tag XORed along with its form and rhs.  Returns the number of rows that
+    stay nonzero and the (rhs, tag) of every row that reduces to zero.
+    """
+    basis: list[tuple[int, int, int, int]] = []  # (pivot bit, form, rhs, tag)
+    zero_rows = []
+    for form, rhs, tag in rows:
+        for pivot, f, c, t in basis:
+            if form & pivot:
+                form ^= f
+                rhs ^= c
+                tag ^= t
+        if form:
+            basis.append((form & -form, form, rhs, tag))
+        else:
+            zero_rows.append((rhs, tag))
+    return len(basis), zero_rows
+
+
 @dataclass(frozen=True)
 class RootLawReport:
     """Exact conditional law of the root given a sub-assignment of free edges."""
@@ -220,6 +242,13 @@ def exact_root_distribution(
     with the given free-edge sub-assignment, must be uniform on the unique odd
     component of the combined partial assignment.  Each root's count is the
     size of its root space cut by the condition: 2^dim, or 0 when EMPTY.
+
+    Root v's system is the vertex rows of `root_space` with bit v of the
+    right-hand side flipped, plus the condition's unit rows.  One tagged
+    elimination serves every root: the rank does not depend on v, and v's
+    system is consistent exactly when each row that reduces to zero has a
+    right-hand side equal to bit v of its tag, the set of vertex rows it
+    combines.
     """
     g = rho.graph
     analysis = analyze_partial(g, rho)
@@ -229,9 +258,10 @@ def exact_root_distribution(
     if odd is None:
         raise RuntimeError("a valid assignment has exactly one odd component")
     free = rho.free_edges()
+    pos = {k: i for i, k in enumerate(free)}
     condition = dict(condition or {})
     for k in condition:
-        if k not in set(free):
+        if k not in pos:
             raise ValueError(f"conditioned edge {k} is not free in rho")
     combined = rho.extend(condition)
     comb_analysis = analyze_partial(g, combined)
@@ -239,13 +269,18 @@ def exact_root_distribution(
         raise InconsistentConditionError("condition breaks the single-odd-component structure")
     c1 = comb_analysis.odd_components[0]
 
-    pos = {k: i for i, k in enumerate(free)}
-    counts = []
-    for v in sorted(odd):
-        space, _ = root_space(rho, v)
-        for k, bit in condition.items():
-            space = space.with_equation(1 << pos[k], bit)
-        counts.append((v, 0 if space is f2.EMPTY else space.size()))
+    f = residues(g, rho.as_dict())
+    rows = []
+    for u in range(g.num_vertices):
+        form = 0
+        for k, _ in g.incident(u):
+            if k in pos:
+                form |= 1 << pos[k]
+        rows.append((form, f[u], 1 << u))
+    rows += [(1 << pos[k], bit & 1, 0) for k, bit in condition.items()]
+    rank, zero_rows = _tagged_elimination(rows)
+    size = 1 << (len(free) - rank)
+    counts = [(v, size if all(c == (tag >> v) & 1 for c, tag in zero_rows) else 0) for v in sorted(odd)]
     total = sum(c for _, c in counts)
     if total == 0:
         raise InconsistentConditionError("condition matches no sample")

@@ -8,6 +8,8 @@ kept eagerly normalized in reduced row-echelon form, so two spaces are equal
 as sets exactly when their dataclass fields compare equal.
 `AffineSpace.with_equation` is the one place a (form, bit) row enters that
 form: every other constructor and intersection here is a fold of it.
+`AffineSpace.split` gives both halves of a space under one form from a
+single reduction, through the same insertion step.
 """
 from __future__ import annotations
 
@@ -88,6 +90,9 @@ class _EmptySpace:
     def with_equation(self, form: int, bit: int) -> "_EmptySpace":
         return self
 
+    def split(self, form: int) -> tuple["_EmptySpace", "_EmptySpace"]:
+        return self, self
+
 
 EMPTY = _EmptySpace()
 
@@ -132,12 +137,12 @@ class AffineSpace:
     def to_text(self) -> str:
         return "\n".join(f"{bits_to_string(f, self.width)} = {c}" for f, c in self.rows)
 
-    def with_equation(self, form: int, bit: int) -> "AffineSpace | _EmptySpace":
-        """The space cut by <form, x> = bit: self if implied, EMPTY if contradicted.
+    def reduce(self, form: int, bit: int = 0) -> tuple[int, int]:
+        """The equation <form, x> = bit with every pivot of self cleared.
 
-        The form is reduced by every row whose pivot it contains; as each pivot
-        sits in one row, the order does not matter.  A nonzero remainder is
-        cleared from the rows containing its pivot and inserted by pivot.
+        It holds on self exactly when the reduced one does.  The form is
+        reduced by every row whose pivot it contains; as each pivot sits in
+        one row, the order does not matter.
         """
         if form < 0 or form >> self.width:
             raise ValueError("form out of range for width")
@@ -146,8 +151,25 @@ class AffineSpace:
             if form & f & -f:
                 form ^= f
                 bit ^= c
+        return form, bit
+
+    def with_equation(self, form: int, bit: int) -> "AffineSpace | _EmptySpace":
+        """The space cut by <form, x> = bit: self if implied, EMPTY if contradicted."""
+        form, bit = self.reduce(form, bit)
         if form == 0:
             return EMPTY if bit else self
+        return self._insert(form, bit)
+
+    def split(self, form: int) -> tuple["AffineSpace | _EmptySpace", "AffineSpace | _EmptySpace"]:
+        """(self cut by <form, x> = 0, self cut by <form, x> = 1), from one reduction."""
+        form, bit = self.reduce(form)
+        if form == 0:
+            return (EMPTY, self) if bit else (self, EMPTY)
+        return self._insert(form, bit), self._insert(form, bit ^ 1)
+
+    def _insert(self, form: int, bit: int) -> "AffineSpace":
+        """The space with a nonzero reduced row added: the row is cleared from
+        the rows containing its pivot and inserted by pivot."""
         low = form & -form
         # rows without the new pivot are shared with self, not copied: deep trees of spaces stay small
         rows = [(fc[0] ^ form, fc[1] ^ bit) if fc[0] & low else fc for fc in self.rows]

@@ -199,7 +199,9 @@ def lift_eval(g: Gadget, layout: BlockLayout, x: FVec) -> FVec:
 
 
 def _fixed_entries(layout: BlockLayout, z) -> list[tuple[int, int]]:
-    """Normalize a full FVec or a partial {block: bit} mapping."""
+    """Normalize a full target (an FVec, or its bits as an int) or a partial {block: bit} mapping."""
+    if isinstance(z, int):
+        z = FVec(layout.n, z)
     if isinstance(z, FVec):
         if z.width != layout.n:
             raise ValueError("target width must equal the number of blocks")
@@ -251,14 +253,28 @@ def _target_classes(layout: BlockLayout, z) -> list[int]:
     return row
 
 
-def _full_target_classes(layout: BlockLayout, targets: Sequence[FVec]) -> np.ndarray:
+def _full_bits(layout: BlockLayout, targets: Sequence) -> list[int] | None:
+    """The bits of every target when all are full (an FVec of width n or an int), else None."""
+    bits = []
+    for z in targets:
+        if isinstance(z, FVec):
+            if z.width != layout.n:
+                raise ValueError("target width must equal the number of blocks")
+            z = z.bits
+        elif not isinstance(z, int):
+            return None
+        bits.append(z)
+    if bits and (min(bits) < 0 or max(bits) >> layout.n):
+        raise ValueError("target out of range for the number of blocks")
+    return bits
+
+
+def _full_target_classes(layout: BlockLayout, bits: Sequence[int]) -> np.ndarray:
     """Per full target and block, the class z_i: one little-endian bit unpack over all targets."""
-    if any(z.width != layout.n for z in targets):
-        raise ValueError("target width must equal the number of blocks")
     nbytes = (layout.n + 7) // 8
-    raw = np.frombuffer(b"".join(z.bits.to_bytes(nbytes, "little") for z in targets), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(targets), nbytes), axis=1, count=layout.n, bitorder="little")
-    return bits.astype(np.intp)
+    raw = np.frombuffer(b"".join(z.to_bytes(nbytes, "little") for z in bits), dtype=np.uint8)
+    unpacked = np.unpackbits(raw.reshape(len(bits), nbytes), axis=1, count=layout.n, bitorder="little")
+    return unpacked.astype(np.intp)
 
 
 def _syndrome_counts(
@@ -306,13 +322,14 @@ def _inverse_fwht(hat: np.ndarray, m: int) -> np.ndarray:
 def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, targets: Sequence) -> list[int]:
     """Exact |{x : x in space, g(x(i)) = z_i for fixed i}| for every target z.
 
-    A target is a full FVec over the blocks or a partial {block: bit}
-    mapping.  An equation whose support lies inside one block only filters
-    that block's candidate values.  The m cross-block equations give each
-    block a table of syndrome counts over its remaining candidates; a
-    block's table depends only on its class (z_i = 0, z_i = 1 or free), so
-    it is built and Walsh-transformed once per class present.  Each count
-    is then read off the Walsh-domain product of per-block syndrome tables:
+    A target is a full one over the blocks (an FVec of width n, or its bits
+    as an int) or a partial {block: bit} mapping.  An equation whose support
+    lies inside one block only filters that block's candidate values.  The
+    m cross-block equations give each block a table of syndrome counts over
+    its remaining candidates; a block's table depends only on its class
+    (z_i = 0, z_i = 1 or free), so it is built and Walsh-transformed once
+    per class present.  Each count is then read off the Walsh-domain
+    product of per-block syndrome tables:
     2^-m * sum_s (-1)^<s, rhs> * prod_i W_i[class(z_i)][s].
     """
     targets = list(targets)
@@ -335,8 +352,9 @@ def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
     if m > SYNDROME_DIM_CAP:
         raise f2.EnumerationCapError(f"syndrome dimension {m} exceeds cap {SYNDROME_DIM_CAP}")
     size = 1 << m
-    if all(isinstance(z, FVec) for z in targets):
-        classes = _full_target_classes(layout, targets)
+    full = _full_bits(layout, targets)
+    if full is not None:
+        classes = _full_target_classes(layout, full)
     else:
         classes = np.array([_target_classes(layout, z) for z in targets], dtype=np.intp).reshape(len(targets), layout.n)
     # one Walsh-transformed syndrome table per (block, class) that some target uses

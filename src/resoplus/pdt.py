@@ -16,9 +16,10 @@ after each reveal.  Unlifted adversaries implement `next_edge(analysis, graph, f
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -346,14 +347,14 @@ def exact_lifted_root_law(
     """
     support = list(_rooted_support(layout, rho, cap))
     space = conditioning if conditioning is not None else full_space(layout.width)
-    counts = counts_in_space(space, layout, g, [FVec(layout.n, z) for _, z in support])
+    counts = counts_in_space(space, layout, g, [z for _, z in support])
     groups: dict[tuple[int, int], list[int]] = {}  # (root, |z|) -> [summed count, one z]
     for (root, z), cnt in zip(support, counts):
         group = groups.setdefault((root, z.bit_count()), [0, z])
         group[0] += cnt
     weights: dict[int, Fraction] = {}
     for (root, _), (cnt, z) in groups.items():
-        fibre = count_preimages(g, layout, FVec(layout.n, z))
+        fibre = count_preimages(g, layout, z)
         if fibre == 0:
             raise EmptyPreimageError("a support point has an empty fibre")
         weights[root] = weights.get(root, Fraction(0)) + Fraction(cnt, fibre)
@@ -552,6 +553,12 @@ def default_strategies() -> dict[str, Callable[[], EdgeQueryStrategy]]:
     }
 
 
+def _trial_seed(seed: int, name: str, trial: int) -> int:
+    """A 64-bit seed hashed from (seed, name, trial): distinct triples get unrelated streams."""
+    text = json.dumps([str(seed), name, str(trial)])
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
 def _experiment(
     graph: Graph,
     names: Iterable[str],
@@ -564,8 +571,8 @@ def _experiment(
     """Run `trials` plays per name and summarize them.
 
     play(name, rng, budget) returns the game's transcript; a trial succeeds
-    when its final partial assignment is still valid.  Per-trial seeds split
-    off the master seed in counter mode.
+    when its final partial assignment is still valid.  Each trial's seed is
+    a hash of (seed, name, trial).
     """
     d = graph.degree_if_regular()
     if d is None:
@@ -579,7 +586,7 @@ def _experiment(
         identities = True
         max_paid = 0
         for trial in range(trials):
-            rng = random.Random((seed << 24) ^ zlib.crc32(name.encode()) ^ trial)
+            rng = random.Random(_trial_seed(seed, name, trial))
             transcript = play(name, rng, budget)
             ok = analyze_partial(graph, transcript.final_partial).valid
             successes += ok

@@ -257,9 +257,10 @@ def check(dag: ProofDag, cnf: Cnf) -> CheckResult:
     for node in sorted(dag.nodes, key=lambda n: n.node_id):
         space = node.space
         if node.kind == QRY:
-            if dag.by_id[node.child0].space != space.with_equation(node.form, 0):
+            space0, space1 = space.split(node.form)
+            if dag.by_id[node.child0].space != space0:
                 return CheckResult(False, node.node_id, "QUERY-SPLIT-0")
-            if dag.by_id[node.child1].space != space.with_equation(node.form, 1):
+            if dag.by_id[node.child1].space != space1:
                 return CheckResult(False, node.node_id, "QUERY-SPLIT-1")
         elif node.kind == WEAK:
             if not is_subspace(space, dag.by_id[node.child].space):
@@ -343,43 +344,45 @@ def pdt_refute(cnf: Cnf, var_cap: int = REFUTE_VAR_CAP) -> ProofDag:
     """Tree-like refutation by coordinate querying with early falsification leaves.
 
     Queries variables in ascending order; a branch closes as soon as its fixed
-    coordinates falsify some clause.  Raises SatisfiableError with a model if
-    the CNF has one.
+    coordinates falsify some clause, and its leaf names the first such clause.
+    Raises SatisfiableError with a model if the CNF has one.
+
+    Clauses are grouped by the level at which their last variable is fixed.
+    A node at level L tests only group L: its parent falsified no clause of
+    a lower level, and fixing one more variable changes none of them.  The
+    tree is built in preorder from an explicit stack, so no closure refers
+    to itself and a dropped DAG is freed by reference counting.
     """
-    if cnf.num_vars > var_cap:
-        raise f2.EnumerationCapError(f"{cnf.num_vars} variables exceed cap {var_cap}")
-    nodes: list[ProofNode] = []
-    counter = 0
-
-    masks = [(pos | neg, pos, neg) for pos, neg in _clause_masks(cnf)]
-
-    def falsified_clause(mask: int, value: int) -> int | None:
-        """First clause whose variables are all fixed (mask) to false literals (value)."""
-        for idx, (both, pos, neg) in enumerate(masks):
-            if both & ~mask == 0 and value & pos == 0 and value & neg == neg:
-                return idx
-        return None
-
-    def build(level: int, mask: int, value: int, space: AffineSpace) -> int:
-        nonlocal counter
-        node_id = counter
-        counter += 1
-        clause = falsified_clause(mask, value)
+    n = cnf.num_vars
+    if n > var_cap:
+        raise f2.EnumerationCapError(f"{n} variables exceed cap {var_cap}")
+    by_level: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for idx, (pos, neg) in enumerate(_clause_masks(cnf)):
+        by_level[(pos | neg).bit_length()].append((idx, pos, neg))
+    nodes: list = []  # a query node holds its (space, form) until its child 1 is built
+    child1: dict[int, int] = {}
+    stack: list[tuple[int, int, AffineSpace, int | None]] = [(0, 0, full_space(n), None)]
+    while stack:
+        level, value, space, parent = stack.pop()
+        node_id = len(nodes)
+        if parent is not None:
+            child1[parent] = node_id
+        clause = next((idx for idx, pos, neg in by_level[level] if value & pos == 0 and value & neg == neg), None)
         if clause is not None:
             nodes.append(ProofNode(node_id, LEAF, space, clause=clause))
-            return node_id
-        if level == cnf.num_vars:
-            raise SatisfiableError(FVec(cnf.num_vars, value))
-        placeholder = len(nodes)
-        nodes.append(None)  # reserve the preorder slot
+            continue
+        if level == n:
+            raise SatisfiableError(FVec(n, value))
         bit = 1 << level
-        c0 = build(level + 1, mask | bit, value, space.with_equation(bit, 0))
-        c1 = build(level + 1, mask | bit, value | bit, space.with_equation(bit, 1))
-        nodes[placeholder] = ProofNode(node_id, QRY, space, form=bit, child0=c0, child1=c1)
-        return node_id
-
-    build(0, 0, 0, full_space(cnf.num_vars))
-    return ProofDag.build(cnf.num_vars, nodes)
+        nodes.append((space, bit))
+        space0, space1 = space.split(bit)
+        stack.append((level + 1, value | bit, space1, node_id))
+        stack.append((level + 1, value, space0, None))  # child 0 is next in preorder
+    for node_id, node in enumerate(nodes):
+        if type(node) is tuple:
+            space, bit = node
+            nodes[node_id] = ProofNode(node_id, QRY, space, form=bit, child0=node_id + 1, child1=child1[node_id])
+    return ProofDag.build(n, nodes)
 
 
 def all_inputs_trace_ok(dag: ProofDag, cnf: Cnf, cap: int = 16) -> bool:

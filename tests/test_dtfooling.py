@@ -19,7 +19,7 @@ from resoplus.dtfooling import (
     sample,
     tree_complete,
 )
-from resoplus.f2 import points_array
+from resoplus.f2 import EMPTY, points_array
 from resoplus.tseitin import (
     EdgePartialAssignment,
     Graph,
@@ -322,6 +322,57 @@ def test_exact_root_distribution_counts_match_point_enumeration(fixed):
                 assert list(rep.counts) == want
                 compared += 1
     assert compared > 100
+
+
+@st.composite
+def rooted_conditions(draw):
+    """A random graph, a valid partial assignment and a condition on some of
+    its free edges, which may match no sample.
+
+    The graph is a random tree on an odd number of vertices plus random
+    chords, and at times a separate edge (an even component).  Edges are
+    fixed in drawn order up to the first that would make rho invalid.
+    """
+    n = draw(st.sampled_from([1, 3, 5, 7]))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    pairs |= set(draw(st.lists(st.sampled_from(chords), max_size=6))) if chords else set()
+    if n >= 3 and draw(st.booleans()):
+        pairs.add((n, n + 1))
+        n += 2
+    g = Graph.from_pairs(n, sorted(pairs))
+    values = {}
+    for k in draw(st.permutations(range(g.num_edges))):
+        trial = EdgePartialAssignment.from_dict(g, {**values, k: draw(st.integers(0, 1))})
+        if not analyze_partial(g, trial).valid:
+            break
+        values = trial.as_dict()
+    rho = EdgePartialAssignment.from_dict(g, values)
+    free = rho.free_edges()
+    cond = draw(st.lists(st.sampled_from(free), unique=True, max_size=len(free))) if free else []
+    return rho, {k: draw(st.integers(0, 1)) for k in cond}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rooted_conditions())
+def test_exact_root_distribution_counts_match_root_spaces(case):
+    # one tagged elimination for every root against a root space per root cut by the condition
+    rho, cond = case
+    pos = {k: i for i, k in enumerate(rho.free_edges())}
+    want = []
+    for v in sorted(analyze_partial(rho.graph, rho).odd_component):
+        space = root_space(rho, v)[0]
+        for k, bit in cond.items():
+            space = space.with_equation(1 << pos[k], bit)
+        want.append((v, 0 if space is EMPTY else space.size()))
+    try:
+        rep = exact_root_distribution(rho, cond)
+    except InconsistentConditionError:
+        combined = analyze_partial(rho.graph, rho.extend(cond))
+        assert len(combined.odd_components) != 1 or all(c == 0 for _, c in want)
+        return
+    assert list(rep.counts) == want
+    assert rep.ok
 
 
 def test_sampler_matches_exact_law_conditionally():

@@ -197,7 +197,30 @@ def test_space_from_pairs_ignores_pair_order(case):
         assert space_from_pairs(width, perm) == space
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(pairs_of_width(), st.data())
+def test_split_matches_two_with_equation_calls(case, data):
+    width, pairs = case
+    space = space_from_pairs(width, pairs)
+    # a random form, or a sum of the system's own forms, which the space
+    # implies or contradicts
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    form = data.draw(st.one_of(st.integers(0, (1 << width) - 1), st.just(0)))
+    if data.draw(st.booleans()):
+        form = 0
+        for f, _ in chosen:
+            form ^= f
+    halves = space.split(form)
+    assert halves == (space.with_equation(form, 0), space.with_equation(form, 1))
+    if space is not EMPTY and space.reduce(form)[0] == 0:
+        # an implied form keeps the space itself on one side and EMPTY on the other
+        assert sorted(map(id, halves)) == sorted(map(id, (space, EMPTY)))
+
+
 def test_with_equation_rejects_forms_wider_than_the_space():
     with pytest.raises(ValueError):
         full_space(3).with_equation(0b1000, 0)
+    with pytest.raises(ValueError):
+        full_space(3).split(0b1000)
     assert EMPTY.with_equation(0b1, 1) is EMPTY
+    assert EMPTY.split(0b1) == (EMPTY, EMPTY)

@@ -171,6 +171,8 @@ def test_count_in_space_caps_cross_block_rows_only():
 
 
 def _brute_count(space, lay, g, target) -> int:
+    if isinstance(target, int):
+        target = FVec(lay.n, target)
     fixed = dict(target) if isinstance(target, dict) else {i: target.get(i) for i in range(lay.n)}
     total = 0
     for p in enumerate_points(space):
@@ -199,8 +201,11 @@ def counting_instances(draw):
     space = space_from_pairs(lay.width, pairs)
     targets = []
     for _ in range(draw(st.integers(0, 5))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["fvec", "int", "mapping"]))
+        if kind == "fvec":
             targets.append(FVec(n, draw(st.integers(0, (1 << n) - 1))))
+        elif kind == "int":
+            targets.append(draw(st.integers(0, (1 << n) - 1)))
         else:
             blocks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
             targets.append({i: draw(st.integers(0, 1)) for i in blocks})
@@ -222,11 +227,19 @@ def test_counts_in_space_matches_enumeration(instance):
     assert counts_in_space(space, lay, g, full) == counts_in_space(
         space, lay, g, [{i: z.get(i) for i in range(lay.n)} for z in full]
     )
+    # a bare int full target counts as the FVec of the same bits
+    assert counts_in_space(space, lay, g, [z.bits for z in full]) == counts_in_space(space, lay, g, full)
 
 
 def test_counts_in_space_rejects_a_full_target_of_another_width():
     with pytest.raises(ValueError):
         counts_in_space(full_space(4), BlockLayout(2, 2), ip_gadget(2), [FVec(2, 0), FVec(3, 0)])
+
+
+@pytest.mark.parametrize("targets", [[0, 0b100], [0b11, -1], [0b100, {}]])
+def test_counts_in_space_rejects_an_int_target_out_of_range(targets):
+    with pytest.raises(ValueError):
+        counts_in_space(full_space(4), BlockLayout(2, 2), ip_gadget(2), targets)
 
 
 def test_counts_in_space_past_62_bits_is_exact():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resoplus.cnf import Cnf
-from resoplus.f2 import EMPTY, enumerate_points, full_space, is_subspace, space_from_pairs
+from resoplus.cnf import Cnf, _clause_masks
+from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, is_subspace, space_from_pairs
 from resoplus.gadget import ip_gadget, lift_cnf
 from resoplus.resproof import (
     LEAF,
@@ -134,6 +134,59 @@ def test_refutation_leaves_name_the_first_falsified_clause():
 
     for node in dag.nodes:
         assert first_falsified(node.space) == (node.clause if node.kind == LEAF else None)
+    assert check(dag, cnf).ok
+
+
+def _pdt_refute_by_scan(cnf):
+    """Oracle: the refuter scanning every clause at every node, recursively."""
+    nodes = []
+    masks = [(pos | neg, pos, neg) for pos, neg in _clause_masks(cnf)]
+
+    def build(level, mask, value, space):
+        node_id = len(nodes)
+        for idx, (both, pos, neg) in enumerate(masks):
+            if both & ~mask == 0 and value & pos == 0 and value & neg == neg:
+                nodes.append(ProofNode(node_id, LEAF, space, clause=idx))
+                return node_id
+        if level == cnf.num_vars:
+            raise SatisfiableError(FVec(cnf.num_vars, value))
+        nodes.append(None)
+        bit = 1 << level
+        c0 = build(level + 1, mask | bit, value, space.with_equation(bit, 0))
+        c1 = build(level + 1, mask | bit, value | bit, space.with_equation(bit, 1))
+        nodes[node_id] = ProofNode(node_id, QRY, space, form=bit, child0=c0, child1=c1)
+        return node_id
+
+    build(0, 0, 0, full_space(cnf.num_vars))
+    return ProofDag.build(cnf.num_vars, nodes)
+
+
+@st.composite
+def small_cnfs(draw):
+    """Random CNFs on up to 6 variables whose clauses may be empty,
+    tautological or repeat a literal."""
+    n = draw(st.integers(0, 6))
+    clauses = []
+    if n:
+        literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(tuple), max_size=24))
+    if draw(st.integers(0, 7)) == 0:  # now and then an empty clause, which closes the root
+        clauses.insert(draw(st.integers(0, len(clauses))), ())
+    return Cnf(n, tuple(clauses))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(small_cnfs())
+def test_level_indexed_refuter_matches_clause_scan(cnf):
+    try:
+        want = _pdt_refute_by_scan(cnf)
+    except SatisfiableError as exc:
+        with pytest.raises(SatisfiableError) as got:
+            pdt_refute(cnf)
+        assert got.value.model == exc.model
+        return
+    dag = pdt_refute(cnf)
+    assert (dag.width, dag.nodes) == (want.width, want.nodes)
     assert check(dag, cnf).ok
 
 
