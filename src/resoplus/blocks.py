@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import f2
 from ._bits import bits_to_string, mask_bits, parity, string_to_bits
-from .f2 import EMPTY, AffineSpace, rank_of_rows
+from .f2 import EMPTY, AffineSpace, _tagged_insert, _tagged_reduce, rank_of_rows
 
 
 class NotExtendableError(Exception):
@@ -99,35 +99,14 @@ def _independent(cols: Sequence[int]) -> bool:
     return rank_of_rows(cols) == len(cols)
 
 
-def _reduce(basis: list[tuple[int, int, int]], col: int) -> tuple[int, int]:
-    """(residue, tag) of a column against a tagged echelon basis.
-
-    basis holds (pivot bit, row, tag) triples, where the tag marks the
-    solution indices whose column masks sum to the row.  The column equals its
-    residue plus the sum of the solution columns its tag marks.
-    """
-    tag = 0
-    for pivot, row, row_tag in basis:
-        if col & pivot:
-            col ^= row
-            tag ^= row_tag
-    return col, tag
-
-
-def _insert(basis: list[tuple[int, int, int]], col: int, index: int) -> bool:
-    """Add solution column number index to the basis; False if it is dependent."""
-    residue, tag = _reduce(basis, col)
-    if residue:
-        basis.append((residue & -residue, residue, tag ^ (1 << index)))
-    return residue != 0
-
-
 def _coordinates(masks: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
-    """(residue, tag) of each column over an echelon basis of the independent masks."""
+    """(residue, tag) of each column over an echelon basis of the independent
+    masks, tagged with the solution indices whose masks sum to each basis row:
+    a column equals its residue plus the masks its tag marks."""
     basis: list[tuple[int, int, int]] = []
     for j, m in enumerate(masks):
-        _insert(basis, m, j)
-    return [_reduce(basis, col) for col in cols]
+        _tagged_insert(basis, m, 1 << j)
+    return [_tagged_reduce(basis, col) for col in cols]
 
 
 def _exchangeable(coord: tuple[int, int], x: int) -> bool:
@@ -209,7 +188,7 @@ def _max_one_per_block(rows: Sequence[int], layout: BlockLayout) -> tuple[list[t
     basis: list[tuple[int, int, int]] = []
     for blk, cols in ground.items():
         for c, m in cols:
-            if _insert(basis, m, len(solution)):
+            if _tagged_insert(basis, m, 1 << len(solution))[0]:
                 solution.append((blk, c, m))
                 break
     while True:

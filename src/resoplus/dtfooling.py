@@ -188,28 +188,6 @@ def root_space(rho: EdgePartialAssignment, v: int) -> tuple[AffineSpace, list[in
     return space, free
 
 
-def _tagged_elimination(rows: Sequence[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
-    """(rank, zero rows) of (form, rhs, tag) rows, where XOR combines rows.
-
-    Each row is reduced against the echelon basis of the rows before it, its
-    tag XORed along with its form and rhs.  Returns the number of rows that
-    stay nonzero and the (rhs, tag) of every row that reduces to zero.
-    """
-    basis: list[tuple[int, int, int, int]] = []  # (pivot bit, form, rhs, tag)
-    zero_rows = []
-    for form, rhs, tag in rows:
-        for pivot, f, c, t in basis:
-            if form & pivot:
-                form ^= f
-                rhs ^= c
-                tag ^= t
-        if form:
-            basis.append((form & -form, form, rhs, tag))
-        else:
-            zero_rows.append((rhs, tag))
-    return len(basis), zero_rows
-
-
 @dataclass(frozen=True)
 class RootLawReport:
     """Exact conditional law of the root given a sub-assignment of free edges."""
@@ -245,10 +223,10 @@ def exact_root_distribution(
 
     Root v's system is the vertex rows of `root_space` with bit v of the
     right-hand side flipped, plus the condition's unit rows.  One tagged
-    elimination serves every root: the rank does not depend on v, and v's
-    system is consistent exactly when each row that reduces to zero has a
-    right-hand side equal to bit v of its tag, the set of vertex rows it
-    combines.
+    elimination serves every root.  A row's tag holds its right-hand side at
+    bit 0 and, at bit u + 1, whether it sums vertex row u.  The rank does not
+    depend on v, and v's system is consistent exactly when each row that
+    reduces to zero has tag bit 0 equal to tag bit v + 1.
     """
     g = rho.graph
     analysis = analyze_partial(g, rho)
@@ -276,11 +254,16 @@ def exact_root_distribution(
         for k, _ in g.incident(u):
             if k in pos:
                 form |= 1 << pos[k]
-        rows.append((form, f[u], 1 << u))
-    rows += [(1 << pos[k], bit & 1, 0) for k, bit in condition.items()]
-    rank, zero_rows = _tagged_elimination(rows)
-    size = 1 << (len(free) - rank)
-    counts = [(v, size if all(c == (tag >> v) & 1 for c, tag in zero_rows) else 0) for v in sorted(odd)]
+        rows.append((form, f[u] | (2 << u)))
+    rows += [(1 << pos[k], bit & 1) for k, bit in condition.items()]
+    basis: list[tuple[int, int, int]] = []
+    zero_tags = []  # the reduced tag of every row that reduces to zero
+    for form, tag in rows:
+        residue, tag = f2._tagged_insert(basis, form, tag)
+        if not residue:
+            zero_tags.append(tag)
+    size = 1 << (len(free) - len(basis))
+    counts = [(v, size if all((tag ^ (tag >> (v + 1))) & 1 == 0 for tag in zero_tags) else 0) for v in sorted(odd)]
     total = sum(c for _, c in counts)
     if total == 0:
         raise InconsistentConditionError("condition matches no sample")

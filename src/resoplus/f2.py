@@ -71,6 +71,29 @@ def rank_of_rows(rows: Sequence[int]) -> int:
     return len(basis)
 
 
+def _tagged_reduce(basis: list[tuple[int, int, int]], row: int, tag: int = 0) -> tuple[int, int]:
+    """(residue, tag) of a tagged row against a tagged echelon basis.
+
+    basis holds (pivot bit, row, tag) triples.  Each basis row whose pivot
+    the row contains is XORed into it, and its tag into the tag; a tag marks
+    which input rows a row sums, so the row equals its residue plus the sum
+    of the basis rows it was reduced by.
+    """
+    for pivot, b, t in basis:
+        if row & pivot:
+            row ^= b
+            tag ^= t
+    return row, tag
+
+
+def _tagged_insert(basis: list[tuple[int, int, int]], row: int, tag: int) -> tuple[int, int]:
+    """Reduce a tagged row and add its residue to the basis when nonzero; returns (residue, tag)."""
+    row, tag = _tagged_reduce(basis, row, tag)
+    if row:
+        basis.append((row & -row, row, tag))
+    return row, tag
+
+
 class _EmptySpace:
     """Distinguished empty result so set algebra composes without exceptions."""
 

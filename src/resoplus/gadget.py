@@ -4,6 +4,13 @@ Spectra are exact dyadic rationals (integer numerators over 2^b).  The
 working convention for all norm bounds is PM_ONE, the spectrum of (-1)^g;
 the literal 0/1 spectrum is computable but never used in bounds because its
 empty-set coefficient is ~1/2 for any roughly balanced gadget.
+
+Counting and sampling in lifted fibres share one engine.  `_block_tables`
+splits a space's rows into local rows, which only filter one block's
+candidate values, and the m cross-block rows, which give every remaining
+value a syndrome; `SYNDROME_DIM_CAP` bounds m for both.  A target (an FVec,
+its bits as an int, or a partial {block: bit} mapping) is read once into a
+fixed-block mask and bits, and each block takes class z_i or FREE.
 """
 from __future__ import annotations
 
@@ -27,6 +34,8 @@ ZERO_ONE = "zero_one"
 
 SPECTRUM_ARITY_CAP = 24
 SYNDROME_DIM_CAP = 20
+_LIFT_WIDTH_CAP = 12  # widest base clause lift_cnf expands
+_REJECTION_TRIES = 100_000  # draws rejection_sample_lifted makes before it gives up
 
 
 class EmptyPreimageError(Exception):
@@ -63,7 +72,9 @@ class Gadget:
         object.__setattr__(self, "class_values", tuple(values))
 
     def preimage(self, bit: int) -> tuple[int, ...]:
-        return tuple(v for v in range(1 << self.b) if self.table[v] == bit)
+        if bit not in (0, 1):
+            raise ValueError("target bits must be 0/1")
+        return tuple(self.class_values[bit].tolist())
 
     def to_text(self) -> str:
         return f"{self.b}\n" + "".join(str(t) for t in self.table) + "\n"
@@ -198,21 +209,27 @@ def lift_eval(g: Gadget, layout: BlockLayout, x: FVec) -> FVec:
     return FVec(layout.n, out)
 
 
-def _fixed_entries(layout: BlockLayout, z) -> list[tuple[int, int]]:
-    """Normalize a full target (an FVec, or its bits as an int) or a partial {block: bit} mapping."""
+def _read_target(layout: BlockLayout, z) -> tuple[int, int]:
+    """(fixed mask, bits) over the blocks of a full target (an FVec of width n,
+    or its bits as an int) or a partial {block: bit} mapping."""
+    full = (1 << layout.n) - 1
     if isinstance(z, int):
-        z = FVec(layout.n, z)
+        if not 0 <= z <= full:
+            raise ValueError("target out of range for the number of blocks")
+        return full, z
     if isinstance(z, FVec):
         if z.width != layout.n:
             raise ValueError("target width must equal the number of blocks")
-        return [(i, (z.bits >> i) & 1) for i in range(layout.n)]
-    entries = sorted(dict(z).items())
-    for i, bit in entries:
+        return full, z.bits
+    fixed = bits = 0
+    for i, bit in sorted(dict(z).items()):
         if not 0 <= i < layout.n:
             raise ValueError("block out of range")
         if bit not in (0, 1):
             raise ValueError("target bits must be 0/1")
-    return entries
+        fixed |= 1 << i
+        bits |= bit << i
+    return fixed, bits
 
 
 def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[int]:
@@ -221,93 +238,115 @@ def preimages(g: Gadget, layout: BlockLayout, z) -> Iterator[int]:
     For a partial target the points range over the fixed blocks only,
     re-indexed in ascending block order; the last fixed block varies fastest.
     """
-    entries = _fixed_entries(layout, z)
+    fixed, bits = _read_target(layout, z)
     per_block = []
-    for i, bit in entries:
-        pre = g.preimage(bit)
-        if not pre:
-            raise EmptyPreimageError(f"gadget has no preimage of {bit}")
-        per_block.append(pre)
+    for i in range(layout.n):
+        if (fixed >> i) & 1:
+            bit = (bits >> i) & 1
+            pre = g.class_values[bit].tolist()
+            if not pre:
+                raise EmptyPreimageError(f"gadget has no preimage of {bit}")
+            per_block.append(pre)
     for choice in itertools.product(*per_block):
-        bits = 0
+        point = 0
         for pos, v in enumerate(choice):
-            bits |= v << (pos * layout.b)
-        yield bits
+            point |= v << (pos * layout.b)
+        yield point
 
 
 def count_preimages(g: Gadget, layout: BlockLayout, z) -> int:
     """|G^-1(z)| over the fixed blocks: n_0^(fixed zeros) * n_1^(fixed ones), n_c = |g^-1(c)|."""
-    entries = _fixed_entries(layout, z)
-    ones = sum(bit for _, bit in entries)
-    return len(g.class_values[0]) ** (len(entries) - ones) * len(g.class_values[1]) ** ones
+    fixed, bits = _read_target(layout, z)
+    ones = bits.bit_count()
+    return len(g.class_values[0]) ** (fixed.bit_count() - ones) * len(g.class_values[1]) ** ones
 
 
 FREE = 2  # class of a block that a partial target leaves unconstrained
 _WALSH_CHUNK = 1 << 16  # entries of the (targets x blocks x 2^m) gather of Walsh tables per pass
 
 
-def _target_classes(layout: BlockLayout, z) -> list[int]:
-    row = [FREE] * layout.n
-    for i, bit in _fixed_entries(layout, z):
-        row[i] = bit
-    return row
-
-
-def _full_bits(layout: BlockLayout, targets: Sequence) -> list[int] | None:
-    """The bits of every target when all are full (an FVec of width n or an int), else None."""
-    bits = []
-    for z in targets:
-        if isinstance(z, FVec):
-            if z.width != layout.n:
-                raise ValueError("target width must equal the number of blocks")
-            z = z.bits
-        elif not isinstance(z, int):
-            return None
-        bits.append(z)
-    if bits and (min(bits) < 0 or max(bits) >> layout.n):
-        raise ValueError("target out of range for the number of blocks")
-    return bits
-
-
-def _full_target_classes(layout: BlockLayout, bits: Sequence[int]) -> np.ndarray:
-    """Per full target and block, the class z_i: one little-endian bit unpack over all targets."""
+def _unpack(layout: BlockLayout, ints: Sequence[int]) -> np.ndarray:
+    """Bit i of every int as a (len(ints), n) array: one little-endian bit unpack."""
     nbytes = (layout.n + 7) // 8
-    raw = np.frombuffer(b"".join(z.to_bytes(nbytes, "little") for z in bits), dtype=np.uint8)
-    unpacked = np.unpackbits(raw.reshape(len(bits), nbytes), axis=1, count=layout.n, bitorder="little")
-    return unpacked.astype(np.intp)
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in ints), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(ints), nbytes), axis=1, count=layout.n, bitorder="little")
 
 
-def _syndrome_counts(
-    rows: Sequence[tuple[int, int]], layout: BlockLayout, owners: Sequence[int], chunks: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome tables of candidate-value chunks; chunk k holds values of block owners[k].
+def _target_classes(layout: BlockLayout, targets: Sequence) -> np.ndarray:
+    """Per target and block, its class: z_i for a fixed block, FREE for an open one."""
+    # unpack each (fixed, bits) pair at once: a list of pairs would keep one tuple
+    # per target alive, and thousands of them set off garbage collections
+    fixed, bits = [], []
+    for z in targets:
+        f, x = _read_target(layout, z)
+        fixed.append(f)
+        bits.append(x)
+    classes = _unpack(layout, bits).astype(np.intp)
+    if fixed.count(mask_bits(layout.n)) < len(fixed):  # some target leaves a block open
+        classes[_unpack(layout, fixed) == 0] = FREE
+    return classes
 
-    The syndrome of a value v of block i is the bit vector of <form_j
-    restricted to block i, v>.  Returns the syndrome of every value, in
-    chunk order, and per chunk the number of its values with each syndrome.
+
+def _check_layout(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget) -> None:
+    if space is not EMPTY and space.width != layout.width:
+        raise ValueError("width mismatch")
+    if layout.b != g.b:
+        raise ValueError("layout block size differs from gadget arity")
+
+
+def _block_tables(space: AffineSpace, layout: BlockLayout, g: Gadget, classes: np.ndarray):
+    """Syndrome-count tables of the candidate values of every (block, class) in classes.
+
+    A row whose lowest and highest set bits lie in one block is local: it
+    only filters that block's candidate values.  The m cross-block rows give
+    a remaining value v of block i its syndrome, the bit vector of
+    <form_j restricted to block i, v>.  Returns m, the right-hand side of the
+    cross rows, the table of each (block, class), the values of every table
+    and their syndromes (both in table order), the (tables x 2^m) syndrome
+    counts, and a dtype that holds any product of the tables' Walsh
+    transforms summed over the 2^m syndromes: int64 when |W_i[s]|, at most
+    block i's largest table, leaves room below 2^62, Python ints otherwise.
     """
-    size = 1 << len(rows)
+    b = layout.b
+    local: list[list[tuple[int, int]]] = [[] for _ in range(layout.n)]
+    cross = []
+    for form, bit in space.rows:
+        # rows are nonzero; a row is local when its lowest and highest bits share a block
+        low = ((form & -form).bit_length() - 1) // b
+        if low == (form.bit_length() - 1) // b:
+            local[low].append((form >> (low * b), bit))
+        else:
+            cross.append((form, bit))
+    m = len(cross)
+    if m > SYNDROME_DIM_CAP:
+        raise f2.EnumerationCapError(f"syndrome dimension {m} exceeds cap {SYNDROME_DIM_CAP}")
+    present = np.zeros((layout.n, FREE + 1), dtype=bool)
+    present[np.arange(layout.n), classes] = True
+    owners, used = np.nonzero(present)  # tables run in (block, class) order
+    table_of = np.zeros(present.shape, dtype=np.intp)
+    table_of[owners, used] = np.arange(len(owners))
+    owners, used = owners.tolist(), used.tolist()
+    chunks = []
+    largest = [0] * layout.n
+    for i, c in zip(owners, used):
+        values = g.class_values[c]
+        for form, bit in local[i]:
+            values = values[parity_u64(values & np.uint64(form)) == bit]
+        chunks.append(values)
+        largest[i] = max(largest[i], len(values))
+    size = 1 << m
     values = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
     chunk_of = np.repeat(np.arange(len(chunks)), [len(v) for v in chunks])
     syn = np.zeros(len(values), dtype=np.int64)
-    if rows:
+    if cross:
         block_of = np.asarray(owners, dtype=np.intp)[chunk_of]
-    for j, (form, _) in enumerate(rows):
-        parts = np.array([(form >> (i * layout.b)) & mask_bits(layout.b) for i in range(layout.n)], dtype=np.uint64)
+    for j, (form, _) in enumerate(cross):
+        parts = np.array([(form >> (i * b)) & mask_bits(b) for i in range(layout.n)], dtype=np.uint64)
         syn |= parity_u64(values & parts[block_of]).astype(np.int64) << j
-    counts = np.bincount(chunk_of * size + syn, minlength=len(chunks) * size)
-    return syn, counts.reshape(len(chunks), size)
-
-
-def _rhs(rows: Sequence[tuple[int, int]]) -> int:
-    return sum(bit << j for j, (_, bit) in enumerate(rows))
-
-
-def _walsh_dtype(m: int, largest: Sequence[int]):
-    """int64 when every product of per-block Walsh entries, summed over 2^m
-    syndromes, stays below 2^62 (|W_i[s]| is at most block i's candidate
-    count); Python ints otherwise."""
-    return np.int64 if m + sum(c.bit_length() for c in largest) <= 62 else object
+    counts = np.bincount(chunk_of * size + syn, minlength=len(chunks) * size).reshape(len(chunks), size)
+    rhs = sum(bit << j for j, (_, bit) in enumerate(cross))
+    dtype = np.int64 if m + sum(c.bit_length() for c in largest) <= 62 else object
+    return m, rhs, table_of, chunks, syn, counts, dtype
 
 
 def _inverse_fwht(hat: np.ndarray, m: int) -> np.ndarray:
@@ -323,68 +362,27 @@ def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
     """Exact |{x : x in space, g(x(i)) = z_i for fixed i}| for every target z.
 
     A target is a full one over the blocks (an FVec of width n, or its bits
-    as an int) or a partial {block: bit} mapping.  An equation whose support
-    lies inside one block only filters that block's candidate values.  The
-    m cross-block equations give each block a table of syndrome counts over
-    its remaining candidates; a block's table depends only on its class
-    (z_i = 0, z_i = 1 or free), so it is built and Walsh-transformed once
-    per class present.  Each count is then read off the Walsh-domain
-    product of per-block syndrome tables:
+    as an int) or a partial {block: bit} mapping.  A block's syndrome table
+    (`_block_tables`) depends only on its class (z_i = 0, z_i = 1 or free),
+    so it is built and Walsh-transformed once per class present.  Each count
+    is then read off the Walsh-domain product of per-block syndrome tables:
     2^-m * sum_s (-1)^<s, rhs> * prod_i W_i[class(z_i)][s].
     """
-    targets = list(targets)
+    _check_layout(space, layout, g)
+    classes = _target_classes(layout, targets)
     if space is EMPTY:
-        return [0] * len(targets)
-    if space.width != layout.width:
-        raise ValueError("width mismatch")
-    if layout.b != g.b:
-        raise ValueError("layout block size differs from gadget arity")
-    local: list[list[tuple[int, int]]] = [[] for _ in range(layout.n)]
-    cross = []
-    for form, bit in space.rows:
-        # rows are nonzero; a row is local when its lowest and highest bits share a block
-        low = ((form & -form).bit_length() - 1) // layout.b
-        if low == (form.bit_length() - 1) // layout.b:
-            local[low].append((form, bit))
-        else:
-            cross.append((form, bit))
-    m = len(cross)
-    if m > SYNDROME_DIM_CAP:
-        raise f2.EnumerationCapError(f"syndrome dimension {m} exceeds cap {SYNDROME_DIM_CAP}")
+        return [0] * len(classes)
+    m, rhs, table_of, _, _, hats, dtype = _block_tables(space, layout, g, classes)
     size = 1 << m
-    full = _full_bits(layout, targets)
-    if full is not None:
-        classes = _full_target_classes(layout, full)
-    else:
-        classes = np.array([_target_classes(layout, z) for z in targets], dtype=np.intp).reshape(len(targets), layout.n)
-    # one Walsh-transformed syndrome table per (block, class) that some target uses
-    present = np.zeros((layout.n, FREE + 1), dtype=bool)
-    present[np.arange(layout.n), classes] = True
-    row_of = np.zeros((layout.n, FREE + 1), dtype=np.intp)
-    owners, chunks, largest = [], [], []
-    for i, used in enumerate(present.tolist()):
-        top = 0
-        for c in (c for c in range(FREE + 1) if used[c]):
-            values = g.class_values[c]
-            for form, bit in local[i]:
-                values = values[parity_u64(values & np.uint64(form >> (i * layout.b))) == bit]
-            row_of[i, c] = len(chunks)
-            owners.append(i)
-            chunks.append(values)
-            top = max(top, len(values))
-        largest.append(top)
-    dtype = _walsh_dtype(m, largest)
-    _, hats = _syndrome_counts(cross, layout, owners, chunks)
     _fwht_inplace(hats)
     hats = hats.astype(dtype, copy=False)
-    rows = row_of[np.arange(layout.n), classes]  # per target and block, its row of hats
-    rhs = _rhs(cross)
+    rows = table_of[np.arange(layout.n), classes]  # per target and block, its row of hats
     sign = np.ones(1, dtype=dtype)  # (-1)^<s, rhs>, doubled one syndrome bit at a time
     for j in range(m):
         sign = np.concatenate((sign, -sign if (rhs >> j) & 1 else sign))
     out: list[int] = []
     step = max(1, _WALSH_CHUNK // (size * max(1, layout.n)))
-    for start in range(0, len(targets), step):
+    for start in range(0, len(classes), step):
         totals = hats[rows[start:start + step]].prod(axis=1) @ sign
         if np.count_nonzero(totals % size):
             raise RuntimeError("a Walsh-domain count is not a multiple of 2^m")
@@ -397,28 +395,26 @@ def count_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: 
     return counts_in_space(space, layout, g, [z])[0]
 
 
-def sample_in_space(space: AffineSpace, layout: BlockLayout, g: Gadget, z, rng) -> FVec:
+def sample_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, z, rng) -> FVec:
     """Uniform sample from {x : x in space, g(x(i)) = z_i for fixed i}.
 
-    Exact sequential sampling: block values are chosen with probability
-    proportional to the number of completions.  The completion counts of
-    blocks i..n-1 are the inverse transform of the Walsh-domain product of
-    per-block syndrome tables, accumulated from the last block down.
+    Exact sequential sampling over the block tables of `counts_in_space`:
+    block values are chosen with probability proportional to the number of
+    completions.  The completion counts of blocks i..n-1 are the inverse
+    transform of the Walsh-domain product of their syndrome tables over the
+    m cross-block rows, accumulated from the last block down.
     """
-    if space.width != layout.width:
-        raise ValueError("width mismatch")
-    if layout.b != g.b:
-        raise ValueError("layout block size differs from gadget arity")
-    m = space.codim
+    _check_layout(space, layout, g)
+    classes = _target_classes(layout, [z])
+    if space is EMPTY:
+        raise EmptySupportError("no point matches the space and target")
+    m, rhs, _, chunks, syn, counts, dtype = _block_tables(space, layout, g, classes)
     size = 1 << m
-    chunks = [g.class_values[c] for c in _target_classes(layout, z)]
-    syn, counts = _syndrome_counts(space.rows, layout, range(layout.n), chunks)
     hats = counts.copy()
     _fwht_inplace(hats)
     # row i: the Walsh-domain product of the tables of blocks i..n-1
-    suffix_hats = np.multiply.accumulate(hats[::-1].astype(_walsh_dtype(m, [len(v) for v in chunks])), axis=0)[::-1]
+    suffix_hats = np.multiply.accumulate(hats[::-1].astype(dtype), axis=0)[::-1]
     suffix = _inverse_fwht(suffix_hats, m).tolist() + [[1] + [0] * (size - 1)]
-    rhs = _rhs(space.rows)
     if suffix[0][rhs] == 0:
         raise EmptySupportError("no point matches the space and target")
     bits = 0
@@ -499,12 +495,12 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     if conditioning is None:
         if _has_empty_fibre(d):
             raise EmptyPreimageError("base point has an empty fiber")
-        z = FVec(layout.n, d.base[_pick(d.totals, rng)][0])
+        z = d.base[_pick(d.totals, rng)][0]
         return sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
-    zs = [FVec(layout.n, z_bits) for z_bits, _ in d.base]
+    zs = [z for z, _ in d.base]
     weights = []
-    for (_, w), zv, cnt in zip(d.base, zs, counts_in_space(conditioning, layout, g, zs)):
-        fiber = count_preimages(g, layout, zv)
+    for (z, w), cnt in zip(d.base, counts_in_space(conditioning, layout, g, zs)):
+        fiber = count_preimages(g, layout, z)
         if fiber == 0:
             raise EmptyPreimageError("base point has an empty fiber")
         weights.append(Fraction(w * cnt, fiber))
@@ -515,18 +511,18 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     return sample_in_space(conditioning, layout, g, zs[_pick(totals, rng)], rng)
 
 
-def rejection_sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng, max_tries: int = 100_000) -> FVec:
+def rejection_sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) -> FVec:
     """Oracle sampler: draw from the unconditioned lift, reject outside C."""
     layout, g = d.layout, d.gadget
-    for _ in range(max_tries):
-        z = FVec(layout.n, d.base[_pick(d.totals, rng)][0])
+    for _ in range(_REJECTION_TRIES):
+        z = d.base[_pick(d.totals, rng)][0]
         x = sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
         if conditioning is None or conditioning.contains(x.bits):
             return x
     raise EmptySupportError("rejection sampler exhausted its tries")
 
 
-def lift_cnf(phi: Cnf, g: Gadget, width_cap: int = 12) -> Cnf:
+def lift_cnf(phi: Cnf, g: Gadget) -> Cnf:
     """Substitute the gadget into every clause of the base CNF.
 
     Each base clause with falsifying pattern alpha on its variable set S turns
@@ -536,8 +532,8 @@ def lift_cnf(phi: Cnf, g: Gadget, width_cap: int = 12) -> Cnf:
     b = g.b
     out: list[tuple[int, ...]] = []
     for clause in phi.clauses:
-        if len(clause) > width_cap:
-            raise ValueError(f"clause width {len(clause)} exceeds cap {width_cap}")
+        if len(clause) > _LIFT_WIDTH_CAP:
+            raise ValueError(f"clause width {len(clause)} exceeds cap {_LIFT_WIDTH_CAP}")
         vars_sorted = sorted(abs(lit) for lit in clause)
         if len(set(vars_sorted)) != len(vars_sorted):
             raise ValueError("clause repeats a variable")

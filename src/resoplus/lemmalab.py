@@ -39,6 +39,8 @@ from .gadget import Gadget, count_in_space, count_preimages, lift_eval, max_four
 
 CUBE_WIDTH_CAP = 26
 _CHUNK_BITS = 21
+_SAFE_SPACE_TRIES = 1000  # random systems random_safe_space draws before it gives up
+_NESTED_PAIR_TRIES = 2000  # witness draws nested_pair_with_gap makes before it gives up
 
 OK = "OK"
 VIOLATED = "VIOLATED"
@@ -463,7 +465,7 @@ def closure_law_suite(trials: int, seed: int, max_n: int = 4, max_b: int = 3) ->
     return ClosureLawReport(trials, seed, tuple(sorted(counts.items())), tuple(failures))
 
 
-def random_safe_space(layout: BlockLayout, codim: int, rng: random.Random, max_tries: int = 1000) -> AffineSpace:
+def random_safe_space(layout: BlockLayout, codim: int, rng: random.Random) -> AffineSpace:
     """A random safe space of exactly the requested codimension.
 
     A safe system of rank r needs r distinct blocks, so codim cannot exceed
@@ -471,7 +473,7 @@ def random_safe_space(layout: BlockLayout, codim: int, rng: random.Random, max_t
     """
     if codim > layout.n:
         raise ValueError(f"no safe space of codim {codim} exists on {layout.n} blocks")
-    for _ in range(max_tries):
+    for _ in range(_SAFE_SPACE_TRIES):
         pairs = [(rng.getrandbits(layout.width), rng.getrandbits(1)) for _ in range(codim)]
         space = space_from_pairs(layout.width, pairs)
         if space is EMPTY or space.codim != codim:
@@ -488,7 +490,6 @@ def nested_pair_with_gap(
     base_codim: int,
     rng: random.Random,
     concentrate_block: int | None = None,
-    max_tries: int = 2000,
 ) -> tuple[AffineSpace, AffineSpace, ClosureAssignment, FVec]:
     """(A, B, y, z) meeting the conditional-fooling hypotheses with gap k.
 
@@ -499,7 +500,7 @@ def nested_pair_with_gap(
     """
     if k > layout.n:
         raise ValueError(f"an amortized gap of {k} cannot fit in {layout.n} blocks")
-    for _ in range(max_tries):
+    for _ in range(_NESTED_PAIR_TRIES):
         x0 = rng.getrandbits(layout.width)
         forms = [rng.getrandbits(layout.width) for _ in range(base_codim)]
         if concentrate_block is not None:

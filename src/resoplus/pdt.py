@@ -129,7 +129,6 @@ def block_complete(
     layout: BlockLayout,
     a: AffineSpace,
     y: ClosureAssignment,
-    p_cap: int | None = None,
 ) -> Pdt:
     """Insert whole-block coordinate queries before closure-growing queries.
 
@@ -145,8 +144,6 @@ def block_complete(
     if layout.b < 2:
         raise ValueError("block completion needs blocks of at least 2 bits")
     start_amortized = len(amortized_closure(a.forms(), layout)[0])
-    if p_cap is not None and start_amortized > p_cap:
-        raise f2.EnumerationCapError(f"amortized closure {start_amortized} exceeds cap {p_cap}")
     base = a
     for form, bit in y.coordinate_pairs():
         base = base.with_equation(form, bit)
@@ -372,7 +369,6 @@ def coin_game(
     sampler: Callable[[random.Random], FVec],
     budget: Fraction,
     rng: random.Random,
-    max_steps: int | None = None,
 ) -> GameTranscript:
     """Play the lifted coin game on one sampled input.
 
@@ -384,8 +380,7 @@ def coin_game(
     acct = _Accountant(rho, lift_eval(g, layout, x).bits, budget)
     space: AffineSpace = full_space(layout.width)
     node = tprime.root
-    made = 0
-    while isinstance(node, Query) and acct.outcome is None and (max_steps is None or made < max_steps):
+    while isinstance(node, Query) and acct.outcome is None:
         bit = parity(node.form & x.bits)
         nxt = space.with_equation(node.form, bit)
         if nxt is not space:
@@ -393,7 +388,6 @@ def coin_game(
             # a new equation can complete blocks it does not even touch
             acct.reveal(fixed_blocks(space, layout) & acct.free)
         node = node.child(bit)
-        made += 1
     return acct.transcript()
 
 
@@ -617,7 +611,6 @@ def lifted_hardness_experiment(
     seed: int,
     rho: EdgePartialAssignment | None = None,
     budget: Fraction | None = None,
-    p_cap: int | None = None,
     q: int = 0,
 ) -> ExperimentReport:
     """Coin-game Monte Carlo over parity decision trees on the lifted space.
@@ -637,7 +630,7 @@ def lifted_hardness_experiment(
     y = ClosureAssignment.from_dict(layout, {})
 
     def play(name: str, rng: random.Random, budget: Fraction):
-        tprime = block_complete(trees[name](rng), layout, base_space, y, p_cap=p_cap)
+        tprime = block_complete(trees[name](rng), layout, base_space, y)
         return coin_game(tprime, layout, g, rho, lambda r: sample_lifted(dist, None, r), budget, rng)
 
     return _experiment(graph, trees, q, trials, seed, budget, play)

@@ -340,7 +340,7 @@ def trace(dag: ProofDag, cnf: Cnf, x: int) -> TraceResult:
         length += 1
 
 
-def pdt_refute(cnf: Cnf, var_cap: int = REFUTE_VAR_CAP) -> ProofDag:
+def pdt_refute(cnf: Cnf) -> ProofDag:
     """Tree-like refutation by coordinate querying with early falsification leaves.
 
     Queries variables in ascending order; a branch closes as soon as its fixed
@@ -354,8 +354,8 @@ def pdt_refute(cnf: Cnf, var_cap: int = REFUTE_VAR_CAP) -> ProofDag:
     to itself and a dropped DAG is freed by reference counting.
     """
     n = cnf.num_vars
-    if n > var_cap:
-        raise f2.EnumerationCapError(f"{n} variables exceed cap {var_cap}")
+    if n > REFUTE_VAR_CAP:
+        raise f2.EnumerationCapError(f"{n} variables exceed cap {REFUTE_VAR_CAP}")
     by_level: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for idx, (pos, neg) in enumerate(_clause_masks(cnf)):
         by_level[(pos | neg).bit_length()].append((idx, pos, neg))

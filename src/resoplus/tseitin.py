@@ -18,6 +18,7 @@ from . import cnf as cnf_mod
 from .cnf import Cnf
 
 CHEEGER_SWEEP_CAP = 20
+_REGULAR_GRAPH_TRIES = 200  # pairing-model attempts random_regular_graph makes
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,12 @@ def cycle_graph(k: int) -> Graph:
     return Graph.from_pairs(k, [(i, (i + 1) % k) for i in range(k)])
 
 
-def random_regular_graph(num_vertices: int, degree: int, seed: int, require_connected: bool = True, max_tries: int = 200) -> Graph:
-    """Seed-reproducible d-regular simple graph via the repaired pairing model.
+def random_regular_graph(num_vertices: int, degree: int, seed: int) -> Graph:
+    """Seed-reproducible connected d-regular simple graph via the repaired pairing model.
 
     Leftover stubs from colliding pairs are reshuffled and matched again until
-    none remain or no suitable pair exists, in which case the attempt restarts.
+    none remain or no suitable pair exists, in which case the attempt restarts;
+    so does a disconnected graph, up to _REGULAR_GRAPH_TRIES attempts.
     """
     if (num_vertices * degree) % 2:
         raise ValueError("num_vertices * degree must be even")
@@ -181,12 +183,12 @@ def random_regular_graph(num_vertices: int, degree: int, seed: int, require_conn
             stubs = leftover
         return pairs
 
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_GRAPH_TRIES):
         pairs = try_once()
         if pairs is None:
             continue
         g = Graph(num_vertices, tuple(sorted(pairs)))
-        if require_connected and len(g.components(range(g.num_edges))) != 1:
+        if len(g.components(range(g.num_edges))) != 1:
             continue
         return g
     raise RuntimeError("failed to generate a random regular graph; try another seed")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resoplus._bits import string_to_bits
+from resoplus._bits import parity, string_to_bits
 from resoplus.blocks import BlockLayout
 from resoplus.f2 import EMPTY, EnumerationCapError, FVec, enumerate_points, full_space, random_space, space_from_pairs
 from resoplus.gadget import (
@@ -107,6 +107,8 @@ def test_ip_gadget_table():
     g4 = ip_gadget(4)
     assert g4.table[0b1111] == 0  # 1*1 + 1*1
     assert len(g4.preimage(1)) == 6
+    assert g4.preimage(0) == tuple(v for v in range(16) if g4.table[v] == 0)
+    assert all(type(v) is int for v in g4.preimage(1))
     with pytest.raises(ValueError):
         ip_gadget(3)
 
@@ -168,6 +170,26 @@ def test_count_in_space_caps_cross_block_rows_only():
     assert count_in_space(unit, lay, g, FVec(lay.n, 0)) == 1
     assert count_in_space(unit, lay, g, FVec(lay.n, 1 << (lay.n - 1))) == 1
     assert count_in_space(unit, lay, g, FVec(lay.n, 1)) == 0
+    # the sampler reads the same block tables, so it has the same cap
+    rng = random.Random(0)
+    with pytest.raises(EnumerationCapError):
+        sample_in_space(sp, lay, g, FVec(lay.n, 0), rng)
+    assert sample_in_space(unit, lay, g, FVec(lay.n, 0), rng) == FVec(lay.width, 0)
+    assert sample_in_space(unit, lay, g, 1 << (lay.n - 1), rng) == FVec(lay.width, 1 << (lay.n - 1))
+
+
+def test_sample_in_space_on_an_all_local_codim_24_space():
+    # 24 unit rows on 2 x IP_12 fix a single point; every row is local, so m = 0
+    lay, g = BlockLayout(2, 12), ip_gadget(12)
+    rng = random.Random(24)
+    x0 = rng.getrandbits(lay.width)
+    space = space_from_pairs(lay.width, [(1 << j, (x0 >> j) & 1) for j in range(lay.width)])
+    assert space.codim == 24
+    z = lift_eval(g, lay, FVec(lay.width, x0))
+    assert sample_in_space(space, lay, g, z, rng) == FVec(lay.width, x0)
+    assert sample_in_space(space, lay, g, {1: z.get(1)}, rng) == FVec(lay.width, x0)
+    with pytest.raises(EmptySupportError):
+        sample_in_space(space, lay, g, z.bits ^ 1, rng)
 
 
 def _brute_count(space, lay, g, target) -> int:
@@ -222,7 +244,7 @@ def test_counts_in_space_matches_enumeration(instance):
         return
     assert counts == [_brute_count(space, lay, g, z) for z in targets]
     assert counts == [count_in_space(space, lay, g, z) for z in targets]
-    # all-full targets take the bit-unpack path, mappings the per-target one
+    # a full target counts as the mapping that fixes every block
     full = [z for z in targets if isinstance(z, FVec)]
     assert counts_in_space(space, lay, g, full) == counts_in_space(
         space, lay, g, [{i: z.get(i) for i in range(lay.n)} for z in full]
@@ -240,6 +262,32 @@ def test_counts_in_space_rejects_a_full_target_of_another_width():
 def test_counts_in_space_rejects_an_int_target_out_of_range(targets):
     with pytest.raises(ValueError):
         counts_in_space(full_space(4), BlockLayout(2, 2), ip_gadget(2), targets)
+
+
+def test_empty_space_checks_layout_and_targets_first():
+    lay, rng = BlockLayout(2, 2), random.Random(0)
+    assert counts_in_space(EMPTY, lay, ip_gadget(2), [0, FVec(2, 3), {1: 0}]) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        count_in_space(EMPTY, lay, ip_gadget(4), FVec(2, 0))
+    with pytest.raises(ValueError):
+        count_in_space(EMPTY, lay, ip_gadget(2), FVec(3, 0))
+    with pytest.raises(ValueError):
+        sample_in_space(EMPTY, lay, ip_gadget(4), 0, rng)
+    with pytest.raises(ValueError):
+        sample_in_space(EMPTY, lay, ip_gadget(2), {2: 0}, rng)
+    with pytest.raises(EmptySupportError):
+        sample_in_space(EMPTY, lay, ip_gadget(2), 0, rng)
+
+
+@pytest.mark.parametrize("space", [EMPTY, full_space(4)])
+def test_an_int_target_out_of_range_has_one_message(space):
+    lay, g = BlockLayout(2, 2), ip_gadget(2)
+    with pytest.raises(ValueError, match="target out of range for the number of blocks"):
+        counts_in_space(space, lay, g, [0b100])
+    with pytest.raises(ValueError, match="target out of range for the number of blocks"):
+        sample_in_space(space, lay, g, 0b100, random.Random(0))
+    with pytest.raises(ValueError, match="target out of range for the number of blocks"):
+        count_preimages(g, lay, -1)
 
 
 def test_counts_in_space_past_62_bits_is_exact():
@@ -302,6 +350,89 @@ def _seeded_draws() -> str:
 def test_seeded_draws_are_pinned():
     # recorded with the earlier sampler, which combined the per-block tables by direct XOR-convolution
     assert _seeded_draws() == "c1c69fd05c52985e"
+
+
+def _sample_over_every_row(space, lay, g, target, rng) -> FVec:
+    """The sampler as it was: every row of the space, local or not, is a
+    syndrome bit, each block's table runs over the whole class of z_i, and the
+    suffix tables are direct XOR-convolutions."""
+    if space is EMPTY:
+        raise EmptySupportError("empty space")
+    if isinstance(target, int):
+        target = FVec(lay.n, target)
+    fixed = dict(target) if isinstance(target, dict) else {i: target.get(i) for i in range(lay.n)}
+    size = 1 << space.codim
+    blocks = []  # per block: its candidate values, ascending, and their syndromes
+    for i in range(lay.n):
+        values = [v for v in range(1 << lay.b) if i not in fixed or g.table[v] == fixed[i]]
+        syn = [sum(parity(lay.block_value(form, i) & v) << j for j, (form, _) in enumerate(space.rows)) for v in values]
+        blocks.append((values, syn))
+    counts = [[syn.count(s) for s in range(size)] for _, syn in blocks]
+    suffix = [[1] + [0] * (size - 1)]
+    for i in reversed(range(lay.n)):
+        after = suffix[0]
+        suffix.insert(0, [sum(counts[i][s] * after[t ^ s] for s in range(size)) for t in range(size)])
+    need = sum(bit << j for j, (_, bit) in enumerate(space.rows))
+    if suffix[0][need] == 0:
+        raise EmptySupportError("no point matches")
+    bits = 0
+    for i, (values, syn) in enumerate(blocks):
+        weights = [counts[i][s] * suffix[i + 1][need ^ s] for s in range(size)]
+        pick = rng.randrange(sum(weights))
+        s = 0
+        while pick >= weights[s]:
+            pick -= weights[s]
+            s += 1
+        members = [v for v, t in zip(values, syn) if t == s]
+        bits |= members[rng.randrange(len(members))] << (i * lay.b)
+        need ^= s
+    return FVec(lay.width, bits)
+
+
+@st.composite
+def sampling_instances(draw):
+    """2-3 blocks of b <= 4, a space of local and cross-block rows (EMPTY at times), 1-4 targets."""
+    n, b = draw(st.integers(2, 3)), draw(st.sampled_from([1, 2, 3, 4]))
+    lay = BlockLayout(n, b)
+    g = _gadgets(draw, b)
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        first, last = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        form = draw(st.integers(1, (1 << b) - 1)) << (first * b)
+        if draw(st.booleans()):  # a cross row: a bit in a later block too, and any bits below it
+            below = draw(st.integers(0, (1 << (last * b)) - 1))
+            form |= (1 << (last * b + draw(st.integers(0, b - 1)))) | below
+        pairs.append((form, draw(st.integers(0, 1))))
+    space = space_from_pairs(lay.width, pairs)
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fvec", "int", "mapping"]))
+        if kind == "mapping":
+            blocks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            targets.append({i: draw(st.integers(0, 1)) for i in blocks})
+        else:
+            bits = draw(st.integers(0, (1 << n) - 1))
+            targets.append(FVec(n, bits) if kind == "fvec" else bits)
+    return lay, g, space, targets
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sampling_instances(), st.integers(0, 2**32))
+def test_sample_in_space_matches_the_every_row_sampler_draw_for_draw(instance, seed):
+    # local rows only filter their block's candidates, so the draws that
+    # carry weight keep their order, weights and member lists
+    lay, g, space, targets = instance
+    for z in targets:
+        rng1, rng2 = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            try:
+                want = _sample_over_every_row(space, lay, g, z, rng2)
+            except EmptySupportError:
+                with pytest.raises(EmptySupportError):
+                    sample_in_space(space, lay, g, z, rng1)
+                break
+            assert sample_in_space(space, lay, g, z, rng1) == want
+        assert rng1.random() == rng2.random()
 
 
 def test_sample_in_space_uniform():
