@@ -74,7 +74,7 @@ def cmd_gen_graph(args) -> int:
 
 def cmd_metrics(args) -> int:
     g = tseitin.Graph.from_file(args.graph)
-    m = tseitin.expander_metrics(g, cheeger_cap=args.cheeger_cap)
+    m = tseitin.expander_metrics(g)
     lines = [
         f"vertex_count: {g.num_vertices}",
         f"edge_count: {g.num_edges}",
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("metrics", help="spectral and Cheeger expansion metrics")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--cheeger-cap", type=int, default=tseitin.CHEEGER_SWEEP_CAP)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_metrics)
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import f2
 from .f2 import AffineSpace, FVec, space_from_pairs
-from .tseitin import EdgePartialAssignment, Graph, analyze_partial, residues
+from .tseitin import EdgePartialAssignment, Graph, analyze_partial
 
 
 class InvalidAssignmentError(Exception):
@@ -127,7 +127,7 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     if odd is None:
         raise RuntimeError("a valid assignment has exactly one odd component")
     root = sorted(odd)[rng.randrange(len(odd))]
-    values = rho.as_dict()
+    values: dict[int, int] = {}  # the free edges' drawn and solved bits
     comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
     comp_edges: list[list[int]] = [[] for _ in analysis.components]
     for k in rho.free_edges():
@@ -142,7 +142,7 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
             if k not in tree_edges:
                 values[k] = rng.getrandbits(1)
         _solve_tree_edges(g, set(edges), order, parent_edge, analysis.f_rho, values)
-    bits = 0
+    bits = rho.bits
     for k, bit in values.items():
         bits |= bit << k
     return RootedSample(FVec(g.num_edges, bits), root, rho)
@@ -173,7 +173,7 @@ def root_space(rho: EdgePartialAssignment, v: int) -> tuple[AffineSpace, list[in
     g = rho.graph
     free = rho.free_edges()
     pos = {k: i for i, k in enumerate(free)}
-    f = residues(g, rho.as_dict())
+    f = rho.analysis.f_rho
     pairs = []
     for u in range(g.num_vertices):
         form = 0
@@ -247,7 +247,7 @@ def exact_root_distribution(
         raise InconsistentConditionError("condition breaks the single-odd-component structure")
     c1 = comb_analysis.odd_components[0]
 
-    f = residues(g, rho.as_dict())
+    f = analysis.f_rho
     rows = []
     for u in range(g.num_vertices):
         form = 0

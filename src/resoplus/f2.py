@@ -59,15 +59,10 @@ class FVec:
 
 
 def rank_of_rows(rows: Sequence[int]) -> int:
-    """Rank of int-bitset rows via elimination on the lowest set bit."""
-    basis: list[int] = []
+    """Rank of int-bitset rows: the size of their tagged echelon basis."""
+    basis: list[tuple[int, int, int]] = []
     for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
+        _tagged_insert(basis, row, 0)
     return len(basis)
 
 

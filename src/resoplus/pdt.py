@@ -294,9 +294,6 @@ def _rooted_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -
     free = rho.free_edges()
     if len(free) > cap:
         raise f2.EnumerationCapError(f"{len(free)} free edges exceed support cap {cap}")
-    fixed_bits = 0
-    for k, bit in rho.entries:
-        fixed_bits |= bit << k
     # spread[j][byte]: the edge bits of the free coordinates 8j..8j+7 set in byte
     spread = []
     for j in range(0, len(free), 8):
@@ -309,7 +306,7 @@ def _rooted_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -
         if order != free:
             raise RuntimeError("a root space is not over the free edges in ascending order")
         for pt in points_array(space, cap=cap).tolist():
-            z = fixed_bits
+            z = rho.bits
             for j, table in enumerate(spread):
                 z |= table[(pt >> (8 * j)) & 0xFF]
             yield v, z

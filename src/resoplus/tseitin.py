@@ -29,6 +29,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise ValueError("vertex count must be nonnegative")
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -84,23 +86,21 @@ class Graph:
 
     def components(self, free_edges: Iterable[int]) -> list[frozenset[int]]:
         """Connected components of (V, given edge subset), sorted by least vertex."""
-        parent = list(range(self.num_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in free_edges:
-            u, v = self.edges[k]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: dict[int, set[int]] = {}
-        for v in range(self.num_vertices):
-            groups.setdefault(find(v), set()).add(v)
-        return sorted((frozenset(g) for g in groups.values()), key=min)
+        free = set(free_edges)
+        seen = [False] * self.num_vertices
+        out = []
+        for start in range(self.num_vertices):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for u in comp:  # comp grows while it is walked
+                for k, w in self._incidence[u]:
+                    if not seen[w] and k in free:
+                        seen[w] = True
+                        comp.append(w)
+            out.append(frozenset(comp))
+        return out
 
     def to_text(self) -> str:
         lines = [f"v {self.num_vertices}"]
@@ -202,18 +202,19 @@ class ExpanderMetrics:
     worst_cut_ratio: float | None
 
 
-def expander_metrics(g: Graph, cheeger_cap: int = CHEEGER_SWEEP_CAP) -> ExpanderMetrics:
+def expander_metrics(g: Graph) -> ExpanderMetrics:
     """Normalized second adjacency eigenvalue plus the exhaustive Cheeger sweep.
 
     cheeger_ok asserts every cut (S, V-S) has at least d/5 * min(|S|, |V|-|S|)
-    edges; the sweep covers all 2^(|V|-1) cuts and is skipped above the cap.
+    edges; the sweep covers all 2^(|V|-1) cuts and is skipped above
+    CHEEGER_SWEEP_CAP vertices.
     """
     d = g.degree_if_regular()
     if d is None:
         raise ValueError("expander metrics require a regular graph")
     eigs = np.linalg.eigvalsh(g.adjacency())
     lam = float(max(abs(eigs[0]), abs(eigs[-2]))) / d if g.num_vertices > 1 else 0.0
-    if g.num_vertices > cheeger_cap:
+    if g.num_vertices > CHEEGER_SWEEP_CAP:
         return ExpanderMetrics(d, lam, None, None)
     nv = g.num_vertices
     masks = np.arange(1, 1 << (nv - 1), dtype=np.uint64)
@@ -282,55 +283,78 @@ def emit_dimacs(formula: Cnf | TseitinCnf, path) -> None:
 
 @dataclass(frozen=True)
 class EdgePartialAssignment:
-    """A {0,1,*} assignment to edges, stored as sorted (edge, bit) pairs."""
+    """A {0,1,*} assignment to edges: bit k of mask fixes edge k to bit k of bits."""
 
     graph: Graph
-    entries: tuple[tuple[int, int], ...]
+    mask: int
+    bits: int
 
     def __post_init__(self):
-        seen = set()
-        for k, bit in self.entries:
-            if not 0 <= k < self.graph.num_edges:
-                raise ValueError("edge index out of range")
-            if bit not in (0, 1):
-                raise ValueError("fixed values must be bits")
-            if k in seen:
-                raise ValueError("duplicate edge")
-            seen.add(k)
-        if tuple(sorted(self.entries)) != self.entries:
-            raise ValueError("entries must be sorted by edge index")
+        if not 0 <= self.mask < 1 << self.graph.num_edges:
+            raise ValueError("edge index out of range")
+        if self.bits & ~self.mask:
+            raise ValueError("values must lie on fixed edges")
 
     @classmethod
     def empty(cls, g: Graph) -> "EdgePartialAssignment":
-        return cls(g, ())
+        return cls(g, 0, 0)
 
     @classmethod
     def from_dict(cls, g: Graph, values: Mapping[int, int]) -> "EdgePartialAssignment":
-        return cls(g, tuple(sorted(values.items())))
+        mask = bits = 0
+        for k, bit in values.items():
+            if not 0 <= k < g.num_edges:
+                raise ValueError("edge index out of range")
+            if bit not in (0, 1):
+                raise ValueError("fixed values must be bits")
+            mask |= 1 << k
+            bits |= bit << k
+        return cls(g, mask, bits)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The (edge, bit) pairs of the fixed edges, in ascending edge order."""
+        return tuple((k, self.bits >> k & 1) for k in range(self.graph.num_edges) if self.mask >> k & 1)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
-    @property
-    def fixed_edges(self) -> frozenset[int]:
-        return frozenset(k for k, _ in self.entries)
-
     def free_edges(self) -> list[int]:
-        fixed = self.fixed_edges
-        return [k for k in range(self.graph.num_edges) if k not in fixed]
+        return [k for k in range(self.graph.num_edges) if not self.mask >> k & 1]
 
     def extend(self, values: Mapping[int, int]) -> "EdgePartialAssignment":
-        merged = self.as_dict()
-        for k, bit in values.items():
-            if k in merged and merged[k] != bit:
-                raise ValueError(f"edge {k} already fixed to {merged[k]}")
-            merged[k] = bit
-        return EdgePartialAssignment.from_dict(self.graph, merged)
+        new = EdgePartialAssignment.from_dict(self.graph, values)
+        clash = self.mask & new.mask & (self.bits ^ new.bits)
+        if clash:
+            k = next(k for k in values if clash >> k & 1)
+            raise ValueError(f"edge {k} already fixed to {self.bits >> k & 1}")
+        return EdgePartialAssignment(self.graph, self.mask | new.mask, self.bits | new.bits)
 
     def unfix(self, edge: int) -> "EdgePartialAssignment":
         values = self.as_dict()
         values.pop(edge)
         return EdgePartialAssignment.from_dict(self.graph, values)
+
+    @cached_property
+    def analysis(self) -> "PartialAnalysis":
+        """Components, parity residues and validity; computed once per assignment.
+
+        Valid means: exactly one component of the free-edge graph has odd residue
+        sum, and that component contains more than half of the vertices.
+        """
+        g = self.graph
+        f = [1] * g.num_vertices  # f(v) = 1 + sum of fixed incident edge values, mod 2
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            u, v = g.edges[low.bit_length() - 1]
+            f[u] ^= 1
+            f[v] ^= 1
+            bits ^= low
+        comps = g.components(self.free_edges())
+        odd = tuple(c for c in comps if sum(f[v] for v in c) & 1)
+        valid = len(odd) == 1 and 2 * len(odd[0]) > g.num_vertices
+        return PartialAnalysis(tuple(comps), tuple(f), odd, valid)
 
     def to_text(self) -> str:
         return "".join(f"{k} {bit}\n" for k, bit in self.entries)
@@ -368,25 +392,8 @@ class PartialAnalysis:
         return self.odd_components[0] if len(self.odd_components) == 1 else None
 
 
-def residues(g: Graph, values: Mapping[int, int]) -> list[int]:
-    """f(v) = 1 + sum of fixed incident edge values, mod 2."""
-    f = [1] * g.num_vertices
-    for k, bit in values.items():
-        u, v = g.edges[k]
-        f[u] ^= bit
-        f[v] ^= bit
-    return f
-
-
 def analyze_partial(g: Graph, rho: EdgePartialAssignment) -> PartialAnalysis:
-    """Components, parity residues and validity of a partial edge assignment.
-
-    Valid means: exactly one component of the free-edge graph has odd residue
-    sum, and that component contains more than half of the vertices.
-    """
-    values = rho.as_dict()
-    f = residues(g, values)
-    comps = g.components(rho.free_edges())
-    odd = tuple(c for c in comps if sum(f[v] for v in c) % 2 == 1)
-    valid = len(odd) == 1 and 2 * len(odd[0]) > g.num_vertices
-    return PartialAnalysis(tuple(comps), tuple(f), odd, valid)
+    """The analysis of a partial edge assignment over g; see EdgePartialAssignment.analysis."""
+    if g is not rho.graph and g != rho.graph:
+        raise ValueError("the assignment is over another graph")
+    return rho.analysis

@@ -212,6 +212,7 @@ def test_missing_seed_is_usage_error(capsys):
         (["root-dist", "--graph", "{k5}", "--rho", "{isolated0}"], "InvalidAssignmentError"),
         (["sample-dtfooling", "--graph", "{k5}", "--rho", "{isolated0}", "--seed", "1"], "InvalidAssignmentError"),
         (["root-dist", "--graph", "{k5}", "--condition", "{split}"], "InconsistentConditionError"),
+        (["gen-graph", "--graph", "{negative}"], "ValueError"),
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
@@ -228,9 +229,11 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
     # edges 0..8 all 0 leave vertices 0, 1 and 2 as separate odd components
     split = tmp_path / "split.rho"
     split.write_text("".join(f"{k} 0\n" for k in range(9)))
+    negative = tmp_path / "negative.graph"
+    negative.write_text("v -3\n")
     paths = {
         "empty": str(empty), "missing": str(tmp_path / "missing"), "dangling": str(dangling),
-        "k5": str(k5), "isolated0": str(isolated0), "split": str(split),
+        "k5": str(k5), "isolated0": str(isolated0), "split": str(split), "negative": str(negative),
     }
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
@@ -298,3 +301,22 @@ def test_ip_zero_is_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: ValueError: inner product needs an even arity >= 2\n"
+
+
+def test_cheeger_cap_flag_is_gone(tmp_path, capsys):
+    # the sweep always stops at CHEEGER_SWEEP_CAP; a larger cap asked numpy for TiBs
+    gpath = tmp_path / "k5.graph"
+    gpath.write_text(complete_graph(5).to_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--graph", str(gpath), "--cheeger-cap", "40"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error: resoplus: unrecognized arguments: --cheeger-cap 40\n"
+
+
+def test_negative_vertex_count_is_usage_error(capsys):
+    code = main(["gen-graph", "--type", "complete", "--vertices", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: vertex count must be nonnegative\n"

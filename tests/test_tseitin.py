@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,10 @@ def test_graph_validation():
         Graph(2, ((1, 0),))
     with pytest.raises(ValueError):
         Graph(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-3, ())
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_text("v -3\n")
     g = Graph.from_pairs(3, [(2, 0), (0, 1)])
     assert g.edges == ((0, 2), (0, 1))
 
@@ -74,7 +79,7 @@ def test_metrics_requires_regularity():
 
 def test_cheeger_sweep_skipped_above_cap():
     g = random_regular_graph(24, 3, seed=5)
-    m = expander_metrics(g, cheeger_cap=20)
+    m = expander_metrics(g)
     assert m.cheeger_ok is None
 
 
@@ -187,6 +192,96 @@ def test_analyze_partial_examples():
     # isolate vertex 0 violated: odd singleton, invalid
     pa = analyze_partial(g, EdgePartialAssignment.from_dict(g, dict.fromkeys(inc0, 0)))
     assert not pa.valid and frozenset({0}) in pa.odd_components
+
+
+@st.composite
+def graphs_with_values(draw):
+    """A random graph and a random {edge: bit} assignment to some of its edges."""
+    g = draw(random_graphs())
+    edges = st.integers(0, g.num_edges - 1) if g.num_edges else st.nothing()
+    return g, draw(st.dictionaries(edges, st.integers(0, 1))), draw(st.dictionaries(edges, st.integers(0, 1)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_with_values())
+def test_analysis_matches_networkx_and_residue_parity(case):
+    g, values, _ = case
+    n = g.num_vertices
+    free = [k for k in range(g.num_edges) if k not in values]
+    free_graph = nx.Graph()
+    free_graph.add_nodes_from(range(n))
+    free_graph.add_edges_from(g.edges[k] for k in free)
+    want = sorted((frozenset(c) for c in nx.connected_components(free_graph)), key=min)
+    assert g.components(free) == want
+    residue = [(1 + sum(bit for k, bit in values.items() if v in g.edges[k])) % 2 for v in range(n)]
+    odd = tuple(c for c in want if sum(residue[v] for v in c) % 2)
+    pa = analyze_partial(g, EdgePartialAssignment.from_dict(g, values))
+    assert pa.components == tuple(want)
+    assert pa.f_rho == tuple(residue)
+    assert pa.odd_components == odd
+    assert pa.valid == (len(odd) == 1 and 2 * len(odd[0]) > n)
+
+
+def _dict_extend(base, values):
+    """extend's dict semantics: merge, refusing a value that contradicts a fixed one."""
+    merged = dict(base)
+    for k, bit in values.items():
+        if k in merged and merged[k] != bit:
+            raise ValueError(f"edge {k} already fixed to {merged[k]}")
+        merged[k] = bit
+    return merged
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_with_values())
+def test_partial_assignment_follows_dict_semantics(case):
+    g, base, more = case
+    rho = EdgePartialAssignment.from_dict(g, base)
+    assert rho.as_dict() == base
+    assert rho.entries == tuple(sorted(base.items()))
+    assert rho.free_edges() == [k for k in range(g.num_edges) if k not in base]
+    assert EdgePartialAssignment.from_text(g, rho.to_text()) == rho
+    parent_analysis = rho.analysis
+    try:
+        want = _dict_extend(base, more)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            rho.extend(more)
+    else:
+        child = rho.extend(more)
+        assert child.as_dict() == want
+        assert child.analysis == EdgePartialAssignment.from_dict(g, want).analysis
+    assert rho.analysis is parent_analysis
+    for k in base:
+        assert rho.unfix(k).as_dict() == {e: bit for e, bit in base.items() if e != k}
+    for k in rho.free_edges():
+        with pytest.raises(KeyError):
+            rho.unfix(k)
+
+
+def test_each_assignment_is_analysed_once():
+    g = complete_graph(5)
+    rho = EdgePartialAssignment.from_dict(g, {0: 1, 4: 0})
+    assert analyze_partial(g, rho) is analyze_partial(g, rho)
+    # an equal graph built apart is the same graph
+    assert analyze_partial(complete_graph(5), rho) is rho.analysis
+
+
+def test_partial_assignment_rejects_malformed_ints():
+    g = complete_graph(5)
+    rho = EdgePartialAssignment.from_dict(g, {0: 1})
+    with pytest.raises(ValueError, match="another graph"):
+        analyze_partial(cycle_graph(5), rho)
+    with pytest.raises(ValueError, match="fixed edges"):
+        EdgePartialAssignment(g, 0b01, 0b10)  # a value on free edge 1
+    with pytest.raises(ValueError, match="out of range"):
+        EdgePartialAssignment(g, 1 << g.num_edges, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        EdgePartialAssignment(g, -1, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        EdgePartialAssignment.from_dict(g, {g.num_edges: 0})
+    with pytest.raises(ValueError, match="bits"):
+        EdgePartialAssignment.from_dict(g, {0: 2})
 
 
 def test_graph_and_partial_file_round_trip(tmp_path):
