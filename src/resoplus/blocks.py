@@ -9,6 +9,12 @@ of blocks whose removal restores safety; it is read off the certificate of
 the matroid intersection that decides safety, with no cap on the block
 count.  The amortized closure is the lexicographically largest block set that
 admits one independent column per block.
+
+One engine decides safety and closure: `ClosureTable`, a column table that
+grows by appending rows and warm-starts each intersection from the maximum
+solution of the table it was extended from.  `closure` and `is_safe` are the
+empty table extended by the given rows; `pdt.block_complete` carries one
+table down each path of the transformed tree.
 """
 from __future__ import annotations
 
@@ -75,24 +81,6 @@ def project_rows(rows: Sequence[int], layout: BlockLayout, kept_blocks: Sequence
             new |= ((row >> (blk * layout.b)) & bmask) << (pos * layout.b)
         out.append(new)
     return out
-
-
-def _nonzero_columns(rows: Sequence[int], layout: BlockLayout) -> dict[int, list[tuple[int, int]]]:
-    """Per block, ascending: list of (flat column index, column bitmask over row indices)."""
-    cols: dict[int, int] = {}
-    width = mask_bits(layout.width)
-    for r, row in enumerate(rows):
-        bit = 1 << r
-        row &= width
-        while row:
-            low = row & -row
-            c = low.bit_length() - 1
-            cols[c] = cols.get(c, 0) | bit
-            row ^= low
-    by_block: dict[int, list[tuple[int, int]]] = {}
-    for c in sorted(cols):
-        by_block.setdefault(layout.block_of(c), []).append((c, cols[c]))
-    return by_block
 
 
 def _independent(cols: Sequence[int]) -> bool:
@@ -176,34 +164,116 @@ def _augment(
     return new_solution, frozenset()
 
 
-def _max_one_per_block(rows: Sequence[int], layout: BlockLayout) -> tuple[list[tuple[int, int, int]], frozenset[int]]:
-    """Largest independent column set using at most one column per block,
-    with the blocks the final, failed augmenting-path search reached.
+class ClosureTable:
+    """The matroid column table of an append-only row set, with its last solution.
 
-    Augmentation starts from a greedy solution: in ground order, the first
-    column of each block that is independent of those already taken.
+    `extend` returns a new table and leaves this one as it was.  A row in the
+    span of the rows before it is skipped: it changes no dependency among the
+    columns.  Every other row sets its own bit, k for the k-th kept row, in
+    the mask of each column it touches.  Appending rows only adds coordinates
+    to the column masks, so an independent column set stays independent: a
+    table hands the maximum one-per-block solution of its closure to the
+    tables extended from it, as their warm start (Cunningham, SIAM J.
+    Comput. 1986).
     """
-    ground = _nonzero_columns(rows, layout)
-    solution: list[tuple[int, int, int]] = []
-    basis: list[tuple[int, int, int]] = []
-    for blk, cols in ground.items():
-        for c, m in cols:
-            if _tagged_insert(basis, m, 1 << len(solution))[0]:
-                solution.append((blk, c, m))
-                break
-    while True:
-        bigger, reached = _augment(solution, ground)
-        if bigger is None:
-            return solution, reached
-        solution = bigger
+
+    __slots__ = ("layout", "_basis", "_cols", "_warm", "_solved")
+
+    def __init__(self, layout: BlockLayout):
+        self.layout = layout
+        self._basis: tuple[tuple[int, int, int], ...] = ()  # echelon basis of the kept rows, untagged
+        self._cols: dict[int, int] = {}  # flat column -> mask over the kept rows
+        self._warm: tuple[tuple[int, int], ...] = ()  # (block, column) pairs of an independent one-per-block set
+        self._solved: tuple[tuple[tuple[int, int], ...], frozenset[int]] | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self._basis)
+
+    def extend(self, rows: Iterable[int]) -> "ClosureTable":
+        """A new table holding these rows after this table's rows."""
+        width = self.layout.width
+        basis = list(self._basis)
+        cols = dict(self._cols)
+        for row in rows:
+            if row < 0 or row >> width:
+                raise ValueError("row does not fit the layout")
+            bit = 1 << len(basis)
+            if not _tagged_insert(basis, row, 0)[0]:
+                continue
+            while row:
+                low = row & -row
+                c = low.bit_length() - 1
+                cols[c] = cols.get(c, 0) | bit
+                row ^= low
+        table = ClosureTable(self.layout)
+        table._basis = tuple(basis)
+        table._cols = cols
+        table._warm = self._solved[0] if self._solved is not None else self._warm
+        return table
+
+    def ground(self) -> dict[int, list[tuple[int, int]]]:
+        """Per block, ascending: (flat column, column mask) of every nonzero column."""
+        b = self.layout.b
+        ground: dict[int, list[tuple[int, int]]] = {}
+        for c in sorted(self._cols):
+            ground.setdefault(c // b, []).append((c, self._cols[c]))
+        return ground
+
+    def closure(self) -> frozenset[int]:
+        """The minimal deviolator of the rows, read off the final augmenting-path search.
+
+        f(S) = dim{span vectors supported on S's columns} - |S| is supermodular
+        and every deviolator contains its least maximiser, so that is the
+        closure.  By the matroid-intersection min-max theorem, the blocks the
+        final, failed search reaches from the M1-addable columns form exactly
+        that least maximiser.  A solution of full rank leaves no column
+        M1-addable, so the closure is then empty with no search.
+        """
+        if self._solved is None:
+            self._solved = self._solve()
+        return self._solved[1]
+
+    def _solve(self) -> tuple[tuple[tuple[int, int], ...], frozenset[int]]:
+        """A maximum one-per-block independent column set, and the closure.
+
+        The warm solution is re-checked as it is loaded into an echelon basis;
+        unused blocks are then filled greedily, in column order, with the
+        first column independent of those taken.  Augmentation runs only
+        when that leaves the solution short of the rank.
+        """
+        cols, b, rank = self._cols, self.layout.b, len(self._basis)
+        echelon: list[tuple[int, int, int]] = []  # of the solution's column masks
+
+        def independent(c: int) -> bool:
+            return _tagged_insert(echelon, cols[c], 0)[0] != 0
+
+        solution = list(self._warm)
+        if not all(independent(c) for _, c in solution):
+            raise RuntimeError("a warm-start column is dependent on the others")
+        used = {blk for blk, _ in solution}
+        if len(solution) < rank:
+            for c in sorted(cols):
+                blk = c // b
+                if blk not in used and independent(c):
+                    solution.append((blk, c))
+                    used.add(blk)
+                    if len(solution) == rank:
+                        break
+        if len(solution) == rank:
+            return tuple(solution), frozenset()
+        ground = self.ground()
+        triples = [(blk, c, cols[c]) for blk, c in solution]
+        while True:
+            bigger, reached = _augment(triples, ground)
+            if bigger is None:
+                return tuple((blk, c) for blk, c, _ in triples), reached
+            triples = bigger
 
 
 def is_safe(rows: Sequence[int], layout: BlockLayout) -> bool:
-    """True iff rank-many independent columns exist in pairwise distinct blocks."""
-    r = rank_of_rows(rows)
-    if r == 0:
-        return True
-    return len(_max_one_per_block(rows, layout)[0]) == r
+    """True iff rank-many independent columns exist in pairwise distinct blocks: the closure is empty."""
+    return not closure(rows, layout)
 
 
 def is_deviolator(rows: Sequence[int], layout: BlockLayout, blocks: Iterable[int]) -> bool:
@@ -212,14 +282,8 @@ def is_deviolator(rows: Sequence[int], layout: BlockLayout, blocks: Iterable[int
 
 
 def closure(rows: Sequence[int], layout: BlockLayout) -> frozenset[int]:
-    """The minimal deviolator, read off the final augmenting-path search.
-
-    f(S) = dim{span vectors supported on S's columns} - |S| is supermodular and
-    every deviolator contains its least maximiser, so that is the closure.  By
-    the matroid-intersection min-max theorem, the blocks the final, failed
-    search reaches from the M1-addable columns form exactly that least maximiser.
-    """
-    return _max_one_per_block(rows, layout)[1]
+    """The minimal deviolator: `ClosureTable.closure` of the empty table extended by the rows."""
+    return ClosureTable(layout).extend(rows).closure()
 
 
 def blockset_sort_key(blocks: Iterable[int]) -> int:
@@ -248,7 +312,7 @@ def amortized_closure(rows: Sequence[int], layout: BlockLayout) -> tuple[frozens
     the indicator-number order.  The certificate pairs (block, flat column)
     have linearly independent columns, one per member block.
     """
-    ground = _nonzero_columns(rows, layout)
+    ground = ClosureTable(layout).extend(rows).ground()
     chosen: list[int] = []
     solution: list[tuple[int, int, int]] = []
     for i in range(layout.n - 1, -1, -1):
@@ -266,16 +330,25 @@ def amortized_closure(rows: Sequence[int], layout: BlockLayout) -> tuple[frozens
 # Brute-force references used as oracles by the property suites.
 
 
+def _columns_by_block(rows: Sequence[int], layout: BlockLayout) -> dict[int, list[int]]:
+    """Per block, ascending: the mask over row indices of every nonzero column, by definition."""
+    by_block: dict[int, list[int]] = {}
+    for c in range(layout.width):
+        col = sum(((row >> c) & 1) << r for r, row in enumerate(rows))
+        if col:
+            by_block.setdefault(layout.block_of(c), []).append(col)
+    return by_block
+
+
 def is_safe_bruteforce(rows: Sequence[int], layout: BlockLayout) -> bool:
     """Exhaustive column-choice form of the safety test."""
     r = rank_of_rows(rows)
     if r == 0:
         return True
-    by_block = _nonzero_columns(rows, layout)
-    blocks = sorted(by_block)
-    for combo in itertools.combinations(blocks, r):
+    by_block = _columns_by_block(rows, layout)
+    for combo in itertools.combinations(sorted(by_block), r):
         for pick in itertools.product(*[by_block[blk] for blk in combo]):
-            if _independent([m for _, m in pick]):
+            if _independent(pick):
                 return True
     return False
 
@@ -325,13 +398,13 @@ def closure_bruteforce(rows: Sequence[int], layout: BlockLayout) -> frozenset[in
 
 
 def acceptable_sets_bruteforce(rows: Sequence[int], layout: BlockLayout) -> list[frozenset[int]]:
-    by_block = _nonzero_columns(rows, layout)
+    by_block = _columns_by_block(rows, layout)
     blocks = sorted(by_block)
     out = [frozenset()]
     for size in range(1, len(blocks) + 1):
         for combo in itertools.combinations(blocks, size):
             ok = any(
-                _independent([m for _, m in pick])
+                _independent(pick)
                 for pick in itertools.product(*[by_block[blk] for blk in combo])
             )
             if ok:

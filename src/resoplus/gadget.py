@@ -481,6 +481,23 @@ def _has_empty_fibre(d: LiftedDistribution) -> bool:
     return any((not n0 and z != ones) or (not n1 and z != 0) for z, _ in d.base)
 
 
+def _sample_fibre(layout: BlockLayout, g: Gadget, z: int, rng) -> FVec:
+    """Uniform point of G^-1(z), drawn as `sample_in_space` draws it in the full space.
+
+    With no cross rows there is one syndrome, so each block first makes the
+    sampler's syndrome pick, a randrange over the fibre size of blocks i..n-1,
+    and then picks its value from g^-1(z_i).
+    """
+    classes = [g.class_values[(z >> i) & 1] for i in range(layout.n)]
+    rest = math.prod(len(values) for values in classes)
+    bits = 0
+    for i, values in enumerate(classes):
+        rng.randrange(rest)
+        bits |= int(values[rng.randrange(len(values))]) << (i * layout.b)
+        rest //= len(values)
+    return FVec(layout.width, bits)
+
+
 def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) -> FVec:
     """Exact conditioned sample from the lifted distribution.
 
@@ -489,14 +506,14 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     then the lifted point uniformly within the intersection; this equals
     rejection sampling from the lifted distribution conditioned on C.
     Unconditioned, the intersection is the whole fibre and the weight is
-    w(z) itself, so nothing is counted.
+    w(z) itself, so nothing is counted, and the point is drawn block by
+    block from the gadget's classes (`_sample_fibre`).
     """
     layout, g = d.layout, d.gadget
     if conditioning is None:
         if _has_empty_fibre(d):
             raise EmptyPreimageError("base point has an empty fiber")
-        z = d.base[_pick(d.totals, rng)][0]
-        return sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
+        return _sample_fibre(layout, g, d.base[_pick(d.totals, rng)][0], rng)
     zs = [z for z, _ in d.base]
     weights = []
     for (z, w), cnt in zip(d.base, counts_in_space(conditioning, layout, g, zs)):

@@ -22,10 +22,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import f2
-from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure, fixed_blocks
+from .blocks import BlockLayout, ClosureAssignment, ClosureTable, amortized_closure, fixed_blocks
 from ._bits import parity
 from .dtfooling import root_of, root_space, sample as dtf_sample
 from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
@@ -91,16 +92,16 @@ def random_linear_tree(width: int, depth: int, rng: random.Random) -> Pdt:
     """Complete tree of independent uniformly random nonzero forms."""
     if depth > 14:
         raise ValueError("random tree depth capped at 14")
+    return Pdt(width, _random_linear_node(width, depth, rng))
 
-    def build(d: int) -> PdtNode:
-        if d == 0:
-            return Leaf()
-        form = 0
-        while form == 0:
-            form = rng.getrandbits(width)
-        return Query(form, build(d - 1), build(d - 1))
 
-    return Pdt(width, build(depth))
+def _random_linear_node(width: int, depth: int, rng: random.Random) -> PdtNode:
+    if depth == 0:
+        return Leaf()
+    form = 0
+    while form == 0:
+        form = rng.getrandbits(width)
+    return Query(form, _random_linear_node(width, depth - 1, rng), _random_linear_node(width, depth - 1, rng))
 
 
 def run_pdt(t: Pdt, x: int, steps: int | None = None) -> tuple[PdtNode, AffineSpace]:
@@ -137,7 +138,8 @@ def block_complete(
     every coordinate of those blocks (ascending), then the form.  After each
     stage the closure of the accumulated space equals the set of fully
     queried blocks, and the closure growth is bounded by one block per
-    original query.
+    original query.  Each path carries one closure table, extended by the
+    forms its stages add, so every closure starts from the last solution.
     """
     if a.width != layout.width or t.width != layout.width:
         raise ValueError("width mismatch")
@@ -149,50 +151,65 @@ def block_complete(
         base = base.with_equation(form, bit)
         if base is EMPTY:
             raise ValueError("closure assignment is not extendable in the space")
-    closed0 = closure(base.forms(), layout)
-    if not y.blocks <= closed0:
+    table = ClosureTable(layout).extend(base.forms())
+    if not y.blocks <= table.closure():
         raise ValueError("assignment blocks must be closed in the starting space")
+    return Pdt(layout.width, _descend(t.root, base, table, start_amortized + 1))
 
-    def stage(orig: Query, space: AffineSpace, closed: frozenset[int], stage_idx: int) -> PdtNode:
-        new_blocks = sorted(closure(space.forms() + (orig.form,), layout) - closed)
-        closed_next = closed | set(new_blocks)
+
+def _descend(node: PdtNode, space: AffineSpace, table: ClosureTable, limit: int) -> PdtNode:
+    """The block-completed subtree of an original node, reached with this space and table."""
+    if isinstance(node, Leaf):
+        return node
+    return _Stage(node, table, limit).fill(0, space)
+
+
+class _Stage:
+    """One original query on one path: the coordinates it fills, then the query.
+
+    The stage's table holds the forms of the space it starts from, whose
+    closure is the set of blocks queried so far; `check` adds the filled
+    coordinates and the query, and the next stage starts from it.  Lazy
+    children are partials of the stage's methods, so a dropped tree holds
+    no reference cycle.
+    """
+
+    __slots__ = ("orig", "coords", "closed", "check", "limit")
+
+    def __init__(self, orig: Query, table: ClosureTable, limit: int):
+        layout = table.layout
+        closed = table.closure()
+        grown = table.extend((orig.form,))
+        self.closed = closed | grown.closure()
         # |Cl| <= |amortized Cl| <= starting amortized closure + one per query
-        if len(closed_next) > start_amortized + stage_idx + 1:
+        if len(self.closed) > limit:
             raise AssertionError("closure grew faster than one block per query")
-        coords = [layout.flat(i, j) for i in new_blocks for j in range(layout.b)]
+        self.orig = orig
+        self.coords = [layout.flat(i, j) for i in sorted(self.closed - closed) for j in range(layout.b)]
+        self.check = grown.extend([1 << c for c in self.coords] + [orig.form])
+        self.limit = limit
 
-        def fill(pos: int, sp: AffineSpace) -> PdtNode:
-            if pos == len(coords):
-                return main_query(sp)
-            form = 1 << coords[pos]
+    def fill(self, pos: int, sp: AffineSpace) -> PdtNode:
+        if pos == len(self.coords):
+            return Query(self.orig.form, partial(self.query_kid, sp, 0), partial(self.query_kid, sp, 1), "stage-end")
+        form = 1 << self.coords[pos]
+        return Query(form, partial(self.fill_kid, pos, sp, 0), partial(self.fill_kid, pos, sp, 1), "block-fill")
 
-            def kid(bit: int):
-                nxt = sp.with_equation(form, bit)
-                if nxt is EMPTY:
-                    return Leaf("dead")
-                return fill(pos + 1, nxt)
+    def fill_kid(self, pos: int, sp: AffineSpace, bit: int) -> PdtNode:
+        nxt = sp.with_equation(1 << self.coords[pos], bit)
+        if nxt is EMPTY:
+            return Leaf("dead")
+        return self.fill(pos + 1, nxt)
 
-            return Query(form, lambda: kid(0), lambda: kid(1), note="block-fill")
-
-        def main_query(sp: AffineSpace) -> PdtNode:
-            def kid(bit: int):
-                nxt = sp.with_equation(orig.form, bit)
-                if nxt is EMPTY:
-                    return Leaf("dead")
-                if closure(nxt.forms(), layout) != closed_next:
-                    raise AssertionError("closure after a stage differs from the queried blocks")
-                return descend(orig.child(bit), nxt, closed_next, stage_idx + 1)
-
-            return Query(orig.form, lambda: kid(0), lambda: kid(1), note="stage-end")
-
-        return fill(0, space)
-
-    def descend(node: PdtNode, space: AffineSpace, closed: frozenset[int], stage_idx: int) -> PdtNode:
-        if isinstance(node, Leaf):
-            return node
-        return stage(node, space, closed, stage_idx)
-
-    return Pdt(layout.width, descend(t.root, base, closed0, 0))
+    def query_kid(self, sp: AffineSpace, bit: int) -> PdtNode:
+        nxt = sp.with_equation(self.orig.form, bit)
+        if nxt is EMPTY:
+            return Leaf("dead")
+        if self.check.rank != nxt.codim:
+            raise AssertionError("the closure table and the space of the path differ")
+        if self.check.closure() != self.closed:
+            raise AssertionError("closure after a stage differs from the queried blocks")
+        return _descend(self.orig.child(bit), nxt, self.check, self.limit + 1)
 
 
 @dataclass(frozen=True)

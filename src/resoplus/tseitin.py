@@ -117,6 +117,8 @@ class Graph:
                 continue
             parts = line.split()
             if parts[0] == "v":
+                if num is not None:
+                    raise ValueError(f"second vertex count line: {line!r}")
                 num = int(parts[1])
             elif parts[0] == "e":
                 pairs.append((int(parts[1]), int(parts[2])))
@@ -367,6 +369,8 @@ class EdgePartialAssignment:
             if not line or line.startswith("#"):
                 continue
             k_s, bit_s = line.split()
+            if int(k_s) in values:
+                raise ValueError(f"edge {int(k_s)} is fixed twice, again by line {line!r}")
             values[int(k_s)] = int(bit_s)
         return cls.from_dict(g, values)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from resoplus.blocks import (
     BlockLayout,
+    _augment,
     _coordinates,
     _exchangeable,
-    _nonzero_columns,
     ClosureAssignment,
+    ClosureTable,
     NotExtendableError,
     amortized_closure,
     amortized_closure_bruteforce,
@@ -30,7 +32,15 @@ from resoplus.blocks import (
     substitute,
 )
 from resoplus._bits import parity
-from resoplus.f2 import EMPTY, enumerate_points, full_space, rank_of_rows, sample_point, space_from_pairs
+from resoplus.f2 import (
+    EMPTY,
+    _tagged_insert,
+    enumerate_points,
+    full_space,
+    rank_of_rows,
+    sample_point,
+    space_from_pairs,
+)
 from resoplus.gadget import ip_gadget, sample_lifted
 from resoplus.pdt import Leaf, Pdt, Query, block_complete, coin_game, lifted_dtfooling_distribution
 from resoplus.tseitin import EdgePartialAssignment, cycle_graph
@@ -141,6 +151,112 @@ def test_exchange_coordinates_match_rank_definition(case):
             assert _exchangeable(coord, x) == (rank_of_rows(swapped) == len(solution))
 
 
+def _nonzero_columns(rows, layout):
+    """Per block, ascending: (flat column, mask over row indices), one pass over each row's bits."""
+    cols = {}
+    for r, row in enumerate(rows):
+        while row:
+            low = row & -row
+            c = low.bit_length() - 1
+            cols[c] = cols.get(c, 0) | (1 << r)
+            row ^= low
+    by_block = {}
+    for c in sorted(cols):
+        by_block.setdefault(layout.block_of(c), []).append((c, cols[c]))
+    return by_block
+
+
+def closure_from_scratch(rows, layout):
+    """The closure as the engine computed it before it kept a table: a fresh
+    column table and greedy start on every call, then augmentation until the
+    final, failed search."""
+    ground = _nonzero_columns(rows, layout)
+    solution, basis = [], []
+    for blk, cols in ground.items():
+        for c, m in cols:
+            if _tagged_insert(basis, m, 1 << len(solution))[0]:
+                solution.append((blk, c, m))
+                break
+    while True:
+        bigger, reached = _augment(solution, ground)
+        if bigger is None:
+            return reached
+        solution = bigger
+
+
+def _subsets_up_to(n, size):
+    return sum(math.comb(n, k) for k in range(size + 1))
+
+
+@st.composite
+def append_chains(draw):
+    """A layout and a chain of row batches: local forms, cross-block forms,
+    rows dependent on those before them, and whole-block coordinate fills."""
+    lay = BlockLayout(draw(st.integers(1, 14)), draw(st.sampled_from([2, 3, 4])))
+    n, b = lay.n, lay.b
+    block, value = st.integers(0, n - 1), st.integers(1, (1 << b) - 1)
+    local = st.builds(lambda i, v: ("rows", [v << (i * b)]), block, value)
+    cross = st.builds(
+        lambda blks, vs: ("rows", [sum(v << (i * b) for i, v in zip(blks, vs))]),
+        st.lists(block, min_size=2, max_size=3, unique=True) if n > 1 else st.just([0]),
+        st.lists(value, min_size=3, max_size=3),
+    )
+    fill = st.builds(lambda i: ("rows", [1 << lay.flat(i, j) for j in range(b)]), block)
+    dependent = st.builds(lambda pick: ("dependent", pick), st.integers(0, 2**16 - 1))
+    step = st.one_of(local, local, cross, cross, fill, dependent)
+    return lay, draw(st.lists(st.lists(step, min_size=1, max_size=3), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(append_chains())
+def test_table_chains_match_oracles(case):
+    lay, chain = case
+    table = ClosureTable(lay)
+    rows = []
+    for batch in chain:
+        new = []
+        for kind, arg in batch:
+            if kind == "rows":
+                new += arg
+            else:  # a sum of earlier rows: in the span, so it must change nothing
+                earlier = rows + new
+                new.append(0)
+                for k, row in enumerate(earlier):
+                    if (arg >> (k % 16)) & 1:
+                        new[-1] ^= row
+        parent, parent_closure, parent_rank = table, table.closure(), table.rank
+        table = table.extend(new)
+        rows += new
+        # extending leaves the parent as it was
+        assert (parent.closure(), parent.rank) == (parent_closure, parent_rank)
+        assert table.rank == rank_of_rows(rows)
+        cl = table.closure()
+        assert cl == closure_from_scratch(rows, lay)
+        if _subsets_up_to(lay.n, len(cl)) <= 1500:
+            assert cl == closure_bruteforce(rows, lay)
+        if lay.n <= 6:
+            assert is_safe(rows, lay) == (not cl) == is_safe_bruteforce(rows, lay)
+
+
+def test_a_dependent_warm_start_is_caught():
+    # appending rows keeps a solution independent, so a dependent warm start is a broken table
+    lay = BlockLayout(3, 2)
+    table = ClosureTable(lay).extend([unit(lay, 0, 0) | unit(lay, 1, 0), unit(lay, 2, 0)])
+    assert table.closure() == frozenset()
+    child = table.extend([unit(lay, 1, 1)])
+    child._warm = ((0, lay.flat(0, 0)), (1, lay.flat(1, 0)))  # the same column mask twice
+    with pytest.raises(RuntimeError, match="warm-start"):
+        child.closure()
+
+
+def test_table_rejects_rows_wider_than_the_layout():
+    lay = BlockLayout(2, 2)
+    with pytest.raises(ValueError):
+        ClosureTable(lay).extend([1 << lay.width])
+    with pytest.raises(ValueError):
+        ClosureTable(lay).extend([-1])
+
+
 def relabel(rows, lay, perm):
     """Move block i of every row to block perm[i]."""
     return [
@@ -208,6 +324,43 @@ def _pinned_results():
         t = coin_game(tprime, lay, g, rho, sampler, Fraction(1), rng)
         parts.append(f"{t.root},{t.outcome},{t.total_paid},{len(t.steps)}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
+
+
+def test_block_complete_stages_match_from_scratch_closures():
+    # each stage fills exactly the blocks that the query adds to the closure of
+    # the space the stage starts from, computed afresh for every stage
+    rng = random.Random(13)
+    for trial in range(60):
+        lay = BlockLayout(rng.randint(2, 6), rng.randint(2, 3))
+        x0 = rng.getrandbits(lay.width)
+        forms = [_local_row(rng, lay) for _ in range(rng.randint(0, 3))]
+        a = space_from_pairs(lay.width, [(f, parity(f & x0)) for f in forms])
+        y = ClosureAssignment.from_point(lay, closure(a.forms(), lay), x0)
+        base = space_from_pairs(lay.width, list(a.rows) + y.coordinate_pairs())
+        tprime = block_complete(Pdt(lay.width, _local_tree(lay, 5, rng)), lay, a, y)
+        for x in [x0] + [sample_point(base, rng).bits for _ in range(6)]:
+            node, space, start = tprime.root, base, base
+            closed = closure(base.forms(), lay)
+            filled = []
+            while isinstance(node, Query):
+                if node.note == "block-fill":
+                    filled.append(lay.block_of(node.form.bit_length() - 1))
+                else:
+                    rows = start.forms() + (node.form,)
+                    grown = closure(rows, lay)
+                    assert grown == closure_from_scratch(rows, lay)
+                    if lay.n <= 4:
+                        assert grown == closure_bruteforce(rows, lay)
+                    new = sorted(grown - closed)
+                    assert filled == [i for i in new for _ in range(lay.b)]
+                    closed |= grown
+                    filled = []
+                space = space.with_equation(node.form, parity(node.form & x))
+                if node.note == "stage-end":
+                    start = space
+                    assert closure(space.forms(), lay) == closed
+                node = node.child(parity(node.form & x))
+            assert node.tag != "dead"
 
 
 def test_closure_results_are_pinned():

@@ -213,6 +213,10 @@ def test_missing_seed_is_usage_error(capsys):
         (["sample-dtfooling", "--graph", "{k5}", "--rho", "{isolated0}", "--seed", "1"], "InvalidAssignmentError"),
         (["root-dist", "--graph", "{k5}", "--condition", "{split}"], "InconsistentConditionError"),
         (["gen-graph", "--graph", "{negative}"], "ValueError"),
+        (["root-dist", "--graph", "{k5}", "--rho", "{twice}"], "ValueError"),
+        (["root-dist", "--graph", "{k5}", "--condition", "{twice}"], "ValueError"),
+        (["sample-dtfooling", "--graph", "{k5}", "--rho", "{twice}", "--seed", "1"], "ValueError"),
+        (["gen-graph", "--graph", "{two_counts}"], "ValueError"),
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
@@ -231,9 +235,15 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
     split.write_text("".join(f"{k} 0\n" for k in range(9)))
     negative = tmp_path / "negative.graph"
     negative.write_text("v -3\n")
+    # a second line for one edge, or a second vertex count, is an error, not an override
+    twice = tmp_path / "twice.rho"
+    twice.write_text("0 1\n0 0\n")
+    two_counts = tmp_path / "two_counts.graph"
+    two_counts.write_text("v 5\nv 3\ne 0 1\n")
     paths = {
         "empty": str(empty), "missing": str(tmp_path / "missing"), "dangling": str(dangling),
         "k5": str(k5), "isolated0": str(isolated0), "split": str(split), "negative": str(negative),
+        "twice": str(twice), "two_counts": str(two_counts),
     }
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()

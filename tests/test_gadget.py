@@ -36,6 +36,7 @@ from resoplus.gadget import (
     walsh_spectrum,
     walsh_spectrum_direct,
     _fwht_inplace,
+    _pick,
 )
 from resoplus.cnf import Cnf
 
@@ -345,6 +346,31 @@ def _seeded_draws() -> str:
             x = sample_lifted(LiftedDistribution(lay, g, base), space, rng)
         draws.append(f"{lay.width}:{x.bits:x}")
     return hashlib.sha256(",".join(draws).encode()).hexdigest()[:16]
+
+
+@st.composite
+def unconditioned_lifts(draw):
+    """A lifted distribution over IP_2, IP_4 or a random gadget with both classes nonempty."""
+    b = draw(st.integers(1, 4))
+    random_gadget = st.lists(st.integers(0, 1), min_size=1 << b, max_size=1 << b).filter(
+        lambda t: 0 < sum(t) < len(t)
+    ).map(lambda t: Gadget(b, tuple(t)))
+    g = draw(st.one_of(st.just(ip_gadget(2)), st.just(ip_gadget(4)), random_gadget))
+    lay = BlockLayout(draw(st.integers(0, 8)), g.b)
+    point = st.tuples(st.integers(0, (1 << lay.n) - 1), st.integers(1, 4))
+    return LiftedDistribution(lay, g, tuple(draw(st.lists(point, min_size=1, max_size=6))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(unconditioned_lifts(), st.integers(0, 2**32 - 1))
+def test_unconditioned_draw_is_the_full_space_sampler_draw_for_draw(d, seed):
+    # the closed form must consume the stream exactly as the full-space sampler does
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        x = sample_lifted(d, None, fast)
+        z = d.base[_pick(d.totals, slow)][0]
+        assert x == sample_in_space(full_space(d.layout.width), d.layout, d.gadget, z, slow)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_seeded_draws_are_pinned():

@@ -5,13 +5,16 @@ import weakref
 
 import pytest
 
-from resoplus.blocks import BlockLayout
+import random
+from fractions import Fraction
+
+from resoplus.blocks import BlockLayout, ClosureAssignment
 from resoplus.dtfooling import exact_root_distribution
-from resoplus.f2 import space_from_pairs
-from resoplus.gadget import ip_gadget
-from resoplus.pdt import exact_lifted_root_law
+from resoplus.f2 import full_space, space_from_pairs
+from resoplus.gadget import ip_gadget, sample_lifted
+from resoplus.pdt import block_complete, coin_game, exact_lifted_root_law, lifted_dtfooling_distribution, random_linear_tree
 from resoplus.resproof import ProofNode, check, pdt_refute
-from resoplus.tseitin import EdgePartialAssignment, complete_graph, random_regular_graph, tseitin_cnf
+from resoplus.tseitin import EdgePartialAssignment, complete_graph, cycle_graph, random_regular_graph, tseitin_cnf
 
 K5_CNF = tseitin_cnf(complete_graph(5)).cnf
 
@@ -35,11 +38,24 @@ def test_dropped_refutation_is_freed_by_refcount():
         gc.enable()
 
 
+def _lifted_games(trials: int = 20):
+    """Block-complete random trees over the 5-cycle lifted by IP_2 and play each one."""
+    c5 = EdgePartialAssignment.empty(cycle_graph(5))
+    layout, g = BlockLayout(5, 2), ip_gadget(2)
+    dist = lifted_dtfooling_distribution(layout, g, c5)
+    y = ClosureAssignment.from_dict(layout, {})
+    for i in range(trials):
+        rng = random.Random(i)
+        tprime = block_complete(random_linear_tree(layout.width, 6, rng), layout, full_space(layout.width), y)
+        coin_game(tprime, layout, g, c5, lambda r: sample_lifted(dist, None, r), Fraction(1), rng)
+
+
 def _cases():
     g7 = random_regular_graph(7, 4, 7)
     layout = BlockLayout(g7.num_edges, 2)
     k5 = EdgePartialAssignment.empty(complete_graph(5))
     return {
+        "block_complete+coin_game": _lifted_games,
         "pdt_refute": lambda: pdt_refute(K5_CNF),
         "check": lambda: check(pdt_refute(K5_CNF), K5_CNF),
         "exact_root_distribution": lambda: exact_root_distribution(k5, {0: 1, 3: 0}),

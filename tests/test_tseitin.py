@@ -284,6 +284,18 @@ def test_partial_assignment_rejects_malformed_ints():
         EdgePartialAssignment.from_dict(g, {0: 2})
 
 
+def test_text_inputs_reject_duplicate_lines():
+    # a later line used to override an earlier one without a word
+    with pytest.raises(ValueError, match="'v 3'"):
+        Graph.from_text("v 5\nv 3\ne 0 1\n")
+    g = complete_graph(5)
+    with pytest.raises(ValueError, match="edge 0 is fixed twice, again by line '0 0'"):
+        EdgePartialAssignment.from_text(g, "0 1\n2 1\n0 0\n")
+    with pytest.raises(ValueError, match="edge 3 is fixed twice"):
+        EdgePartialAssignment.from_text(g, "3 1\n3 1\n")
+    assert EdgePartialAssignment.from_text(g, "0 1\n# 0 0\n2 0\n").as_dict() == {0: 1, 2: 0}
+
+
 def test_graph_and_partial_file_round_trip(tmp_path):
     g = random_regular_graph(7, 4, seed=7)
     assert g.degree_if_regular() == 4
