@@ -28,7 +28,7 @@ from ._bits import bits_to_string, mask_bits, parity, string_to_bits
 from .f2 import EMPTY, AffineSpace, _tagged_insert, _tagged_reduce, rank_of_rows
 
 
-class NotExtendableError(Exception):
+class NotExtendableError(ValueError):
     """The assignment matches no point of the space."""
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from . import dtfooling, lemmalab, pdt, resproof, tseitin
 from .blocks import BlockLayout
 from .cnf import Cnf
-from .f2 import EmptySpaceError, EnumerationCapError, FVec
-from .gadget import EmptyPreimageError, Gadget, ip_gadget, lift_cnf, walsh_spectrum
+from .f2 import FVec
+from .gadget import Gadget, ip_gadget, lift_cnf, walsh_spectrum
 
 
 def _graph_from_args(args) -> tseitin.Graph:
@@ -397,14 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Errors that mean the input is unreadable, malformed or out of scope (a
+# Every library error for unreadable, malformed or out-of-scope input (a
 # cap, an empty set, an unsafe space, an invalid or inconsistent edge
-# assignment), not that a verification failed.
-_USAGE_ERRORS = (
-    OSError, ValueError, resproof.ProofSyntaxError, resproof.DanglingNodeError, resproof.CycleError,
-    EnumerationCapError, EmptySpaceError, lemmalab.UnsafeSpaceError, EmptyPreimageError,
-    dtfooling.InvalidAssignmentError, dtfooling.InconsistentConditionError,
-)
+# assignment) is a ValueError; a failed verification is not an error.
+_USAGE_ERRORS = (OSError, ValueError)
 
 
 def main(argv: list[str] | None = None) -> int:

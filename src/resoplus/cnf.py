@@ -9,7 +9,7 @@ import numpy as np
 SWEEP_CAP = 26
 
 
-class SweepCapError(Exception):
+class SweepCapError(ValueError):
     """Raised when an exhaustive assignment sweep would exceed the cap."""
 
 

@@ -16,14 +16,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import f2
 from .f2 import AffineSpace, FVec, space_from_pairs
-from .tseitin import EdgePartialAssignment, Graph, analyze_partial
+from .tseitin import EdgePartialAssignment, Graph, PartialAnalysis, analyze_partial
 
 
-class InvalidAssignmentError(Exception):
+class InvalidAssignmentError(ValueError):
     """The source partial assignment is not valid."""
 
 
-class InconsistentConditionError(Exception):
+class InconsistentConditionError(ValueError):
     """The conditioning assignment matches no point of the distribution."""
 
 
@@ -117,15 +117,37 @@ def _solve_tree_edges(
         out[k_parent] = acc ^ (targets[u] & 1)
 
 
+def valid_analysis(rho: EdgePartialAssignment) -> PartialAnalysis:
+    """rho's analysis; raises InvalidAssignmentError unless rho is valid.
+
+    A valid assignment has exactly one odd component, its `odd_component`.
+    """
+    analysis = analyze_partial(rho.graph, rho)
+    if not analysis.valid:
+        raise InvalidAssignmentError("source assignment is not valid")
+    return analysis
+
+
+def _vertex_forms(rho: EdgePartialAssignment) -> tuple[dict[int, int], list[int]]:
+    """(pos, forms): pos maps each free edge, in ascending order, to its
+    coordinate; forms[u] has the coordinates of vertex u's free edges set."""
+    g = rho.graph
+    pos = {k: i for i, k in enumerate(rho.free_edges())}
+    forms = []
+    for u in range(g.num_vertices):
+        form = 0
+        for k, _ in g.incident(u):
+            if k in pos:
+                form |= 1 << pos[k]
+        forms.append(form)
+    return pos, forms
+
+
 def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     """One draw of the hard distribution for a valid partial assignment."""
     g = rho.graph
-    analysis = analyze_partial(g, rho)
-    if not analysis.valid:
-        raise InvalidAssignmentError("source assignment is not valid")
+    analysis = valid_analysis(rho)
     odd = analysis.odd_component
-    if odd is None:
-        raise RuntimeError("a valid assignment has exactly one odd component")
     root = sorted(odd)[rng.randrange(len(odd))]
     values: dict[int, int] = {}  # the free edges' drawn and solved bits
     comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
@@ -170,22 +192,13 @@ def root_space(rho: EdgePartialAssignment, v: int) -> tuple[AffineSpace, list[in
 
     Returns the space together with the free-edge order defining coordinates.
     """
-    g = rho.graph
-    free = rho.free_edges()
-    pos = {k: i for i, k in enumerate(free)}
+    pos, forms = _vertex_forms(rho)
     f = rho.analysis.f_rho
-    pairs = []
-    for u in range(g.num_vertices):
-        form = 0
-        for k, _ in g.incident(u):
-            if k in pos:
-                form |= 1 << pos[k]
-        bit = f[u] ^ (1 if u == v else 0)
-        pairs.append((form, bit))
-    space = space_from_pairs(len(free), pairs)
+    pairs = [(form, f[u] ^ (u == v)) for u, form in enumerate(forms)]
+    space = space_from_pairs(len(pos), pairs)
     if space is f2.EMPTY:
         raise InvalidAssignmentError(f"no completion violates exactly vertex {v}")
-    return space, free
+    return space, list(pos)
 
 
 @dataclass(frozen=True)
@@ -229,14 +242,9 @@ def exact_root_distribution(
     reduces to zero has tag bit 0 equal to tag bit v + 1.
     """
     g = rho.graph
-    analysis = analyze_partial(g, rho)
-    if not analysis.valid:
-        raise InvalidAssignmentError("source assignment is not valid")
+    analysis = valid_analysis(rho)
     odd = analysis.odd_component
-    if odd is None:
-        raise RuntimeError("a valid assignment has exactly one odd component")
-    free = rho.free_edges()
-    pos = {k: i for i, k in enumerate(free)}
+    pos, forms = _vertex_forms(rho)
     condition = dict(condition or {})
     for k in condition:
         if k not in pos:
@@ -248,13 +256,7 @@ def exact_root_distribution(
     c1 = comb_analysis.odd_components[0]
 
     f = analysis.f_rho
-    rows = []
-    for u in range(g.num_vertices):
-        form = 0
-        for k, _ in g.incident(u):
-            if k in pos:
-                form |= 1 << pos[k]
-        rows.append((form, f[u] | (2 << u)))
+    rows = [(form, f[u] | (2 << u)) for u, form in enumerate(forms)]
     rows += [(1 << pos[k], bit & 1) for k, bit in condition.items()]
     basis: list[tuple[int, int, int]] = []
     zero_tags = []  # the reduced tag of every row that reduces to zero
@@ -262,7 +264,7 @@ def exact_root_distribution(
         residue, tag = f2._tagged_insert(basis, form, tag)
         if not residue:
             zero_tags.append(tag)
-    size = 1 << (len(free) - len(basis))
+    size = 1 << (len(pos) - len(basis))
     counts = [(v, size if all((tag ^ (tag >> (v + 1))) & 1 == 0 for tag in zero_tags) else 0) for v in sorted(odd)]
     total = sum(c for _, c in counts)
     if total == 0:

@@ -7,7 +7,7 @@ width only where a point crosses the library boundary.  Affine spaces are
 kept eagerly normalized in reduced row-echelon form, so two spaces are equal
 as sets exactly when their dataclass fields compare equal.
 `AffineSpace.with_equation` is the one place a (form, bit) row enters that
-form: every other constructor and intersection here is a fold of it.
+form: every other constructor here is a fold of it.
 `AffineSpace.split` gives both halves of a space under one form from a
 single reduction, through the same insertion step.
 """
@@ -25,11 +25,11 @@ from ._bits import bits_to_string, mask_bits, parity
 ENUMERATION_CAP = 26
 
 
-class EnumerationCapError(Exception):
+class EnumerationCapError(ValueError):
     """Raised when an exhaustive enumeration would exceed the configured cap."""
 
 
-class EmptySpaceError(Exception):
+class EmptySpaceError(ValueError):
     """Raised when an operation requires a non-empty affine space."""
 
 
@@ -121,8 +121,8 @@ class AffineSpace:
 
     Stored in reduced row-echelon form: the pivot of a row is its lowest set
     bit, rows are sorted by pivot and every pivot appears in exactly one row.
-    Construct via `space_from_pairs`, `full_space`, `with_equation` or
-    `intersect_space`, which return EMPTY on an inconsistent system.
+    Construct via `space_from_pairs`, `full_space` or `with_equation`, which
+    return EMPTY on an inconsistent system.
     """
 
     width: int
@@ -199,7 +199,8 @@ def full_space(width: int) -> AffineSpace:
     return AffineSpace(width, ())
 
 
-def _fold(space: AffineSpace | _EmptySpace, pairs) -> AffineSpace | _EmptySpace:
+def space_from_pairs(width: int, pairs: Sequence[tuple[int, int]]) -> AffineSpace | _EmptySpace:
+    space = full_space(width)
     for form, bit in pairs:
         space = space.with_equation(form, bit)
         if space is EMPTY:
@@ -207,25 +208,19 @@ def _fold(space: AffineSpace | _EmptySpace, pairs) -> AffineSpace | _EmptySpace:
     return space
 
 
-def space_from_pairs(width: int, pairs: Sequence[tuple[int, int]]) -> AffineSpace | _EmptySpace:
-    return _fold(full_space(width), pairs)
-
-
-def intersect_space(a: AffineSpace | _EmptySpace, b: AffineSpace | _EmptySpace) -> AffineSpace | _EmptySpace:
-    if a is EMPTY or b is EMPTY:
-        return EMPTY
-    if a.width != b.width:
-        raise ValueError("width mismatch")
-    return _fold(a, b.rows)
-
-
 def is_subspace(inner: AffineSpace | _EmptySpace, outer: AffineSpace | _EmptySpace) -> bool:
-    """True iff inner, as a point set, is contained in outer."""
+    """True iff inner, as a point set, is contained in outer.
+
+    A non-empty inner lies in outer exactly when every equation of outer
+    holds on it, that is, reduces to (0, 0) against inner's rows.
+    """
     if inner is EMPTY:
         return True
     if outer is EMPTY:
         return False
-    return intersect_space(inner, outer) == inner
+    if inner.width != outer.width:
+        raise ValueError("width mismatch")
+    return all(inner.reduce(f, c) == (0, 0) for f, c in outer.rows)
 
 
 def _solve_pivots(space: AffineSpace, free_bits: int) -> int:

@@ -34,15 +34,15 @@ ZERO_ONE = "zero_one"
 
 SPECTRUM_ARITY_CAP = 24
 SYNDROME_DIM_CAP = 20
-_LIFT_WIDTH_CAP = 12  # widest base clause lift_cnf expands
+_LIFT_CLAUSE_CAP = 1 << 20  # most clauses lift_cnf writes
 _REJECTION_TRIES = 100_000  # draws rejection_sample_lifted makes before it gives up
 
 
-class EmptyPreimageError(Exception):
+class EmptyPreimageError(ValueError):
     """A required gadget preimage set is empty (unbalanced gadget)."""
 
 
-class EmptySupportError(Exception):
+class EmptySupportError(ValueError):
     """A conditioned lifted distribution has empty support."""
 
 
@@ -98,11 +98,19 @@ class Gadget:
             return cls.from_text(fh.read())
 
 
+def _check_arity(b: int) -> None:
+    """Reject an arity whose 2^b-entry table no spectrum could be taken of, before it is built."""
+    if b > SPECTRUM_ARITY_CAP:
+        raise ValueError(f"arity {b} exceeds spectrum cap {SPECTRUM_ARITY_CAP}")
+
+
 def constant_gadget(b: int, bit: int) -> Gadget:
+    _check_arity(b)
     return Gadget(b, (bit,) * (1 << b))
 
 
 def parity_gadget(b: int) -> Gadget:
+    _check_arity(b)
     return Gadget(b, tuple(parity(v) for v in range(1 << b)))
 
 
@@ -110,6 +118,7 @@ def ip_gadget(b: int) -> Gadget:
     """Inner product of the low b/2 coordinates with the high b/2 coordinates."""
     if b < 2 or b % 2:
         raise ValueError("inner product needs an even arity >= 2")
+    _check_arity(b)
     half = b // 2
     lo_mask = mask_bits(half)
     table = tuple(parity((v & lo_mask) & (v >> half)) for v in range(1 << b))
@@ -543,30 +552,34 @@ def lift_cnf(phi: Cnf, g: Gadget) -> Cnf:
     """Substitute the gadget into every clause of the base CNF.
 
     Each base clause with falsifying pattern alpha on its variable set S turns
-    into one clause per choice of per-variable preimages a_i in g^-1(alpha_i);
-    the clause forbids x(i) = a_i simultaneously for all i in S.
+    into one clause per point of G^-1(alpha) over the blocks of S (`preimages`);
+    the clause forbids x(i) = a_i simultaneously for all i in S.  The clauses
+    to write are counted first, and more than `_LIFT_CLAUSE_CAP` is an error.
     """
     b = g.b
-    out: list[tuple[int, ...]] = []
+    layout = BlockLayout(phi.num_vars, b)
+    targets = []
+    total = 0
     for clause in phi.clauses:
-        if len(clause) > _LIFT_WIDTH_CAP:
-            raise ValueError(f"clause width {len(clause)} exceeds cap {_LIFT_WIDTH_CAP}")
-        vars_sorted = sorted(abs(lit) for lit in clause)
-        if len(set(vars_sorted)) != len(vars_sorted):
+        target = {abs(lit) - 1: int(lit < 0) for lit in clause}
+        if len(target) != len(clause):
             raise ValueError("clause repeats a variable")
-        alpha = {abs(lit): (1 if lit < 0 else 0) for lit in clause}
-        per_var = []
-        for v in vars_sorted:
-            pre = g.preimage(alpha[v])
-            if not pre:
-                raise EmptyPreimageError(f"gadget has no preimage of {alpha[v]}")
-            per_var.append(pre)
-        for choice in itertools.product(*per_var):
+        count = count_preimages(g, layout, target)
+        if clause and not count:
+            # a table holds at least one value, so exactly one class is empty
+            raise EmptyPreimageError(f"gadget has no preimage of {int(not len(g.class_values[1]))}")
+        total += count
+        targets.append(target)
+    if total > _LIFT_CLAUSE_CAP:
+        raise ValueError(f"lifting writes {total} clauses, above cap {_LIFT_CLAUSE_CAP}")
+    out: list[tuple[int, ...]] = []
+    for target in targets:
+        bases = [i * b for i in sorted(target)]
+        for point in preimages(g, layout, target):
             lits = []
-            for v, a in zip(vars_sorted, choice):
-                base = (v - 1) * b
-                for j in range(b):
-                    var = base + j + 1
-                    lits.append(-var if (a >> j) & 1 else var)
+            for base in bases:
+                for var in range(base + 1, base + b + 1):
+                    lits.append(-var if point & 1 else var)
+                    point >>= 1
             out.append(tuple(lits))
     return Cnf(phi.num_vars * b, tuple(out))

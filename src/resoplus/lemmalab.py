@@ -50,7 +50,7 @@ VACUOUS_OK = "VACUOUS_OK"
 LEMMA_CSV_HEADER = "lemma,parameters,numerator,denominator,bound_low,bound_high,verdict"
 
 
-class UnsafeSpaceError(Exception):
+class UnsafeSpaceError(ValueError):
     """The lemma requires a safe affine space."""
 
 
@@ -286,7 +286,7 @@ def check_conditional_fooling(
     return LemmaReport("conditional-fooling", params, p, None, bound, verdict, tuple(notes))
 
 
-class NoSensitiveCoordinateError(Exception):
+class NoSensitiveCoordinateError(ValueError):
     pass
 
 

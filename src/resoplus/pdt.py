@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from . import f2
 from .blocks import BlockLayout, ClosureAssignment, ClosureTable, amortized_closure, fixed_blocks
 from ._bits import parity
-from .dtfooling import root_of, root_space, sample as dtf_sample
+from .dtfooling import root_of, root_space, sample as dtf_sample, valid_analysis
 from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
 from .gadget import (
     EmptyPreimageError,
@@ -302,12 +302,9 @@ def _rooted_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -
     z is rho's fixed bits plus one completion from the root's space, so its
     root is known by construction.
     """
-    graph = rho.graph
-    if layout.n != graph.num_edges:
+    if layout.n != rho.graph.num_edges:
         raise ValueError("layout must have one block per edge")
-    analysis = analyze_partial(graph, rho)
-    if analysis.odd_component is None or not analysis.valid:
-        raise ValueError("rho must be valid")
+    analysis = valid_analysis(rho)
     free = rho.free_edges()
     if len(free) > cap:
         raise f2.EnumerationCapError(f"{len(free)} free edges exceed support cap {cap}")

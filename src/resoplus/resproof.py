@@ -21,17 +21,17 @@ QRY = "QRY"
 REFUTE_VAR_CAP = 20
 
 
-class ProofSyntaxError(Exception):
+class ProofSyntaxError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class DanglingNodeError(Exception):
+class DanglingNodeError(ValueError):
     pass
 
 
-class CycleError(Exception):
+class CycleError(ValueError):
     pass
 
 
@@ -67,6 +67,7 @@ class ProofDag:
     width: int
     nodes: tuple[ProofNode, ...]  # the first node is the root
     by_id: dict[int, ProofNode]
+    order: tuple[ProofNode, ...]  # every node once, each before its children
 
     @classmethod
     def build(cls, width: int, nodes: list[ProofNode]) -> "ProofDag":
@@ -79,38 +80,42 @@ class ProofDag:
             for c in node.children():
                 if c not in by_id:
                     raise DanglingNodeError(f"node {node.node_id} references unknown id {c}")
-        _check_acyclic(nodes, by_id)
-        return cls(width, tuple(nodes), by_id)
+        return cls(width, tuple(nodes), by_id, _reverse_postorder(nodes, by_id))
 
     @property
     def root(self) -> ProofNode:
         return self.nodes[0]
 
 
-def _check_acyclic(nodes: list[ProofNode], by_id: dict[int, ProofNode]) -> None:
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+def _reverse_postorder(nodes: list[ProofNode], by_id: dict[int, ProofNode]) -> tuple[ProofNode, ...]:
+    """One iterative DFS from each unvisited node in turn; raises CycleError on a back edge.
 
-    def visit(nid: int) -> None:
-        stack = [(nid, iter(by_id[nid].children()))]
-        state[nid] = 1
+    A node is finished after all its children, so the reverse of the finishing
+    order puts every node before its children.
+    """
+    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+    finished: list[ProofNode] = []
+    for node in nodes:
+        if node.node_id in state:
+            continue
+        state[node.node_id] = 1
+        stack = [(node, iter(node.children()))]
         while stack:
             cur, it = stack[-1]
-            advanced = False
             for c in it:
                 if state.get(c) == 1:
                     raise CycleError(f"cycle through node {c}")
                 if c not in state:
                     state[c] = 1
-                    stack.append((c, iter(by_id[c].children())))
-                    advanced = True
+                    child = by_id[c]
+                    stack.append((child, iter(child.children())))
                     break
-            if not advanced:
-                state[cur] = 2
+            else:
+                state[cur.node_id] = 2
+                finished.append(cur)
                 stack.pop()
-
-    for node in nodes:
-        if node.node_id not in state:
-            visit(node.node_id)
+    finished.reverse()
+    return tuple(finished)
 
 
 def clause_negation_space(width: int, clause: tuple[int, ...]) -> AffineSpace | f2._EmptySpace:
@@ -136,28 +141,15 @@ def _falsifies(space: AffineSpace | f2._EmptySpace, clause: tuple[int, ...]) -> 
 
 
 def parse_text(text: str) -> ProofDag:
-    lines = text.splitlines()
-    width = None
-    declared = None
-    nodes: list[ProofNode] = []
-    pending: dict | None = None
-    pending_eqs: list[tuple[int, int]] = []
-
-    def flush(line_no: int) -> None:
-        nonlocal pending, pending_eqs
-        if pending is None:
-            return
-        space = space_from_pairs(width, pending_eqs)
-        nodes.append(ProofNode(space=space, **pending))
-        pending = None
-        pending_eqs = []
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    width = declared = None
+    read: list[tuple[dict, list[tuple[int, int]]]] = []  # per node, its fields and its eq rows
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "rxp":
+            if width is not None:
+                raise ProofSyntaxError(line_no, "second rxp header")
             if len(parts) != 3:
                 raise ProofSyntaxError(line_no, "header must be `rxp <width> <nodes>`")
             width, declared = int(parts[1]), int(parts[2])
@@ -165,26 +157,25 @@ def parse_text(text: str) -> ProofDag:
         if width is None:
             raise ProofSyntaxError(line_no, "missing rxp header")
         if parts[0] == "eq":
-            if pending is None:
+            if not read:
                 raise ProofSyntaxError(line_no, "eq line outside a node")
             if len(parts) != 3 or len(parts[1]) != width:
                 raise ProofSyntaxError(line_no, "eq needs a width-long form and a bit")
-            pending_eqs.append((string_to_bits(parts[1]), int(parts[2]) & 1))
+            read[-1][1].append((string_to_bits(parts[1]), int(parts[2]) & 1))
             continue
-        flush(line_no)
         try:
             node_id = int(parts[0])
             if len(parts) < 2 or not parts[1].startswith("k="):
                 raise ValueError("expected k=<kind>")
             kind = parts[1][2:]
             if kind == LEAF:
-                pending = dict(node_id=node_id, kind=LEAF, clause=int(parts[2]))
+                fields = dict(node_id=node_id, kind=LEAF, clause=int(parts[2]))
             elif kind == WEAK:
-                pending = dict(node_id=node_id, kind=WEAK, child=int(parts[2]))
+                fields = dict(node_id=node_id, kind=WEAK, child=int(parts[2]))
             elif kind == QRY:
                 if len(parts[2]) != width:
                     raise ValueError("query form width mismatch")
-                pending = dict(
+                fields = dict(
                     node_id=node_id,
                     kind=QRY,
                     form=string_to_bits(parts[2]),
@@ -195,12 +186,12 @@ def parse_text(text: str) -> ProofDag:
                 raise ValueError(f"unknown node kind {kind!r}")
         except (ValueError, IndexError) as exc:
             raise ProofSyntaxError(line_no, str(exc)) from None
-    flush(len(lines))
+        read.append((fields, []))
     if width is None:
         raise ProofSyntaxError(0, "empty proof file")
-    if declared is not None and declared != len(nodes):
-        raise ProofSyntaxError(0, f"declared {declared} nodes, found {len(nodes)}")
-    return ProofDag.build(width, nodes)
+    if declared != len(read):
+        raise ProofSyntaxError(0, f"declared {declared} nodes, found {len(read)}")
+    return ProofDag.build(width, [ProofNode(space=space_from_pairs(width, rows), **fields) for fields, rows in read])
 
 
 def parse(path) -> ProofDag:
@@ -277,39 +268,22 @@ def metrics(dag: ProofDag) -> tuple[int, int]:
     """(size, depth): node count and the deepest query-weighted root path.
 
     Query nodes add one to the paths through them; weakening nodes are free.
-    Only paths starting at the root count.
+    Only paths starting at the root count.  `dag.order` puts every node
+    before its children, so one pass settles each node's deepest path.
     """
-    order = _topological(dag)
-    best: dict[int, int] = {nid: -1 for nid in dag.by_id}
+    best = dict.fromkeys(dag.by_id, -1)
     best[dag.root.node_id] = 0
     depth = 0
-    for nid in order:
-        node = dag.by_id[nid]
-        here = best[nid]
+    for node in dag.order:
+        here = best[node.node_id]
         if here < 0:
             continue
-        cost = 1 if node.kind == QRY else 0
-        depth = max(depth, here + cost if node.kind == QRY else here)
+        if node.kind == QRY:
+            here += 1
+        depth = max(depth, here)
         for c in node.children():
-            best[c] = max(best[c], here + cost)
+            best[c] = max(best[c], here)
     return len(dag.nodes), depth
-
-
-def _topological(dag: ProofDag) -> list[int]:
-    indeg = {nid: 0 for nid in dag.by_id}
-    for node in dag.nodes:
-        for c in node.children():
-            indeg[c] += 1
-    stack = [nid for nid, d in indeg.items() if d == 0]
-    order = []
-    while stack:
-        nid = stack.pop()
-        order.append(nid)
-        for c in dag.by_id[nid].children():
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
-    return order
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared test utilities: proof corruption for mutation testing."""
+"""Shared test utilities: proof corruption for mutation testing, and oracles."""
 import random
 
 from resoplus.f2 import EMPTY, enumerate_points, space_from_pairs
@@ -58,3 +58,15 @@ def proof_mutation(dag, cnf, rng: random.Random):
         nodes[idx] = ProofNode(node.node_id, LEAF, node.space, clause=other)
         return nodes
     return None
+
+
+def intersect_space(a, b):
+    """The intersection of two spaces, from the rows of both: the containment oracle.
+
+    inner lies in outer exactly when intersect_space(inner, outer) == inner.
+    """
+    if a is EMPTY or b is EMPTY:
+        return EMPTY
+    if a.width != b.width:
+        raise ValueError("width mismatch")
+    return space_from_pairs(a.width, a.rows + b.rows)

@@ -2,7 +2,7 @@ import pytest
 
 from resoplus.cli import main
 from resoplus.lemmalab import LEMMA_CSV_HEADER
-from resoplus.tseitin import complete_graph
+from resoplus.tseitin import complete_graph, tseitin_cnf
 
 
 def run(capsys, *argv):
@@ -217,6 +217,8 @@ def test_missing_seed_is_usage_error(capsys):
         (["root-dist", "--graph", "{k5}", "--condition", "{twice}"], "ValueError"),
         (["sample-dtfooling", "--graph", "{k5}", "--rho", "{twice}", "--seed", "1"], "ValueError"),
         (["gen-graph", "--graph", "{two_counts}"], "ValueError"),
+        (["check-proof", "{two_headers}", "{unit_cnf}"], "ProofSyntaxError"),
+        (["proof-metrics", "{two_headers}"], "ProofSyntaxError"),
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
@@ -240,10 +242,16 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
     twice.write_text("0 1\n0 0\n")
     two_counts = tmp_path / "two_counts.graph"
     two_counts.write_text("v 5\nv 3\ne 0 1\n")
+    # a second proof header: read past it, the nodes would form a proof that checks
+    two_headers = tmp_path / "two_headers.rxp"
+    two_headers.write_text("rxp 1 2\n0 k=WEAK 1\nrxp 1 2\n1 k=LEAF 0\n")
+    unit_cnf = tmp_path / "unit.cnf"
+    unit_cnf.write_text("p cnf 1 1\n0\n")
     paths = {
         "empty": str(empty), "missing": str(tmp_path / "missing"), "dangling": str(dangling),
         "k5": str(k5), "isolated0": str(isolated0), "split": str(split), "negative": str(negative),
-        "twice": str(twice), "two_counts": str(two_counts),
+        "twice": str(twice), "two_counts": str(two_counts), "two_headers": str(two_headers),
+        "unit_cnf": str(unit_cnf),
     }
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
@@ -330,3 +338,37 @@ def test_negative_vertex_count_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: ValueError: vertex count must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget-spectrum", "--ip", "26"],
+        ["lift", "--cnf", "{cnf}", "--ip", "26"],
+        ["hardness-experiment", "--lifted", "--ip", "26", "--type", "cycle", "--vertices", "3", "--q", "2",
+         "--trials", "2", "--seed", "1"],
+        ["verify-lemma", "exponential-sum", "--b", "26", "--seed", "1"],
+    ],
+)
+def test_arity_past_the_spectrum_cap_is_usage_error(tmp_path, capsys, argv):
+    # the 2^b-entry table is never built: the arity is checked first
+    cnf = tmp_path / "unit.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    code = main([a.format(cnf=cnf) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: arity 26 exceeds spectrum cap 24\n"
+
+
+def test_lift_past_the_clause_cap_is_usage_error(tmp_path, capsys):
+    # IP_12 turns each width-4 K5 clause into about 2^44 clauses; they are counted, not written
+    cnf = tmp_path / "k5.cnf"
+    cnf.write_text(tseitin_cnf(complete_graph(5)).cnf.to_dimacs())
+    code = main(["lift", "--cnf", str(cnf), "--ip", "12", "--out", str(tmp_path / "lifted.cnf")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ValueError: lifting writes ") and "above cap 1048576" in captured.err
+    assert not (tmp_path / "lifted.cnf").exists()

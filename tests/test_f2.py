@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import intersect_space
 from resoplus._bits import parity, string_to_bits
 from resoplus.f2 import (
     EMPTY,
@@ -15,7 +16,6 @@ from resoplus.f2 import (
     enumerate_points,
     full_space,
     is_subspace,
-    intersect_space,
     points_array,
     random_space,
     rank_of_rows,
@@ -224,3 +224,24 @@ def test_with_equation_rejects_forms_wider_than_the_space():
         full_space(3).split(0b1000)
     assert EMPTY.with_equation(0b1, 1) is EMPTY
     assert EMPTY.split(0b1) == (EMPTY, EMPTY)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(pairs_of_width(max_width=10, max_rows=8), st.data())
+def test_is_subspace_matches_intersection_and_points(case, data):
+    width, pairs = case
+    outer = space_from_pairs(width, pairs)
+    # inner: outer cut further (always inside), or an unrelated system; either may be EMPTY
+    extra = data.draw(st.lists(st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 1)), max_size=4))
+    inner = space_from_pairs(width, (pairs if data.draw(st.booleans()) else []) + extra)
+    got = is_subspace(inner, outer)
+    assert got == (intersect_space(inner, outer) == inner)
+    outer_points = {p.bits for p in enumerate_points(outer)}
+    assert got == all(p.bits in outer_points for p in enumerate_points(inner))
+
+
+def test_is_subspace_rejects_a_width_mismatch():
+    with pytest.raises(ValueError):
+        is_subspace(full_space(2), full_space(3))
+    with pytest.raises(ValueError):
+        is_subspace(full_space(3), space_from_pairs(2, [(0b01, 1)]))

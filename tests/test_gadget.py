@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -629,3 +630,66 @@ def test_lift_cnf_counts_and_semantics():
 
     with pytest.raises(EmptyPreimageError):
         lift_cnf(Cnf(1, ((1,),)), constant_gadget(2, 1))
+
+
+def _lift_by_product(phi, g):
+    """Oracle: each clause's falsifying preimages by a product over its variables."""
+    out = []
+    for clause in phi.clauses:
+        alpha = {abs(lit): int(lit < 0) for lit in clause}
+        per_var = [g.preimage(alpha[v]) for v in sorted(alpha)]
+        for choice in itertools.product(*per_var):
+            lits = []
+            for v, a in zip(sorted(alpha), choice):
+                for j in range(g.b):
+                    var = (v - 1) * g.b + j + 1
+                    lits.append(-var if (a >> j) & 1 else var)
+            out.append(tuple(lits))
+    return Cnf(phi.num_vars * g.b, tuple(out))
+
+
+@st.composite
+def cnfs_and_gadgets(draw):
+    n, b = draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 4]))
+    clauses = []
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        chosen = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+        clauses.append(tuple(v if draw(st.booleans()) else -v for v in chosen))
+    return Cnf(n, tuple(clauses)), _gadgets(draw, b)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(cnfs_and_gadgets())
+def test_lift_cnf_matches_the_product_oracle(case):
+    phi, g = case
+    if any(not g.preimage(int(lit < 0)) for clause in phi.clauses for lit in clause):
+        with pytest.raises(EmptyPreimageError):
+            lift_cnf(phi, g)
+        return
+    assert lift_cnf(phi, g) == _lift_by_product(phi, g)
+
+
+def test_lift_cnf_counts_its_clauses_before_writing_them(monkeypatch):
+    # 4^11 = 2^22 lifted clauses of one width-11 clause exceed the 2^20 cap
+    wide = Cnf(11, (tuple(-v for v in range(1, 12)),))
+    with pytest.raises(ValueError, match="^lifting writes 4194304 clauses, above cap 1048576$"):
+        lift_cnf(wide, constant_gadget(2, 1))
+    # a class the gadget lacks is named first, even after a clause past the cap
+    with pytest.raises(EmptyPreimageError, match="^gadget has no preimage of 0$"):
+        lift_cnf(Cnf(11, wide.clauses + ((1,),)), constant_gadget(2, 1))
+    with pytest.raises(ValueError, match="^clause repeats a variable$"):
+        lift_cnf(Cnf(2, ((1, -1),)), ip_gadget(2))
+    # the counts of all clauses add up (IP_2: 3 * 3 + 1 * 1), and the cap itself is allowed
+    pair = Cnf(2, ((1, 2), (-1, -2)))
+    monkeypatch.setattr("resoplus.gadget._LIFT_CLAUSE_CAP", 10)
+    assert len(lift_cnf(pair, ip_gadget(2)).clauses) == 10
+    monkeypatch.setattr("resoplus.gadget._LIFT_CLAUSE_CAP", 9)
+    with pytest.raises(ValueError, match="^lifting writes 10 clauses, above cap 9$"):
+        lift_cnf(pair, ip_gadget(2))
+
+
+@pytest.mark.parametrize("make", [lambda b: constant_gadget(b, 0), parity_gadget, ip_gadget])
+def test_gadgets_past_the_spectrum_cap_are_rejected_before_building(make):
+    # 2^40 table entries would never finish; the check runs first
+    with pytest.raises(ValueError, match="^arity 40 exceeds spectrum cap 24$"):
+        make(40)

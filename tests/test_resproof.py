@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,8 @@ def test_parse_errors():
         parse_text("rxp 1 1\n0 k=BOGUS 0\n")
     with pytest.raises(ProofSyntaxError):
         parse_text("0 k=LEAF 0\n")  # missing header
+    with pytest.raises(ProofSyntaxError, match="^line 3: second rxp header$"):
+        parse_text("rxp 1 2\n0 k=WEAK 1\nrxp 1 2\n1 k=LEAF 0\n")
 
 
 def test_check_rejects_swapped_leaf_label():
@@ -286,3 +289,92 @@ def test_falsifies_matches_negation_space_and_points(case):
     want = is_subspace(space, clause_negation_space(width, clause))
     assert _falsifies(space, clause) == want
     assert want == all(cnf.clause_falsified_by(0, p.bits) for p in enumerate_points(space))
+
+
+@st.composite
+def proof_graphs(draw):
+    """(root id, [(id, kind, children)]) over ids 0..n-1, listed in shuffled order.
+
+    A hidden rank orders the nodes, and every child ranks at most three
+    above its parent, so the graph is acyclic and paths of unequal depth
+    often meet.  The root may rank above other nodes, which it then cannot
+    reach; a weakening node whose child ranks next to it extends a chain.
+    """
+    n = draw(st.integers(1, 24))
+    rank = draw(st.permutations(range(n)))
+    at = {r: nid for nid, r in enumerate(rank)}
+    nodes = []
+    for nid in range(n):
+        room = n - 1 - rank[nid]
+        kind = draw(st.sampled_from([LEAF, WEAK, WEAK, QRY, QRY])) if room else LEAF
+        width = {LEAF: 0, WEAK: 1, QRY: 2}[kind]
+        kids = tuple(at[rank[nid] + draw(st.integers(1, min(3, room)))] for _ in range(width))
+        nodes.append((nid, kind, kids))
+    return at[draw(st.integers(0, n // 2))], draw(st.permutations(nodes))
+
+
+def _proof_nodes(root, listing):
+    space = full_space(1)
+    made = []
+    for nid, kind, kids in listing:
+        if kind == LEAF:
+            made.append(ProofNode(nid, LEAF, space, clause=0))
+        elif kind == WEAK:
+            made.append(ProofNode(nid, WEAK, space, child=kids[0]))
+        else:
+            made.append(ProofNode(nid, QRY, space, form=1, child0=kids[0], child1=kids[1]))
+    made.sort(key=lambda node: node.node_id != root)  # the root is listed first
+    return made
+
+
+def _digraph(nodes):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(node.node_id for node in nodes)
+    for node in nodes:
+        for c in node.children():
+            graph.add_edge(node.node_id, c, weight=int(node.kind == QRY))
+    return graph
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(proof_graphs())
+def test_order_and_metrics_match_a_longest_path_oracle(case):
+    nodes = _proof_nodes(*case)
+    dag = ProofDag.build(1, nodes)
+    place = {node.node_id: i for i, node in enumerate(dag.order)}
+    assert sorted(place) == sorted(dag.by_id) and len(dag.order) == len(nodes)
+    for node in nodes:
+        assert dag.by_id[node.node_id] is dag.order[place[node.node_id]]
+        assert all(place[node.node_id] < place[c] for c in node.children())
+    # depth: the longest root path, a query counting one on its way out;
+    # a sink edge out of every node carries the last node's own weight
+    graph = _digraph(nodes)
+    reach = graph.subgraph(nx.descendants(graph, dag.root.node_id) | {dag.root.node_id}).copy()
+    for node in nodes:
+        if node.node_id in reach:
+            reach.add_edge(node.node_id, "sink", weight=int(node.kind == QRY))
+    assert metrics(dag) == (len(nodes), nx.dag_longest_path_length(reach))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(proof_graphs(), st.data())
+def test_cycle_error_names_a_node_on_a_cycle(case, data):
+    root, listing = case
+    inner = [entry for entry in listing if entry[1] != LEAF]
+    if not inner:
+        return
+    # redirect one child anywhere, which may close a cycle
+    nid, _, kids = data.draw(st.sampled_from(inner))
+    target = data.draw(st.sampled_from([entry[0] for entry in listing]))
+    listing = [(i, k, (target,) + kids[1:] if i == nid else ks) for i, k, ks in listing]
+    nodes = _proof_nodes(root, listing)
+    graph = _digraph(nodes)
+    if nx.is_directed_acyclic_graph(graph):
+        ProofDag.build(1, nodes)
+        return
+    with pytest.raises(CycleError, match=r"^cycle through node \d+$") as err:
+        ProofDag.build(1, nodes)
+    named = int(str(err.value).rsplit(" ", 1)[1])
+    assert any(named in part for part in nx.strongly_connected_components(graph) if len(part) > 1) or (
+        graph.has_edge(named, named)
+    )
