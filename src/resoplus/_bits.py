@@ -1,6 +1,8 @@
 """Bit-twiddling helpers shared by the F2 kernels."""
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 
@@ -12,6 +14,14 @@ def parity(x: int) -> int:
 def parity_u64(arr: np.ndarray) -> np.ndarray:
     """Elementwise popcount parity of a uint64 array."""
     return (np.bitwise_count(arr) & np.uint64(1)).astype(np.uint8)
+
+
+def set_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def mask_bits(width: int) -> int:

@@ -12,19 +12,22 @@ admits one independent column per block.
 
 One engine decides safety and closure: `ClosureTable`, a column table that
 grows by appending rows and warm-starts each intersection from the maximum
-solution of the table it was extended from.  `closure` and `is_safe` are the
-empty table extended by the given rows; `pdt.block_complete` carries one
-table down each path of the transformed tree.
+solution of the table it was extended from, carrying every column's
+coordinates over that solution.  `closure` and `is_safe` are the empty
+table extended by the given rows; `pdt.block_complete` carries one table
+down each path of the transformed tree.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from . import f2
-from ._bits import bits_to_string, mask_bits, parity, string_to_bits
+from ._bits import bits_to_string, mask_bits, parity, set_bits, string_to_bits
 from .f2 import EMPTY, AffineSpace, _tagged_insert, _tagged_reduce, rank_of_rows
 
 
@@ -87,104 +90,126 @@ def _independent(cols: Sequence[int]) -> bool:
     return rank_of_rows(cols) == len(cols)
 
 
-def _coordinates(masks: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
-    """(residue, tag) of each column over an echelon basis of the independent
-    masks, tagged with the solution indices whose masks sum to each basis row:
-    a column equals its residue plus the masks its tag marks."""
-    basis: list[tuple[int, int, int]] = []
-    for j, m in enumerate(masks):
-        _tagged_insert(basis, m, 1 << j)
-    return [_tagged_reduce(basis, col) for col in cols]
+def _join(res: list[int], tags: list[int], sol: list[int], c: int) -> None:
+    """Add column c, whose residue is nonzero, to the solution.
 
-
-def _exchangeable(coord: tuple[int, int], x: int) -> bool:
-    """True iff solution - x + y is independent, for y with these coordinates."""
-    residue, tag = coord
-    return residue != 0 or (tag >> x) & 1 == 1
-
-
-def _augment(
-    solution: list[tuple[int, int, int]], ground: dict[int, list[tuple[int, int]]]
-) -> tuple[list[tuple[int, int, int]] | None, frozenset[int]]:
-    """One matroid-intersection augmentation step.
-
-    solution: common independent set as (block, col index, col mask) triples,
-    at most one per block, column masks linearly independent.  ground maps a
-    block to its usable columns.  Returns (a larger solution, empty set), or,
-    when no augmenting path is left, (None, the blocks of every element the
-    search reached from the M1-addable columns).
-
-    Every outside column is reduced once against an echelon basis of the
-    solution: a nonzero residue makes it M1-addable, and otherwise
-    solution - x + y is independent exactly when bit x of y's tag is set.
+    The lowest bit of c's residue becomes a pivot.  Every column whose
+    residue holds that bit sheds c's residue and takes c's tag plus c
+    itself, as `f2._tagged_insert` clears a new pivot.
     """
-    in_sol = {c for _, c, _ in solution}
-    sol_of_block = {blk: j for j, (blk, _, _) in enumerate(solution)}
-    outside = [
-        (blk, c, m)
-        for blk, cols in ground.items()
-        for c, m in cols
-        if c not in in_sol
-    ]
-    coords = _coordinates([m for _, _, m in solution], [m for _, _, m in outside])
+    holders = res[next(k for k, r in enumerate(res) if r >> c & 1)]  # the columns whose residue has the pivot
+    for k, r in enumerate(res):
+        if r >> c & 1:
+            res[k] = r ^ holders
+    for j, t in enumerate(tags):
+        if t >> c & 1:
+            tags[j] = t ^ holders
+    tags.append(holders)
+    sol.append(c)
 
-    # BFS over alternating exchange arcs from M1-addable to M2-addable elements.
-    start = [i for i, (residue, _) in enumerate(coords) if residue]
-    parents: dict[tuple[str, int], tuple[str, int] | None] = {("y", i): None for i in start}
-    queue: list[tuple[str, int]] = list(parents)
-    goal = next((("y", i) for i in start if outside[i][0] not in sol_of_block), None)
+
+def _swap(tags: list[int], sol: list[int], j: int, y: int) -> None:
+    """Put column y, of zero residue and with bit j in its tag, in place of solution column j.
+
+    y is s_j plus the other solution columns of its tag, so every column
+    whose tag has bit j trades those others in; no residue changes.
+    """
+    holders = tags[j]  # the columns whose tag has bit j
+    if not holders >> y & 1:
+        raise RuntimeError("an exchange column does not depend on the column it replaces")
+    for i, t in enumerate(tags):
+        if i != j and t >> y & 1:
+            tags[i] = t ^ holders
+    sol[j] = y
+
+
+def _augment(res: list[int], tags: list[int], sol: list[int], b: int, usable: int = -1) -> int | None:
+    """One matroid-intersection augmentation step over the usable columns.
+
+    The solution holds at most one column per block of b bits; res and tags
+    are the coordinates over it (see `ClosureTable`), updated in place.  A
+    column of nonzero residue is M1-addable, and solution - s_j + y is
+    independent exactly when y's residue is nonzero or its tag has bit j, so
+    the search reads the coordinates and reduces no column.  Returns None
+    after augmenting, or, when no augmenting path is left, the mask of every
+    column the search reached from the M1-addable ones.
+
+    The path is applied as it is walked back: one swap per exchange, then
+    the join of its M1-addable start.  One swap can spoil another only when
+    each swap's new column is one arc from the other's old column, and on a
+    shortest path one of those two arcs would skip ahead, so every exchange
+    stays valid in any order.
+    """
+    owner = {c // b: j for j, c in enumerate(sol)}
+    outside = usable
+    for c in sol:
+        outside &= ~(1 << c)
+    seen = reduce(or_, res, 0) & outside  # every column reached so far
+    came_from: dict[int, int] = {}  # column -> the solution index whose exchange reached it
+    reached_by: dict[int, int] = {}  # solution index -> the column of its block that reached it
+    queue: list[int] = []  # solution indices, in the order reached
     qi = 0
-    while goal is None and qi < len(queue):
-        kind, idx = queue[qi]
-        qi += 1
-        if kind == "y":
-            j = sol_of_block[outside[idx][0]]
-            if ("x", j) not in parents:
-                parents[("x", j)] = (kind, idx)
-                queue.append(("x", j))
-        else:
-            for j, coord in enumerate(coords):
-                if ("y", j) not in parents and _exchangeable(coord, idx):
-                    parents[("y", j)] = (kind, idx)
-                    if outside[j][0] not in sol_of_block:
-                        goal = ("y", j)
-                        break
-                    queue.append(("y", j))
-    if goal is None:
-        return None, frozenset((outside[i] if kind == "y" else solution[i])[0] for kind, i in parents)
-    add: list[int] = []
-    drop: list[int] = []
-    node: tuple[str, int] | None = goal
-    while node is not None:
-        kind, idx = node
-        (add if kind == "y" else drop).append(idx)
-        node = parents[node]
-    new_solution = [t for j, t in enumerate(solution) if j not in set(drop)]
-    new_solution += [outside[j] for j in add]
-    return new_solution, frozenset()
+    frontier, x, goal = seen, None, None
+    while goal is None:
+        for y in set_bits(frontier):
+            if x is not None:
+                came_from[y] = x
+            j = owner.get(y // b)
+            if j is None:
+                goal = y
+                break
+            if j not in reached_by:
+                reached_by[j] = y
+                queue.append(j)
+        else:  # no free block reached: exchange the next solution column
+            if qi == len(queue):
+                return seen
+            x = queue[qi]
+            qi += 1
+            frontier = tags[x] & outside & ~seen
+            seen |= frontier
+    while goal in came_from:
+        j = came_from[goal]
+        _swap(tags, sol, j, goal)
+        goal = reached_by[j]
+    _join(res, tags, sol, goal)
+    return None
 
 
 class ClosureTable:
     """The matroid column table of an append-only row set, with its last solution.
 
-    `extend` returns a new table and leaves this one as it was.  A row in the
-    span of the rows before it is skipped: it changes no dependency among the
-    columns.  Every other row sets its own bit, k for the k-th kept row, in
-    the mask of each column it touches.  Appending rows only adds coordinates
-    to the column masks, so an independent column set stays independent: a
-    table hands the maximum one-per-block solution of its closure to the
-    tables extended from it, as their warm start (Cunningham, SIAM J.
-    Comput. 1986).
+    `extend` returns a new table and leaves this one as it was, so both
+    children of a query extend one table.  A row in the span of the rows
+    before it is skipped: it changes no dependency among the columns.  Every
+    other row is the k-th kept row and gives each column it touches bit k.
+    Appending rows only adds coordinates to the columns, so an independent
+    column set stays independent: a table hands the maximum one-per-block
+    solution of its closure to the tables extended from it, as their warm
+    start (Cunningham, SIAM J. Comput. 1986).
+
+    The table also carries each column's coordinates over that solution
+    s_0, s_1, ...: a residue over the kept rows and a tag over the solution,
+    such that the column is its residue plus the solution columns its tag
+    marks, and every residue is zero at the pivots, one kept row per
+    solution column.  They are held transposed, as column masks: `_res[k]`
+    holds the columns whose residue has bit k, `_tags[j]` those whose tag
+    has bit j.  Appending the row k costs one mask: a column's residue gains
+    bit k when the row touches the column or, exclusively, an odd number of
+    the solution columns its tag marks.  A column that joins the solution
+    clears its pivot from the coordinates that hold it (`_join`), and an
+    exchange rewrites the tags that hold the column it replaces (`_swap`).
     """
 
-    __slots__ = ("layout", "_basis", "_cols", "_warm", "_solved")
+    __slots__ = ("layout", "_basis", "_res", "_tags", "_solution", "_closure")
 
     def __init__(self, layout: BlockLayout):
         self.layout = layout
         self._basis: tuple[tuple[int, int, int], ...] = ()  # echelon basis of the kept rows, untagged
-        self._cols: dict[int, int] = {}  # flat column -> mask over the kept rows
-        self._warm: tuple[tuple[int, int], ...] = ()  # (block, column) pairs of an independent one-per-block set
-        self._solved: tuple[tuple[tuple[int, int], ...], frozenset[int]] | None = None
+        self._res: tuple[int, ...] = ()  # per kept row k: the columns whose residue has bit k
+        self._tags: tuple[int, ...] = ()  # per solution column j: the columns whose tag has bit j
+        self._solution: tuple[int, ...] = ()  # flat columns, at most one per block, independent
+        self._closure: frozenset[int] | None = None
 
     @property
     def rank(self) -> int:
@@ -193,32 +218,28 @@ class ClosureTable:
     def extend(self, rows: Iterable[int]) -> "ClosureTable":
         """A new table holding these rows after this table's rows."""
         width = self.layout.width
-        basis = list(self._basis)
-        cols = dict(self._cols)
+        basis, res = list(self._basis), list(self._res)
+        sol, tags = self._solution, self._tags
+        held = 0  # the solution's columns
+        for c in sol:
+            held |= 1 << c
         for row in rows:
             if row < 0 or row >> width:
                 raise ValueError("row does not fit the layout")
-            bit = 1 << len(basis)
             if not _tagged_insert(basis, row, 0)[0]:
                 continue
-            while row:
-                low = row & -row
-                c = low.bit_length() - 1
-                cols[c] = cols.get(c, 0) | bit
-                row ^= low
+            residues = row
+            if row & held:
+                for c, t in zip(sol, tags):
+                    if row >> c & 1:
+                        residues ^= t
+            res.append(residues)
         table = ClosureTable(self.layout)
-        table._basis = tuple(basis)
-        table._cols = cols
-        table._warm = self._solved[0] if self._solved is not None else self._warm
+        table._basis, table._res = tuple(basis), tuple(res)
+        table._tags, table._solution = tags, sol
+        if len(res) == len(self._res):  # no row kept: nothing changed
+            table._closure = self._closure
         return table
-
-    def ground(self) -> dict[int, list[tuple[int, int]]]:
-        """Per block, ascending: (flat column, column mask) of every nonzero column."""
-        b = self.layout.b
-        ground: dict[int, list[tuple[int, int]]] = {}
-        for c in sorted(self._cols):
-            ground.setdefault(c // b, []).append((c, self._cols[c]))
-        return ground
 
     def closure(self) -> frozenset[int]:
         """The minimal deviolator of the rows, read off the final augmenting-path search.
@@ -230,45 +251,43 @@ class ClosureTable:
         that least maximiser.  A solution of full rank leaves no column
         M1-addable, so the closure is then empty with no search.
         """
-        if self._solved is None:
-            self._solved = self._solve()
-        return self._solved[1]
+        if self._closure is None:
+            self._closure = self._solve()
+        return self._closure
 
-    def _solve(self) -> tuple[tuple[tuple[int, int], ...], frozenset[int]]:
-        """A maximum one-per-block independent column set, and the closure.
+    def _solve(self) -> frozenset[int]:
+        """Grow the carried solution to a maximum one and return the closure.
 
-        The warm solution is re-checked as it is loaded into an echelon basis;
-        unused blocks are then filled greedily, in column order, with the
-        first column independent of those taken.  Augmentation runs only
-        when that leaves the solution short of the rank.
+        Each carried solution column must read as itself.  Unused blocks are
+        then filled greedily, in column order, with the first column of
+        nonzero residue.  Augmentation runs only when that leaves the
+        solution short of the rank.  The table keeps the solution it ends
+        with, and its coordinates.
         """
-        cols, b, rank = self._cols, self.layout.b, len(self._basis)
-        echelon: list[tuple[int, int, int]] = []  # of the solution's column masks
-
-        def independent(c: int) -> bool:
-            return _tagged_insert(echelon, cols[c], 0)[0] != 0
-
-        solution = list(self._warm)
-        if not all(independent(c) for _, c in solution):
+        res, tags, sol = list(self._res), list(self._tags), list(self._solution)
+        b, rank = self.layout.b, len(res)
+        whole = mask_bits(b)
+        held = used = 0  # the solution's columns, and the columns of its blocks
+        for c in sol:
+            held |= 1 << c
+            used |= whole << (c - c % b)
+        live = reduce(or_, res, 0)  # the columns of nonzero residue
+        if live & held or any(t & held != 1 << c for c, t in zip(sol, tags)):
             raise RuntimeError("a warm-start column is dependent on the others")
-        used = {blk for blk, _ in solution}
-        if len(solution) < rank:
-            for c in sorted(cols):
-                blk = c // b
-                if blk not in used and independent(c):
-                    solution.append((blk, c))
-                    used.add(blk)
-                    if len(solution) == rank:
-                        break
-        if len(solution) == rank:
-            return tuple(solution), frozenset()
-        ground = self.ground()
-        triples = [(blk, c, cols[c]) for blk, c in solution]
-        while True:
-            bigger, reached = _augment(triples, ground)
-            if bigger is None:
-                return tuple((blk, c) for blk, c, _ in triples), reached
-            triples = bigger
+        free = live & ~used  # columns of nonzero residue in unused blocks
+        while free and len(sol) < rank:
+            c = (free & -free).bit_length() - 1
+            _join(res, tags, sol, c)
+            used |= whole << (c - c % b)
+            free = reduce(or_, res, 0) & ~used
+        closed: frozenset[int] = frozenset()
+        while len(sol) < rank:
+            reached = _augment(res, tags, sol, b)
+            if reached is not None:
+                closed = frozenset(c // b for c in set_bits(reached))
+                break
+        self._res, self._tags, self._solution = tuple(res), tuple(tags), tuple(sol)
+        return closed
 
 
 def is_safe(rows: Sequence[int], layout: BlockLayout) -> bool:
@@ -312,22 +331,39 @@ def amortized_closure(rows: Sequence[int], layout: BlockLayout) -> tuple[frozens
     the indicator-number order.  The certificate pairs (block, flat column)
     have linearly independent columns, one per member block.
     """
-    ground = ClosureTable(layout).extend(rows).ground()
+    res, tags, sol = list(ClosureTable(layout).extend(rows)._res), [], []
+    support = 0  # the nonzero columns
+    for row in rows:
+        support |= row
     chosen: list[int] = []
-    solution: list[tuple[int, int, int]] = []
+    usable = 0
     for i in range(layout.n - 1, -1, -1):
-        if i not in ground:
-            continue
-        candidate = {blk: cols for blk, cols in ground.items() if blk == i or blk in chosen}
-        bigger, _ = _augment(solution, candidate)
-        if bigger is not None:
+        cols = support & layout.block_mask(i)
+        if cols and _augment(res, tags, sol, layout.b, usable | cols) is None:
             chosen.append(i)
-            solution = bigger
-    cert = tuple(sorted((blk, c) for blk, c, _ in solution))
+            usable |= cols
+    cert = tuple(sorted((c // layout.b, c) for c in sol))
     return frozenset(chosen), cert
 
 
 # Brute-force references used as oracles by the property suites.
+
+
+def _coordinates(masks: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
+    """(residue, tag) of each column over an echelon basis of the independent
+    masks, tagged with the solution indices whose masks sum to each basis row:
+    a column equals its residue plus the masks its tag marks.  The
+    from-scratch form of the coordinates a `ClosureTable` carries."""
+    basis: list[tuple[int, int, int]] = []
+    for j, m in enumerate(masks):
+        _tagged_insert(basis, m, 1 << j)
+    return [_tagged_reduce(basis, col) for col in cols]
+
+
+def _exchangeable(coord: tuple[int, int], x: int) -> bool:
+    """True iff solution - x + y is independent, for y with these coordinates."""
+    residue, tag = coord
+    return residue != 0 or (tag >> x) & 1 == 1
 
 
 def _columns_by_block(rows: Sequence[int], layout: BlockLayout) -> dict[int, list[int]]:

@@ -423,22 +423,20 @@ def sample_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
     _fwht_inplace(hats)
     # row i: the Walsh-domain product of the tables of blocks i..n-1
     suffix_hats = np.multiply.accumulate(hats[::-1].astype(dtype), axis=0)[::-1]
-    suffix = _inverse_fwht(suffix_hats, m).tolist() + [[1] + [0] * (size - 1)]
-    if suffix[0][rhs] == 0:
+    suffix = np.concatenate([_inverse_fwht(suffix_hats, m), np.zeros((1, size), dtype=suffix_hats.dtype)])
+    suffix[-1, 0] = 1  # the empty suffix completes only syndrome 0
+    if suffix[0, rhs] == 0:
         raise EmptySupportError("no point matches the space and target")
+    syndromes = np.arange(size)
     bits = 0
     need = rhs
     start = 0
-    for i, (values, block_counts) in enumerate(zip(chunks, counts.tolist())):
+    for i, values in enumerate(chunks):
         block_syn = syn[start:start + len(values)]
         start += len(values)
-        weights = [block_counts[s] * suffix[i + 1][need ^ s] for s in range(size)]
-        total = sum(weights)
-        pick = rng.randrange(total)
-        s = 0
-        while pick >= weights[s]:
-            pick -= weights[s]
-            s += 1
+        # running sums of the weights counts[i][s] * suffix[i + 1][need ^ s]; the pick is the first above the draw
+        running = np.cumsum(counts[i] * suffix[i + 1][syndromes ^ need])
+        s = int(np.searchsorted(running, rng.randrange(int(running[-1])), side="right"))
         members = values[block_syn == s]
         v = int(members[rng.randrange(len(members))])
         bits |= v << (i * layout.b)

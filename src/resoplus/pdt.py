@@ -26,8 +26,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import f2
-from .blocks import BlockLayout, ClosureAssignment, ClosureTable, amortized_closure, fixed_blocks
-from ._bits import parity
+from .blocks import BlockLayout, ClosureAssignment, ClosureTable, amortized_closure
+from ._bits import mask_bits, parity, set_bits
 from .dtfooling import root_of, root_space, sample as dtf_sample, valid_analysis
 from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
 from .gadget import (
@@ -372,6 +372,44 @@ def exact_lifted_root_law(
     return tuple(sorted((v, p / total) for v, p in weights.items()))
 
 
+class _GamePath:
+    """The space of a game's path, and the mask of its coordinates that are unit rows.
+
+    A unit row holds only its pivot, which a reduced new row avoids, so an
+    insertion never rewrites one: only the new row and the rows it rewrites
+    can become units, and only their blocks can become fixed.
+    `blocks.fixed_blocks` is the from-scratch form.
+    """
+
+    __slots__ = ("layout", "space", "units")
+
+    def __init__(self, layout: BlockLayout):
+        self.layout = layout
+        self.space: AffineSpace = full_space(layout.width)
+        self.units = 0
+
+    def cut(self, form: int, bit: int) -> list[int]:
+        """Add the consistent equation <form, x> = bit; returns the blocks it fixed."""
+        form, bit = self.space.reduce(form, bit)
+        if form == 0:
+            if bit:
+                raise RuntimeError("a point left the space of its own answers")
+            return []
+        low = form & -form
+        new = form if form == low else 0
+        for f, _ in self.space.rows:
+            if f & low:
+                f ^= form
+                if f & (f - 1) == 0:
+                    new |= f
+        self.space = self.space._insert(form, bit)
+        if not new:
+            return []
+        self.units |= new
+        b, whole = self.layout.b, mask_bits(self.layout.b)
+        return [i for i in {c // b for c in set_bits(new)} if self.units >> (i * b) & whole == whole]
+
+
 def coin_game(
     tprime: Pdt,
     layout: BlockLayout,
@@ -385,19 +423,20 @@ def coin_game(
 
     The sampler draws the lifted point; the tree's queries are answered
     truthfully, and whenever the accumulated equations determine every bit of
-    new blocks, those base variables are revealed to the accountant.
+    new blocks, those base variables are revealed to the accountant.  A
+    coordinate is determined when it is a unit row of the path's space, and
+    each equation is checked only against the blocks of the units it adds
+    (`_GamePath`); a new equation can complete blocks it does not even touch.
     """
     x = sampler(rng)
     acct = _Accountant(rho, lift_eval(g, layout, x).bits, budget)
-    space: AffineSpace = full_space(layout.width)
+    path = _GamePath(layout)
     node = tprime.root
     while isinstance(node, Query) and acct.outcome is None:
         bit = parity(node.form & x.bits)
-        nxt = space.with_equation(node.form, bit)
-        if nxt is not space:
-            space = nxt
-            # a new equation can complete blocks it does not even touch
-            acct.reveal(fixed_blocks(space, layout) & acct.free)
+        fixed = path.cut(node.form, bit)
+        if fixed:
+            acct.reveal(i for i in fixed if i in acct.free)
         node = node.child(bit)
     return acct.transcript()
 

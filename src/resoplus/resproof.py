@@ -141,52 +141,47 @@ def _falsifies(space: AffineSpace | f2._EmptySpace, clause: tuple[int, ...]) -> 
 
 
 def parse_text(text: str) -> ProofDag:
+    """Read a proof file; every malformed line raises `ProofSyntaxError` naming its line."""
     width = declared = None
     read: list[tuple[dict, list[tuple[int, int]]]] = []  # per node, its fields and its eq rows
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if parts[0] == "rxp":
-            if width is not None:
-                raise ProofSyntaxError(line_no, "second rxp header")
-            if len(parts) != 3:
-                raise ProofSyntaxError(line_no, "header must be `rxp <width> <nodes>`")
-            width, declared = int(parts[1]), int(parts[2])
-            continue
-        if width is None:
-            raise ProofSyntaxError(line_no, "missing rxp header")
-        if parts[0] == "eq":
-            if not read:
-                raise ProofSyntaxError(line_no, "eq line outside a node")
-            if len(parts) != 3 or len(parts[1]) != width:
-                raise ProofSyntaxError(line_no, "eq needs a width-long form and a bit")
-            read[-1][1].append((string_to_bits(parts[1]), int(parts[2]) & 1))
-            continue
         try:
-            node_id = int(parts[0])
-            if len(parts) < 2 or not parts[1].startswith("k="):
-                raise ValueError("expected k=<kind>")
-            kind = parts[1][2:]
-            if kind == LEAF:
-                fields = dict(node_id=node_id, kind=LEAF, clause=int(parts[2]))
-            elif kind == WEAK:
-                fields = dict(node_id=node_id, kind=WEAK, child=int(parts[2]))
-            elif kind == QRY:
-                if len(parts[2]) != width:
-                    raise ValueError("query form width mismatch")
-                fields = dict(
-                    node_id=node_id,
-                    kind=QRY,
-                    form=string_to_bits(parts[2]),
-                    child0=int(parts[3]),
-                    child1=int(parts[4]),
-                )
+            if parts[0] == "rxp":
+                if width is not None:
+                    raise ValueError("second rxp header")
+                if len(parts) != 3:
+                    raise ValueError("header must be `rxp <width> <nodes>`")
+                width, declared = int(parts[1]), int(parts[2])
+            elif width is None:
+                raise ValueError("missing rxp header")
+            elif parts[0] == "eq":
+                if not read:
+                    raise ValueError("eq line outside a node")
+                if len(parts) != 3 or len(parts[1]) != width:
+                    raise ValueError("eq needs a width-long form and a bit")
+                read[-1][1].append((string_to_bits(parts[1]), int(parts[2]) & 1))
             else:
-                raise ValueError(f"unknown node kind {kind!r}")
+                node_id = int(parts[0])
+                if len(parts) < 2 or not parts[1].startswith("k="):
+                    raise ValueError("expected k=<kind>")
+                kind = parts[1][2:]
+                if kind == LEAF:
+                    fields = dict(node_id=node_id, kind=LEAF, clause=int(parts[2]))
+                elif kind == WEAK:
+                    fields = dict(node_id=node_id, kind=WEAK, child=int(parts[2]))
+                elif kind == QRY:
+                    if len(parts[2]) != width:
+                        raise ValueError("query form width mismatch")
+                    form = string_to_bits(parts[2])
+                    fields = dict(node_id=node_id, kind=QRY, form=form, child0=int(parts[3]), child1=int(parts[4]))
+                else:
+                    raise ValueError(f"unknown node kind {kind!r}")
+                read.append((fields, []))
         except (ValueError, IndexError) as exc:
             raise ProofSyntaxError(line_no, str(exc)) from None
-        read.append((fields, []))
     if width is None:
         raise ProofSyntaxError(0, "empty proof file")
     if declared != len(read):

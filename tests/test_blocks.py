@@ -12,6 +12,7 @@ from resoplus.blocks import (
     _augment,
     _coordinates,
     _exchangeable,
+    _join,
     ClosureAssignment,
     ClosureTable,
     NotExtendableError,
@@ -166,6 +167,48 @@ def _nonzero_columns(rows, layout):
     return by_block
 
 
+def _augment_from_scratch(solution, ground):
+    """One augmentation step as the engine made it before it carried
+    coordinates: every outside column reduced afresh against an echelon basis
+    of the solution.  solution holds (block, column, mask) triples; returns
+    (a larger solution, empty set) or (None, the blocks the failed search
+    reached)."""
+    in_sol = {c for _, c, _ in solution}
+    sol_of_block = {blk: j for j, (blk, _, _) in enumerate(solution)}
+    outside = [(blk, c, m) for blk, cols in ground.items() for c, m in cols if c not in in_sol]
+    coords = _coordinates([m for _, _, m in solution], [m for _, _, m in outside])
+    start = [i for i, (residue, _) in enumerate(coords) if residue]
+    parents = {("y", i): None for i in start}
+    queue = list(parents)
+    goal = next((("y", i) for i in start if outside[i][0] not in sol_of_block), None)
+    qi = 0
+    while goal is None and qi < len(queue):
+        kind, idx = queue[qi]
+        qi += 1
+        if kind == "y":
+            j = sol_of_block[outside[idx][0]]
+            if ("x", j) not in parents:
+                parents[("x", j)] = (kind, idx)
+                queue.append(("x", j))
+        else:
+            for j, coord in enumerate(coords):
+                if ("y", j) not in parents and _exchangeable(coord, idx):
+                    parents[("y", j)] = (kind, idx)
+                    if outside[j][0] not in sol_of_block:
+                        goal = ("y", j)
+                        break
+                    queue.append(("y", j))
+    if goal is None:
+        return None, frozenset((outside[i] if kind == "y" else solution[i])[0] for kind, i in parents)
+    add, drop = [], []
+    node = goal
+    while node is not None:
+        kind, idx = node
+        (add if kind == "y" else drop).append(idx)
+        node = parents[node]
+    return [t for j, t in enumerate(solution) if j not in drop] + [outside[j] for j in add], frozenset()
+
+
 def closure_from_scratch(rows, layout):
     """The closure as the engine computed it before it kept a table: a fresh
     column table and greedy start on every call, then augmentation until the
@@ -178,7 +221,7 @@ def closure_from_scratch(rows, layout):
                 solution.append((blk, c, m))
                 break
     while True:
-        bigger, reached = _augment(solution, ground)
+        bigger, reached = _augment_from_scratch(solution, ground)
         if bigger is None:
             return reached
         solution = bigger
@@ -207,11 +250,8 @@ def append_chains(draw):
     return lay, draw(st.lists(st.lists(step, min_size=1, max_size=3), min_size=1, max_size=8))
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(append_chains())
-def test_table_chains_match_oracles(case):
-    lay, chain = case
-    table = ClosureTable(lay)
+def _batches(chain):
+    """The rows of each batch of a chain; a dependent step is a sum of the rows before it."""
     rows = []
     for batch in chain:
         new = []
@@ -224,6 +264,17 @@ def test_table_chains_match_oracles(case):
                 for k, row in enumerate(earlier):
                     if (arg >> (k % 16)) & 1:
                         new[-1] ^= row
+        rows += new
+        yield new
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(append_chains())
+def test_table_chains_match_oracles(case):
+    lay, chain = case
+    table = ClosureTable(lay)
+    rows = []
+    for new in _batches(chain):
         parent, parent_closure, parent_rank = table, table.closure(), table.rank
         table = table.extend(new)
         rows += new
@@ -238,13 +289,83 @@ def test_table_chains_match_oracles(case):
             assert is_safe(rows, lay) == (not cl) == is_safe_bruteforce(rows, lay)
 
 
+def assert_carried_coordinates(lay, rows, res, tags, sol):
+    """Coordinates carried over a solution, as a `ClosureTable` holds them,
+    against `_coordinates` over that solution recomputed from scratch."""
+    kept, basis = [], []
+    for row in rows:
+        if _tagged_insert(basis, row, 0)[0]:
+            kept.append(row)
+    assert len(res) == len(kept)
+    masks = [sum(((row >> c) & 1) << k for k, row in enumerate(kept)) for c in range(lay.width)]
+    # the rows that no residue holds include a pivot for every solution column
+    pivots = [k for k, r in enumerate(res) if r == 0]
+    assert rank_of_rows([sum(((masks[s] >> k) & 1) << i for i, k in enumerate(pivots)) for s in sol]) == len(sol)
+    for c, (residue, tag) in enumerate(_coordinates([masks[s] for s in sol], masks)):
+        carried_residue = sum(((r >> c) & 1) << k for k, r in enumerate(res))
+        carried_tag = sum(((t >> c) & 1) << j for j, t in enumerate(tags))
+        # a column is its residue plus the solution columns its tag marks
+        summed = carried_residue
+        for j, s in enumerate(sol):
+            if carried_tag >> j & 1:
+                summed ^= masks[s]
+        assert summed == masks[c]
+        # what the search reads does not depend on the pivots: whether the residue is zero, and then the tag
+        assert (carried_residue == 0) == (residue == 0)
+        if residue == 0:
+            assert carried_tag == tag
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(append_chains())
+def test_carried_coordinates_match_a_from_scratch_reduction(case):
+    # after each extend, from the parent's solution, and after the solve that grows it
+    lay, chain = case
+    table, rows = ClosureTable(lay), []
+    for new in _batches(chain):
+        table = table.extend(new)
+        rows += new
+        assert_carried_coordinates(lay, rows, table._res, table._tags, table._solution)
+        assert table.rank == len(table._res)
+        table.closure()
+        assert_carried_coordinates(lay, rows, table._res, table._tags, table._solution)
+
+
+@st.composite
+def matching_cases(draw):
+    """Rows on two fresh columns each: every column is a unit vector, so a
+    one-per-block solution is a matching of blocks to rows, and a greedy one
+    is often short of the maximum."""
+    lay = BlockLayout(draw(st.integers(2, 10)), draw(st.integers(1, 3)))
+    cols = draw(st.permutations(range(lay.width)))
+    count = draw(st.integers(1, lay.width // 2))
+    return lay, [(1 << cols[2 * k]) | (1 << cols[2 * k + 1]) for k in range(count)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(closure_cases(), matching_cases()), st.randoms(use_true_random=False))
+def test_augmenting_from_any_start_keeps_the_coordinates(case, rnd):
+    # a greedy start in random column order is maximal, so it grows only by
+    # exchanges; after each augmentation the coordinates still match, and the
+    # failed search reaches the closure, whatever the start
+    lay, rows = case
+    res, tags, sol = list(ClosureTable(lay).extend(rows)._res), [], []
+    for c in rnd.sample(range(lay.width), lay.width):
+        if all(s // lay.b != c // lay.b for s in sol) and any(r >> c & 1 for r in res):
+            _join(res, tags, sol, c)
+    assert_carried_coordinates(lay, rows, res, tags, sol)
+    while (reached := _augment(res, tags, sol, lay.b)) is None:
+        assert_carried_coordinates(lay, rows, res, tags, sol)
+    assert frozenset(c // lay.b for c in range(lay.width) if reached >> c & 1) == closure(rows, lay)
+
+
 def test_a_dependent_warm_start_is_caught():
     # appending rows keeps a solution independent, so a dependent warm start is a broken table
     lay = BlockLayout(3, 2)
     table = ClosureTable(lay).extend([unit(lay, 0, 0) | unit(lay, 1, 0), unit(lay, 2, 0)])
     assert table.closure() == frozenset()
     child = table.extend([unit(lay, 1, 1)])
-    child._warm = ((0, lay.flat(0, 0)), (1, lay.flat(1, 0)))  # the same column mask twice
+    child._solution = (lay.flat(0, 0), lay.flat(1, 0))  # the same column mask twice
     with pytest.raises(RuntimeError, match="warm-start"):
         child.closure()
 

@@ -260,6 +260,23 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {error}: ")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("rxp one 1\n0 k=LEAF 0\n", 1),  # the header's width
+        ("rxp 2 1\n0 k=LEAF 0\neq 10 x\n", 3),  # an equation's bit
+    ],
+)
+def test_a_malformed_proof_number_names_its_line(tmp_path, capsys, text, line):
+    proof = tmp_path / "bad.rxp"
+    proof.write_text(text)
+    code = main(["proof-metrics", str(proof)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: ProofSyntaxError: line {line}: ")
+
+
 def test_random_graph_without_seed_says_why(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-graph", "--type", "random"])

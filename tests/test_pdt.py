@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from resoplus import dtfooling, pdt
 from resoplus._bits import parity
-from resoplus.blocks import BlockLayout, ClosureAssignment, closure, is_safe
+from resoplus.blocks import BlockLayout, ClosureAssignment, closure, fixed_blocks, is_safe
 from resoplus.f2 import EMPTY, EmptySpaceError, FVec, enumerate_points, full_space, space_from_pairs
 from resoplus.gadget import (
     EmptyPreimageError,
@@ -264,6 +265,43 @@ def test_unlifted_games_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "c60a241869c893cb"
 
 
+def _lazy_local_tree(lay, depth, seed):
+    """A lazy tree of local forms: each query touches a random block and, half
+    the time, the next block along the cycle.  A node's form depends only on
+    its path, so the tree is the same whatever order it is visited in."""
+
+    def node(level, path):
+        if level == depth:
+            return Leaf()
+        rng = random.Random(f"{seed}/{path}")
+        first = rng.randrange(lay.n)
+        form = 0
+        for blk in (first,) if rng.getrandbits(1) else (first, (first + 1) % lay.n):
+            form |= rng.randrange(1, 1 << lay.b) << (blk * lay.b)
+        return Query(form, partial(node, level + 1, 2 * path), partial(node, level + 1, 2 * path + 1))
+
+    return Pdt(lay.width, node(0, 1))
+
+
+def test_lifted_games_are_pinned():
+    """Transcripts of seeded coin games on the 7-cycle lifted by IP_4 against
+    block-completed lazy local parity trees, at budgets 0, 1 and 2."""
+    graph, g = cycle_graph(7), ip_gadget(4)
+    lay = BlockLayout(graph.num_edges, g.b)
+    rho = EdgePartialAssignment.empty(graph)
+    dist = lifted_dtfooling_distribution(lay, g, rho)
+    y = ClosureAssignment.from_dict(lay, {})
+    sampler = lambda r: sample_lifted(dist, None, r)
+    rows = []
+    for trial in range(60):
+        tprime = block_complete(_lazy_local_tree(lay, 10, trial), lay, full_space(lay.width), y)
+        t = coin_game(tprime, lay, g, rho, sampler, Fraction(trial % 3), random.Random(3000 + trial))
+        assert t.identity_holds()
+        rows.append((t.root, t.outcome, t.total_paid, [dataclasses.astuple(s) for s in t.steps]))
+    assert {outcome for _, outcome, _, _ in rows} == {"WIN", "LOSE", "EXHAUSTED_QUERIES"}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "8949a564b046b279"
+
+
 def test_each_game_analyses_once_per_reveal(monkeypatch):
     calls = []
     real = pdt.analyze_partial
@@ -321,6 +359,36 @@ def test_coin_game_sees_indirectly_determined_blocks():
         first = transcript.steps[0].revealed if transcript.steps else ()
         saw_block0_before_block1_complete |= 0 in first
     assert saw_block0_before_block1_complete
+
+
+@st.composite
+def consistent_equations(draw):
+    """A layout, a point, and forms to ask of it: units, forms on one or two blocks, and dense forms."""
+    lay = BlockLayout(draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    block, value = st.integers(0, lay.n - 1), st.integers(1, (1 << lay.b) - 1)
+    unit = st.integers(0, lay.width - 1).map(lambda i: 1 << i)
+    two = st.builds(lambda i, j, v, w: (v << (i * lay.b)) ^ (w << (j * lay.b)), block, block, value, value)
+    dense = st.integers(0, (1 << lay.width) - 1)
+    return lay, draw(dense), draw(st.lists(st.one_of(unit, unit, two, dense), max_size=3 * lay.width))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(consistent_equations())
+def test_game_path_reveals_the_fixed_blocks(case):
+    # after every equation the unit mask is the space's unit rows, and the
+    # blocks revealed so far are the fixed blocks, found from scratch
+    lay, x, forms = case
+    path, revealed = pdt._GamePath(lay), set()
+    for form in forms:
+        fixed = set(path.cut(form, parity(form & x)))
+        assert not fixed & revealed
+        revealed |= fixed
+        assert path.units == sum(f for f in path.space.forms() if f & (f - 1) == 0)
+        assert revealed == fixed_blocks(path.space, lay)
+    asked = [f for f in forms if f]
+    if asked:
+        with pytest.raises(RuntimeError):
+            path.cut(asked[0], 1 - parity(asked[0] & x))
 
 
 def test_coin_game_lifted_identity_and_budget():
