@@ -46,21 +46,27 @@ def bfs_tree(g: Graph, edge_subset: Iterable[int], root: int) -> tuple[list[int]
 
     Returns the visit order and, per non-root visited vertex, its parent edge.
     """
-    allowed = set(edge_subset)
+    return _bfs(_adjacency(g, set(edge_subset)), root)
+
+
+def _adjacency(g: Graph, edges: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+    """Per vertex touched by the edges, its (neighbour, edge) pairs in ascending order."""
     adj: dict[int, list[tuple[int, int]]] = {}
-    for k in allowed:
+    for k in edges:
         u, v = g.edges[k]
         adj.setdefault(u, []).append((v, k))
         adj.setdefault(v, []).append((u, k))
     for lst in adj.values():
         lst.sort()
+    return adj
+
+
+def _bfs(adj: Mapping[int, list[tuple[int, int]]], root: int) -> tuple[list[int], dict[int, int]]:
+    """`bfs_tree` over an `_adjacency` already built."""
     order = [root]
     parent_edge: dict[int, int] = {}
     seen = {root}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
+    for u in order:  # order grows while it is walked
         for w, k in adj.get(u, ()):
             if w not in seen:
                 seen.add(w)
@@ -143,31 +149,64 @@ def _vertex_forms(rho: EdgePartialAssignment) -> tuple[dict[int, int], list[int]
     return pos, forms
 
 
+class _Forest:
+    """What sampling needs of a valid rho's free-edge components, built once
+    per rho and kept in its `memo` (`_forest`): one per rho.
+
+    Per component with free edges: its least vertex (None for the odd
+    component, whose BFS starts at the drawn root), its free edges in
+    ascending order, and their sorted BFS adjacency.
+    """
+
+    __slots__ = ("graph", "f", "roots", "parts")
+
+    def __init__(self, rho: EdgePartialAssignment):
+        g = rho.graph
+        analysis = valid_analysis(rho)
+        odd = analysis.odd_component
+        self.graph = g
+        self.f = analysis.f_rho
+        self.roots = sorted(odd)
+        comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
+        comp_edges: list[list[int]] = [[] for _ in analysis.components]
+        for k in rho.free_edges():
+            comp_edges[comp_of[g.edges[k][0]]].append(k)
+        self.parts = [
+            (None if comp == odd else min(comp), edges, set(edges), _adjacency(g, edges))
+            for comp, edges in zip(analysis.components, comp_edges)
+            if edges
+        ]
+
+
+def _forest(rho: EdgePartialAssignment) -> _Forest:
+    forest = rho.memo.get(_Forest)
+    if forest is None:
+        forest = rho.memo[_Forest] = _Forest(rho)
+    return forest
+
+
 def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
-    """One draw of the hard distribution for a valid partial assignment."""
-    g = rho.graph
-    analysis = valid_analysis(rho)
-    odd = analysis.odd_component
-    root = sorted(odd)[rng.randrange(len(odd))]
+    """One draw of the hard distribution for a valid partial assignment.
+
+    The root is drawn first.  Then, component by component, the non-tree
+    free edges of a BFS spanning tree (from the root, or from the least
+    vertex of an even component) are drawn in ascending order and the tree
+    edges solved leaves first.  The BFS walks the adjacency of rho's `_Forest`.
+    """
+    forest = _forest(rho)
+    root = forest.roots[rng.randrange(len(forest.roots))]
     values: dict[int, int] = {}  # the free edges' drawn and solved bits
-    comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
-    comp_edges: list[list[int]] = [[] for _ in analysis.components]
-    for k in rho.free_edges():
-        comp_edges[comp_of[g.edges[k][0]]].append(k)
-    for comp, edges in zip(analysis.components, comp_edges):
-        if not edges:
-            continue
-        comp_root = root if comp == odd else min(comp)
-        order, parent_edge = bfs_tree(g, edges, comp_root)
+    for fixed, edges, edge_set, adj in forest.parts:
+        order, parent_edge = _bfs(adj, root if fixed is None else fixed)
         tree_edges = set(parent_edge.values())
         for k in edges:
             if k not in tree_edges:
                 values[k] = rng.getrandbits(1)
-        _solve_tree_edges(g, set(edges), order, parent_edge, analysis.f_rho, values)
+        _solve_tree_edges(forest.graph, edge_set, order, parent_edge, forest.f, values)
     bits = rho.bits
     for k, bit in values.items():
         bits |= bit << k
-    return RootedSample(FVec(g.num_edges, bits), root, rho)
+    return RootedSample(FVec(forest.graph.num_edges, bits), root, rho)
 
 
 def root_of(g: Graph, z: int) -> int | Many:

@@ -165,7 +165,12 @@ class AffineSpace:
         if form < 0 or form >> self.width:
             raise ValueError("form out of range for width")
         bit &= 1
-        for f, c in self.rows:
+        rows = self.rows
+        # rows are sorted by pivot, so a form clear of every bit up to the
+        # last pivot holds none of them
+        if not rows or form & (((rows[-1][0] & -rows[-1][0]) << 1) - 1) == 0:
+            return form, bit
+        for f, c in rows:
             if form & f & -f:
                 form ^= f
                 bit ^= c
@@ -186,13 +191,26 @@ class AffineSpace:
         return self._insert(form, bit), self._insert(form, bit ^ 1)
 
     def _insert(self, form: int, bit: int) -> "AffineSpace":
-        """The space with a nonzero reduced row added: the row is cleared from
-        the rows containing its pivot and inserted by pivot."""
-        low = form & -form
-        # rows without the new pivot are shared with self, not copied: deep trees of spaces stay small
-        rows = [(fc[0] ^ form, fc[1] ^ bit) if fc[0] & low else fc for fc in self.rows]
-        rows.insert(bisect.bisect(rows, low, key=lambda fc: fc[0] & -fc[0]), (form, bit))
-        return AffineSpace(self.width, tuple(rows))
+        """The space with a nonzero reduced row added (`_inserted_rows`)."""
+        return AffineSpace(self.width, _inserted_rows(self.rows, form, bit))
+
+
+def _inserted_rows(rows: tuple[tuple[int, int], ...], form: int, bit: int) -> tuple[tuple[int, int], ...]:
+    """Echelon rows with a nonzero reduced row added: the row is cleared from
+    the rows containing its pivot and inserted by pivot.
+
+    Rows without the new pivot are shared, not copied, so deep trees of
+    spaces stay small.  When every row's form lies below the new pivot, no
+    row holds that pivot, which then sits above every other: the row is
+    appended.  A row may hold bits above its own pivot, so a new pivot
+    above the last one is only the first, constant-time test.
+    """
+    low = form & -form
+    if not rows or (low > rows[-1][0] & -rows[-1][0] and max(rows)[0] < low):
+        return rows + ((form, bit),)
+    out = [(fc[0] ^ form, fc[1] ^ bit) if fc[0] & low else fc for fc in rows]
+    out.insert(bisect.bisect(out, low, key=lambda fc: fc[0] & -fc[0]), (form, bit))
+    return tuple(out)
 
 
 def full_space(width: int) -> AffineSpace:

@@ -378,9 +378,14 @@ def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
     2^-m * sum_s (-1)^<s, rhs> * prod_i W_i[class(z_i)][s].
     """
     _check_layout(space, layout, g)
-    classes = _target_classes(layout, targets)
+    return _class_counts(space, layout, g, _target_classes(layout, targets)).tolist()
+
+
+def _class_counts(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, classes: np.ndarray) -> np.ndarray:
+    """`counts_in_space` for targets already read into `_target_classes`, as an
+    int64 array, or an object array of Python ints past int64's range."""
     if space is EMPTY:
-        return [0] * len(classes)
+        return np.zeros(len(classes), dtype=np.int64)
     m, rhs, table_of, _, _, hats, dtype = _block_tables(space, layout, g, classes)
     size = 1 << m
     _fwht_inplace(hats)
@@ -389,14 +394,14 @@ def counts_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
     sign = np.ones(1, dtype=dtype)  # (-1)^<s, rhs>, doubled one syndrome bit at a time
     for j in range(m):
         sign = np.concatenate((sign, -sign if (rhs >> j) & 1 else sign))
-    out: list[int] = []
+    out = []
     step = max(1, _WALSH_CHUNK // (size * max(1, layout.n)))
     for start in range(0, len(classes), step):
         totals = hats[rows[start:start + step]].prod(axis=1) @ sign
         if np.count_nonzero(totals % size):
             raise RuntimeError("a Walsh-domain count is not a multiple of 2^m")
-        out += (totals // size).tolist()
-    return out
+        out.append(totals // size)
+    return np.concatenate(out) if out else np.zeros(0, dtype=dtype)
 
 
 def count_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g: Gadget, z) -> int:

@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import f2
 from .blocks import BlockLayout, ClosureAssignment, ClosureTable, amortized_closure
 from ._bits import mask_bits, parity, set_bits
@@ -34,8 +36,10 @@ from .gadget import (
     EmptyPreimageError,
     Gadget,
     LiftedDistribution,
+    _check_layout,
+    _class_counts,
+    _target_classes,
     count_preimages,
-    counts_in_space,
     lift_eval,
     sample_lifted,
 )
@@ -337,6 +341,19 @@ def lifted_dtfooling_distribution(
     return LiftedDistribution(layout, g, tuple((z, 1) for _, z in _rooted_support(layout, rho, cap)))
 
 
+def _cached_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """`_rooted_support` as a list, and each point's block classes (`gadget._target_classes`).
+
+    Both depend only on (layout, rho, cap), so they are kept in rho's
+    `memo`, for one (layout, cap) at a time, and go with rho.
+    """
+    kept = rho.memo.get(_cached_support)
+    if kept is None or kept[0] != (layout, cap):
+        points = list(_rooted_support(layout, rho, cap))
+        kept = rho.memo[_cached_support] = ((layout, cap), points, _target_classes(layout, [z for _, z in points]))
+    return kept[1], kept[2]
+
+
 def exact_lifted_root_law(
     layout: BlockLayout,
     g: Gadget,
@@ -348,14 +365,16 @@ def exact_lifted_root_law(
 
     A support point z weighs |G^-1(z) ∩ C| / |G^-1(z)|.  The counts for all
     support points come from one Walsh-domain product of per-block syndrome
-    tables.  The fibre |G^-1(z)| depends only on |z|, so the counts are
-    summed per (root, |z|) and divided once per group.  The near-uniformity
-    of the lifted root can then be checked against the finite-scale
-    spectral budget.
+    tables.  The support and its block classes depend only on (layout, rho),
+    so they are built once and kept (`_cached_support`).  The fibre
+    |G^-1(z)| depends only on |z|, so the counts are summed per (root, |z|)
+    and divided once per group.  The near-uniformity of the lifted root can
+    then be checked against the finite-scale spectral budget.
     """
-    support = list(_rooted_support(layout, rho, cap))
+    support, classes = _cached_support(layout, rho, cap)
     space = conditioning if conditioning is not None else full_space(layout.width)
-    counts = counts_in_space(space, layout, g, [z for _, z in support])
+    _check_layout(space, layout, g)
+    counts = _class_counts(space, layout, g, classes).tolist()
     groups: dict[tuple[int, int], list[int]] = {}  # (root, |z|) -> [summed count, one z]
     for (root, z), cnt in zip(support, counts):
         group = groups.setdefault((root, z.bit_count()), [0, z])

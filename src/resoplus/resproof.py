@@ -7,7 +7,9 @@ accepted.  Child 0 of a query node is the response-0 branch.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import f2
 from ._bits import bits_to_string, parity, string_to_bits
@@ -68,26 +70,42 @@ class ProofDag:
     nodes: tuple[ProofNode, ...]  # the first node is the root
     by_id: dict[int, ProofNode]
     order: tuple[ProofNode, ...]  # every node once, each before its children
+    id_order: tuple[ProofNode, ...]  # every node once, by ascending id
 
     @classmethod
     def build(cls, width: int, nodes: list[ProofNode]) -> "ProofDag":
+        """Index the nodes and order them; raises on a duplicate id, a dangling child or a cycle.
+
+        When the nodes come by ascending id and every child's id exceeds its
+        parent's, as `pdt_refute` and `to_text` lay a proof out, the listing
+        is already both orders, and one pass over the edges shows it.  Any
+        other listing is ordered by the DFS of `_reverse_postorder`.
+        """
         by_id = {}
         for node in nodes:
             if node.node_id in by_id:
                 raise ValueError(f"duplicate node id {node.node_id}")
             by_id[node.node_id] = node
+        ids = list(by_id)  # the listing's ids, in its order
+        ascending = all(map(operator.lt, ids, ids[1:]))
         for node in nodes:
             for c in node.children():
                 if c not in by_id:
                     raise DanglingNodeError(f"node {node.node_id} references unknown id {c}")
-        return cls(width, tuple(nodes), by_id, _reverse_postorder(nodes, by_id))
+                if c <= node.node_id:
+                    ascending = False
+        nodes = tuple(nodes)
+        if ascending:
+            return cls(width, nodes, by_id, nodes, nodes)
+        id_order = tuple(sorted(nodes, key=lambda n: n.node_id))
+        return cls(width, nodes, by_id, _reverse_postorder(nodes, by_id), id_order)
 
     @property
     def root(self) -> ProofNode:
         return self.nodes[0]
 
 
-def _reverse_postorder(nodes: list[ProofNode], by_id: dict[int, ProofNode]) -> tuple[ProofNode, ...]:
+def _reverse_postorder(nodes: Sequence[ProofNode], by_id: dict[int, ProofNode]) -> tuple[ProofNode, ...]:
     """One iterative DFS from each unvisited node in turn; raises CycleError on a back edge.
 
     A node is finished after all its children, so the reverse of the finishing
@@ -138,6 +156,33 @@ def _falsifies(space: AffineSpace | f2._EmptySpace, clause: tuple[int, ...]) -> 
         return True
     rows = space.rows
     return all((1 << (abs(lit) - 1), int(lit < 0)) in rows for lit in clause)
+
+
+_SPLIT_RULES = ("QUERY-SPLIT-0", "QUERY-SPLIT-1")
+
+
+def _split_violation(space: AffineSpace | f2._EmptySpace, form: int, kid0: AffineSpace | f2._EmptySpace,
+                     kid1: AffineSpace | f2._EmptySpace) -> str | None:
+    """The first query rule that the children's spaces break, or None.
+
+    Child b must be the space cut by <form, x> = b.  One reduction serves
+    both sides; a child is then compared by rows with the parent's rows plus
+    the reduced row (`f2._inserted_rows`), so no expected space is built.
+    """
+    if space is EMPTY:
+        halves = (EMPTY, EMPTY)
+    else:
+        form, bit = space.reduce(form)
+        if form:
+            for side, kid in enumerate((kid0, kid1)):
+                if kid is EMPTY or kid.width != space.width or kid.rows != f2._inserted_rows(space.rows, form, bit ^ side):
+                    return _SPLIT_RULES[side]
+            return None
+        halves = (EMPTY, space) if bit else (space, EMPTY)
+    for side, kid in enumerate((kid0, kid1)):
+        if kid != halves[side]:
+            return _SPLIT_RULES[side]
+    return None
 
 
 def parse_text(text: str) -> ProofDag:
@@ -240,16 +285,15 @@ def check(dag: ProofDag, cnf: Cnf) -> CheckResult:
         return CheckResult(False, dag.root.node_id, "WIDTH-MISMATCH")
     if dag.root.space != full_space(dag.width):
         return CheckResult(False, dag.root.node_id, "ROOT-SPACE")
-    for node in sorted(dag.nodes, key=lambda n: n.node_id):
+    by_id = dag.by_id
+    for node in dag.id_order:
         space = node.space
         if node.kind == QRY:
-            space0, space1 = space.split(node.form)
-            if dag.by_id[node.child0].space != space0:
-                return CheckResult(False, node.node_id, "QUERY-SPLIT-0")
-            if dag.by_id[node.child1].space != space1:
-                return CheckResult(False, node.node_id, "QUERY-SPLIT-1")
+            rule = _split_violation(space, node.form, by_id[node.child0].space, by_id[node.child1].space)
+            if rule is not None:
+                return CheckResult(False, node.node_id, rule)
         elif node.kind == WEAK:
-            if not is_subspace(space, dag.by_id[node.child].space):
+            if not is_subspace(space, by_id[node.child].space):
                 return CheckResult(False, node.node_id, "WEAKEN-CONTAINMENT")
         else:
             if node.clause is None or not 0 <= node.clause < len(cnf.clauses):

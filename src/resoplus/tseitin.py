@@ -358,6 +358,15 @@ class EdgePartialAssignment:
         valid = len(odd) == 1 and 2 * len(odd[0]) > g.num_vertices
         return PartialAnalysis(tuple(comps), tuple(f), odd, valid)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Values that other modules derive from this assignment alone, by key.
+
+        They live and die with the assignment.  None may refer back to it, so
+        that a dropped assignment is freed by reference counting.
+        """
+        return {}
+
     def to_text(self) -> str:
         return "".join(f"{k} {bit}\n" for k, bit in self.entries)
 

@@ -3,13 +3,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import intersect_space
 from resoplus._bits import parity, string_to_bits
 from resoplus.f2 import (
     EMPTY,
+    AffineSpace,
     EnumerationCapError,
     EmptySpaceError,
     FVec,
@@ -245,3 +246,58 @@ def test_is_subspace_rejects_a_width_mismatch():
         is_subspace(full_space(2), full_space(3))
     with pytest.raises(ValueError):
         is_subspace(full_space(3), space_from_pairs(2, [(0b01, 1)]))
+
+
+def _echelon_from_scratch(width, pairs):
+    """Reduced row-echelon form by plain Gauss-Jordan elimination, with no
+    fast path: the oracle for the appending insertion and the reduction exit."""
+    rows = []
+    for form, bit in pairs:
+        for f, c in rows:
+            if form & f & -f:
+                form ^= f
+                bit ^= c
+        if form == 0:
+            if bit:
+                return EMPTY
+            continue
+        low = form & -form
+        rows = [(f ^ form, c ^ bit) if f & low else (f, c) for f, c in rows] + [(form, bit)]
+    return AffineSpace(width, tuple(sorted(rows, key=lambda fc: fc[0] & -fc[0])))
+
+
+@st.composite
+def forms_above_every_pivot(draw):
+    """(width, pairs, form): a non-empty system and a form whose lowest bit
+    lies above every pivot of its space.  Often some row holds that bit off
+    its own pivot, and often the form also holds the last pivot itself."""
+    width = draw(st.integers(2, 10))
+    top = draw(st.integers(1, width - 1))  # the new pivot's coordinate
+    pairs = draw(st.lists(st.tuples(st.integers(1, (1 << top) - 1), st.integers(0, 1)), max_size=top))
+    if draw(st.booleans()):  # a row below the new pivot that also holds it
+        pairs.append((draw(st.integers(1, (1 << top) - 1)) | 1 << top, draw(st.integers(0, 1))))
+    space = _echelon_from_scratch(width, pairs)
+    assume(space is not EMPTY and all(f & -f < 1 << top for f, _ in space.rows))
+    form = 1 << top | draw(st.integers(0, (1 << width) - 1)) >> (top + 1) << (top + 1)
+    if draw(st.booleans()) and space.rows:  # also hold the last pivot, which the reduction must clear
+        form |= space.rows[-1][0] & -space.rows[-1][0]
+    return width, pairs, form
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(forms_above_every_pivot(), st.integers(0, 1))
+def test_forms_above_every_pivot_match_a_from_scratch_echelon_form(case, bit):
+    width, pairs, form = case
+    space = space_from_pairs(width, pairs)
+    want = [_echelon_from_scratch(width, pairs + [(form, b)]) for b in (0, 1)]
+    assert space == _echelon_from_scratch(width, pairs)
+    assert space.with_equation(form, bit) == want[bit]
+    assert space.split(form) == tuple(want)
+    assert [space_from_pairs(width, pairs + [(form, b)]) for b in (0, 1)] == want
+    # the reduction against every row, with no exit
+    reduced, rhs = form, bit
+    for f, c in space.rows:
+        if reduced & f & -f:
+            reduced ^= f
+            rhs ^= c
+    assert space.reduce(form, bit) == (reduced, rhs)

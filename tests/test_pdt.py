@@ -17,6 +17,8 @@ from resoplus.gadget import (
     EmptyPreimageError,
     Gadget,
     count_in_space,
+    count_preimages,
+    counts_in_space,
     ip_gadget,
     lift_eval,
     preimages,
@@ -522,6 +524,46 @@ def test_exact_lifted_root_law_matches_per_point_formula(instance):
             exact_lifted_root_law(lay, g, rho, cond)
         return
     assert exact_lifted_root_law(lay, g, rho, cond) == want
+
+
+def _lifted_root_law_per_call(layout, g, rho, conditioning):
+    """The lifted root law as it was: the support rebuilt by `_rooted_support`
+    and every target read again on each call."""
+    support = list(pdt._rooted_support(layout, rho, pdt.LIFTED_SUPPORT_CAP))
+    space = conditioning if conditioning is not None else full_space(layout.width)
+    counts = counts_in_space(space, layout, g, [z for _, z in support])
+    groups = {}
+    for (root, z), cnt in zip(support, counts):
+        group = groups.setdefault((root, z.bit_count()), [0, z])
+        group[0] += cnt
+    weights = {}
+    for (root, _), (cnt, z) in groups.items():
+        fibre = count_preimages(g, layout, z)
+        if fibre == 0:
+            raise EmptyPreimageError("a support point has an empty fibre")
+        weights[root] = weights.get(root, Fraction(0)) + Fraction(cnt, fibre)
+    total = sum(weights.values())
+    if total == 0:
+        raise EmptySpaceError("conditioning removes the whole lifted support")
+    return tuple(sorted((v, p / total) for v, p in weights.items()))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(lifted_law_instances())
+def test_cached_lifted_root_law_matches_the_per_call_law(instance):
+    # rho, then the empty rho of the same graph, then a fresh copy of rho:
+    # each keeps its own support, which must be built from its fixed edges
+    lay, g, rho, cond = instance
+    for r in (rho, EdgePartialAssignment.empty(rho.graph), EdgePartialAssignment(rho.graph, rho.mask, rho.bits)):
+        try:
+            want = _lifted_root_law_per_call(lay, g, r, cond)
+        except EmptySpaceError:
+            with pytest.raises(EmptySpaceError):
+                exact_lifted_root_law(lay, g, r, cond)
+            continue
+        assert exact_lifted_root_law(lay, g, r, cond) == want
+    with pytest.raises(ValueError):  # a layout of another block count, after rho's support is kept
+        exact_lifted_root_law(BlockLayout(lay.n + 1, lay.b), g, rho)
 
 
 def test_lifted_root_law_rejects_k4():

@@ -23,6 +23,7 @@ from resoplus.resproof import (
     check,
     clause_negation_space,
     _falsifies,
+    _reverse_postorder,
     metrics,
     parse_text,
     pdt_refute,
@@ -378,3 +379,155 @@ def test_cycle_error_names_a_node_on_a_cycle(case, data):
     assert any(named in part for part in nx.strongly_connected_components(graph) if len(part) > 1) or (
         graph.has_edge(named, named)
     )
+
+
+def _check_by_split(dag, cnf):
+    """The checker as it was: both child spaces of a query built by `split`,
+    and the nodes sorted by id on every call."""
+    if cnf.num_vars != dag.width:
+        return CheckResult(False, dag.root.node_id, "WIDTH-MISMATCH")
+    if dag.root.space != full_space(dag.width):
+        return CheckResult(False, dag.root.node_id, "ROOT-SPACE")
+    for node in sorted(dag.nodes, key=lambda n: n.node_id):
+        space = node.space
+        if node.kind == QRY:
+            space0, space1 = space.split(node.form)
+            if dag.by_id[node.child0].space != space0:
+                return CheckResult(False, node.node_id, "QUERY-SPLIT-0")
+            if dag.by_id[node.child1].space != space1:
+                return CheckResult(False, node.node_id, "QUERY-SPLIT-1")
+        elif node.kind == WEAK:
+            if not is_subspace(space, dag.by_id[node.child].space):
+                return CheckResult(False, node.node_id, "WEAKEN-CONTAINMENT")
+        else:
+            if node.clause is None or not 0 <= node.clause < len(cnf.clauses):
+                return CheckResult(False, node.node_id, "LEAF-CLAUSE-RANGE")
+            if not _falsifies(space, cnf.clauses[node.clause]):
+                return CheckResult(False, node.node_id, "LEAF-FALSIFICATION")
+    return CheckResult(True)
+
+
+def _verdict(result):
+    return result.ok, result.node_id, result.rule
+
+
+def _with_space(node, space):
+    return ProofNode(node.node_id, node.kind, space, clause=node.clause, child=node.child,
+                     form=node.form, child0=node.child0, child1=node.child1)
+
+
+# unsatisfiable CNFs whose refutations run several levels deep
+REFUTABLE = [UNIT_PAIR, tseitin_cnf(cycle_graph(3)).cnf, tseitin_cnf(cycle_graph(5)).cnf,
+             tseitin_cnf(complete_graph(5)).cnf, lift_cnf(tseitin_cnf(cycle_graph(3)).cnf, ip_gadget(2))]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(small_cnfs(), st.sampled_from(REFUTABLE)), st.sampled_from(["none", "rhs", "child", "label", "space"]),
+       st.booleans(), st.data())
+def test_check_matches_the_split_checker_on_mutated_refutations(cnf, kind, shuffle, data):
+    try:
+        dag = pdt_refute(cnf)
+    except SatisfiableError:
+        return
+    nodes = list(dag.nodes)
+    idx = data.draw(st.integers(0, len(nodes) - 1))
+    node = nodes[idx]
+    if kind == "rhs" and node.space.rows:  # flip one equation's right-hand side
+        rows = list(node.space.rows)
+        j = data.draw(st.integers(0, len(rows) - 1))
+        rows[j] = (rows[j][0], rows[j][1] ^ 1)
+        nodes[idx] = _with_space(node, space_from_pairs(dag.width, rows))
+    elif kind == "child" and node.kind == QRY:  # redirect one child anywhere, itself included
+        kids = dict(form=node.form, child0=node.child0, child1=node.child1)
+        kids[data.draw(st.sampled_from(["child0", "child1"]))] = data.draw(st.sampled_from(sorted(dag.by_id)))
+        nodes[idx] = ProofNode(node.node_id, QRY, node.space, **kids)
+    elif kind == "label" and node.kind == LEAF:  # any clause index, one past the end included
+        nodes[idx] = ProofNode(node.node_id, LEAF, node.space, clause=data.draw(st.integers(0, len(cnf.clauses))))
+    elif kind == "space":  # a space cut by one more random equation, possibly EMPTY
+        form = data.draw(st.integers(0, (1 << dag.width) - 1))
+        nodes[idx] = _with_space(node, node.space.with_equation(form, data.draw(st.integers(0, 1))))
+    if shuffle:  # list the nodes out of id order, which the DFS then orders
+        rest = data.draw(st.permutations(nodes[1:]))
+        nodes = nodes[:1] + list(rest)
+    try:
+        mutated = ProofDag.build(dag.width, nodes)
+    except CycleError:
+        return
+    assert _verdict(check(mutated, cnf)) == _verdict(_check_by_split(mutated, cnf))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(proof_graphs(), st.data())
+def test_check_matches_the_split_checker_on_random_dags(case, data):
+    # every node gets a space from a small pool over width 3, so that
+    # parents and children sometimes agree, a random form and a clause
+    root, listing = case
+    cnf = Cnf(3, ((1,), (-1, 2), (-2, -3), (3,)))
+    pool = [full_space(3), EMPTY] + [
+        space_from_pairs(3, pairs)
+        for pairs in ([(0b001, 0)], [(0b001, 1)], [(0b001, 0), (0b010, 1)], [(0b011, 1)], [(0b001, 1), (0b110, 0)])
+    ]
+    nodes = []
+    for nid, kind, kids in listing:
+        space = pool[0] if nid == root else data.draw(st.sampled_from(pool))
+        if kind == LEAF:
+            nodes.append(ProofNode(nid, LEAF, space, clause=data.draw(st.integers(-1, 4))))
+        elif kind == WEAK:
+            nodes.append(ProofNode(nid, WEAK, space, child=kids[0]))
+        else:
+            form = data.draw(st.integers(0, 7))
+            nodes.append(ProofNode(nid, QRY, space, form=form, child0=kids[0], child1=kids[1]))
+    nodes.sort(key=lambda node: node.node_id != root)
+    dag = ProofDag.build(3, nodes)
+    assert _verdict(check(dag, cnf)) == _verdict(_check_by_split(dag, cnf))
+
+
+@st.composite
+def ascending_listings(draw):
+    """Nodes listed by ascending id with every child's id above its
+    parent's, as `pdt_refute` lays a proof out; half the time one child is
+    then redirected to any id, which may point back or close a cycle."""
+    ids = sorted(draw(st.lists(st.integers(0, 99), min_size=1, max_size=24, unique=True)))
+    listing = []
+    for pos, nid in enumerate(ids):
+        later = ids[pos + 1:]
+        kind = draw(st.sampled_from([LEAF, WEAK, QRY])) if later else LEAF
+        kids = tuple(draw(st.sampled_from(later)) for _ in range({LEAF: 0, WEAK: 1, QRY: 2}[kind]))
+        listing.append((nid, kind, kids))
+    inner = [i for i, entry in enumerate(listing) if entry[1] != LEAF]
+    if inner and draw(st.booleans()):
+        i = draw(st.sampled_from(inner))
+        nid, kind, kids = listing[i]
+        listing[i] = (nid, kind, (draw(st.sampled_from(ids)),) + kids[1:])
+    return listing
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(ascending_listings())
+def test_id_order_path_matches_the_dfs(listing):
+    nodes = _proof_nodes(listing[0][0], listing)
+    by_id = {node.node_id: node for node in nodes}
+    try:
+        dfs_order = _reverse_postorder(nodes, by_id)
+    except CycleError as exc:
+        with pytest.raises(CycleError) as got:
+            ProofDag.build(1, nodes)
+        assert str(got.value) == str(exc)
+        return
+    dag = ProofDag.build(1, nodes)
+    place = {node.node_id: i for i, node in enumerate(dag.order)}
+    assert len(dag.order) == len(nodes) and sorted(place) == sorted(by_id)
+    assert all(place[node.node_id] < place[c] for node in nodes for c in node.children())
+    assert [node.node_id for node in dag.id_order] == sorted(by_id)
+    assert metrics(dag) == metrics(ProofDag(1, dag.nodes, dag.by_id, dfs_order, dag.id_order))
+
+
+def test_a_query_on_itself_in_an_ascending_listing_is_a_cycle():
+    space = full_space(1)
+    nodes = [
+        ProofNode(0, QRY, space, form=1, child0=1, child1=2),
+        ProofNode(1, LEAF, space, clause=0),
+        ProofNode(2, WEAK, space, child=2),
+    ]
+    with pytest.raises(CycleError, match=r"^cycle through node 2$"):
+        ProofDag.build(1, nodes)
