@@ -2,7 +2,9 @@
 
 Trees may hold lazy children (zero-argument callables resolved on first
 visit), so the block-completing transform and adaptive adversaries never
-materialize branches that no sampled input reaches.
+materialize branches that no sampled input reaches.  Block-completed nodes
+carry the space of the answers on their path, and `run_pdt` and the coin
+game follow a point through one walk (`_walk`).
 
 The coin game charges a tree for shrinking the odd component of the revealed
 base assignment: when the revealed blocks split the component and the root
@@ -54,13 +56,15 @@ class Leaf:
 
 
 class Query:
-    """A linear-form query node; children may be lazy thunks."""
+    """A linear-form query node; children may be lazy thunks.  A node that
+    `block_complete` builds carries the space of the answers on its path."""
 
-    __slots__ = ("form", "note", "_kids")
+    __slots__ = ("form", "note", "space", "_kids")
 
-    def __init__(self, form: int, child0, child1, note: str = ""):
+    def __init__(self, form: int, child0, child1, note: str = "", space: AffineSpace | None = None):
         self.form = form
         self.note = note
+        self.space = space
         self._kids = [child0, child1]
 
     def child(self, bit: int):
@@ -108,24 +112,40 @@ def _random_linear_node(width: int, depth: int, rng: random.Random) -> PdtNode:
     return Query(form, _random_linear_node(width, depth - 1, rng), _random_linear_node(width, depth - 1, rng))
 
 
-def run_pdt(t: Pdt, x: int, steps: int | None = None) -> tuple[PdtNode, AffineSpace]:
-    """Follow the point x for the given number of queries (all when steps is None).
+def _walk(t: Pdt, x: int) -> Iterator[tuple[PdtNode, AffineSpace]]:
+    """The nodes on the path of x from the root, each with the space that reaches it.
 
-    Returns the node reached and the space of inputs answering the same way;
-    x is always a member and the codimension is at most the step count.
+    The walk starts from the space the root carries (the one the tree was
+    completed in), else the full space.  Each step takes the space its child
+    carries, else cuts the last space by the answer.
     """
     if x < 0 or x >> t.width:
         raise ValueError("point out of range for width")
     node = t.root
-    space: AffineSpace = full_space(t.width)
-    made = 0
-    while isinstance(node, Query) and (steps is None or made < steps):
-        bit = parity(node.form & x)
-        space = space.with_equation(node.form, bit)
+    space = getattr(node, "space", None)  # a leaf carries none
+    if space is None:
+        space = full_space(t.width)
+    elif not space.contains(x):
+        raise ValueError("point lies outside the space the tree was completed in")
+    yield node, space
+    while isinstance(node, Query):
+        form, bit = node.form, parity(node.form & x)
+        node = node.child(bit)
+        space = getattr(node, "space", None) or space.with_equation(form, bit)
         if space is EMPTY:
             raise RuntimeError("a point left the space of its own answers")
-        node = node.child(bit)
-        made += 1
+        yield node, space
+
+
+def run_pdt(t: Pdt, x: int, steps: int | None = None) -> tuple[PdtNode, AffineSpace]:
+    """Follow the point x for the given number of queries (all when steps is None).
+
+    Returns the node reached and the space of inputs answering the same way;
+    x is always a member, and the codim is at most the start's plus the steps.
+    """
+    for made, (node, space) in enumerate(_walk(t, x)):
+        if steps is not None and made >= steps:
+            break
     return node, space
 
 
@@ -144,6 +164,7 @@ def block_complete(
     queried blocks, and the closure growth is bounded by one block per
     original query.  Each path carries one closure table, extended by the
     forms its stages add, so every closure starts from the last solution.
+    Each query node carries its path's space, the root `a` cut by y.
     """
     if a.width != layout.width or t.width != layout.width:
         raise ValueError("width mismatch")
@@ -195,9 +216,9 @@ class _Stage:
 
     def fill(self, pos: int, sp: AffineSpace) -> PdtNode:
         if pos == len(self.coords):
-            return Query(self.orig.form, partial(self.query_kid, sp, 0), partial(self.query_kid, sp, 1), "stage-end")
+            return Query(self.orig.form, partial(self.query_kid, sp, 0), partial(self.query_kid, sp, 1), "stage-end", sp)
         form = 1 << self.coords[pos]
-        return Query(form, partial(self.fill_kid, pos, sp, 0), partial(self.fill_kid, pos, sp, 1), "block-fill")
+        return Query(form, partial(self.fill_kid, pos, sp, 0), partial(self.fill_kid, pos, sp, 1), "block-fill", sp)
 
     def fill_kid(self, pos: int, sp: AffineSpace, bit: int) -> PdtNode:
         nxt = sp.with_equation(1 << self.coords[pos], bit)
@@ -391,42 +412,20 @@ def exact_lifted_root_law(
     return tuple(sorted((v, p / total) for v, p in weights.items()))
 
 
-class _GamePath:
-    """The space of a game's path, and the mask of its coordinates that are unit rows.
+def _unit_rows(layout: BlockLayout, units: int, space: AffineSpace) -> tuple[int, list[int]]:
+    """The mask of the space's unit rows, and the blocks fixed by those not in `units`.
 
-    A unit row holds only its pivot, which a reduced new row avoids, so an
-    insertion never rewrites one: only the new row and the rows it rewrites
-    can become units, and only their blocks can become fixed.
-    `blocks.fixed_blocks` is the from-scratch form.
+    A coordinate the space determines is a unit row of its reduced echelon
+    form, so a path's unit rows only grow.  A new equation can complete
+    blocks it does not touch, so every row is read; `blocks.fixed_blocks` is
+    the from-scratch form.
     """
-
-    __slots__ = ("layout", "space", "units")
-
-    def __init__(self, layout: BlockLayout):
-        self.layout = layout
-        self.space: AffineSpace = full_space(layout.width)
-        self.units = 0
-
-    def cut(self, form: int, bit: int) -> list[int]:
-        """Add the consistent equation <form, x> = bit; returns the blocks it fixed."""
-        form, bit = self.space.reduce(form, bit)
-        if form == 0:
-            if bit:
-                raise RuntimeError("a point left the space of its own answers")
-            return []
-        low = form & -form
-        new = form if form == low else 0
-        for f, _ in self.space.rows:
-            if f & low:
-                f ^= form
-                if f & (f - 1) == 0:
-                    new |= f
-        self.space = self.space._insert(form, bit)
-        if not new:
-            return []
-        self.units |= new
-        b, whole = self.layout.b, mask_bits(self.layout.b)
-        return [i for i in {c // b for c in set_bits(new)} if self.units >> (i * b) & whole == whole]
+    new = sum(f for f, _ in space.rows if f & (f - 1) == 0) & ~units  # pivots are distinct
+    if not new:
+        return units, []
+    units |= new
+    b, whole = layout.b, mask_bits(layout.b)
+    return units, [i for i in {c // b for c in set_bits(new)} if units >> (i * b) & whole == whole]
 
 
 def coin_game(
@@ -442,21 +441,20 @@ def coin_game(
 
     The sampler draws the lifted point; the tree's queries are answered
     truthfully, and whenever the accumulated equations determine every bit of
-    new blocks, those base variables are revealed to the accountant.  A
-    coordinate is determined when it is a unit row of the path's space, and
-    each equation is checked only against the blocks of the units it adds
-    (`_GamePath`); a new equation can complete blocks it does not even touch.
+    new blocks, those base variables are revealed to the accountant.  The
+    spaces come from `_walk`, so a block-completed tree's are read, not
+    built again; each new one is read for new unit rows (`_unit_rows`).
     """
     x = sampler(rng)
     acct = _Accountant(rho, lift_eval(g, layout, x).bits, budget)
-    path = _GamePath(layout)
-    node = tprime.root
-    while isinstance(node, Query) and acct.outcome is None:
-        bit = parity(node.form & x.bits)
-        fixed = path.cut(node.form, bit)
-        if fixed:
+    units, last = 0, None
+    for _, space in _walk(tprime, x.bits):
+        if space is not last:
+            units, fixed = _unit_rows(layout, units, space)
             acct.reveal(i for i in fixed if i in acct.free)
-        node = node.child(bit)
+            last = space
+        if acct.outcome is not None:
+            break
     return acct.transcript()
 
 

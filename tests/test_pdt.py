@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -11,8 +12,17 @@ from hypothesis import strategies as st
 
 from resoplus import dtfooling, pdt
 from resoplus._bits import parity
-from resoplus.blocks import BlockLayout, ClosureAssignment, closure, fixed_blocks, is_safe
-from resoplus.f2 import EMPTY, EmptySpaceError, FVec, enumerate_points, full_space, space_from_pairs
+from resoplus.blocks import BlockLayout, ClosureAssignment, ClosureTable, closure, fixed_blocks, is_safe
+from resoplus.f2 import (
+    EMPTY,
+    AffineSpace,
+    EmptySpaceError,
+    FVec,
+    enumerate_points,
+    full_space,
+    is_subspace,
+    space_from_pairs,
+)
 from resoplus.gadget import (
     EmptyPreimageError,
     Gadget,
@@ -151,6 +161,71 @@ def test_block_complete_closure_invariant():
     out = block_complete(orig, lay, full_space(6), y)
     for bits in range(0, 64, 7):
         run_pdt(out, bits)
+
+
+def test_stage_checks_raise_on_a_mismatch():
+    # a stage whose table or closed set disagrees with its path stops the walk
+    lay = BlockLayout(2, 2)
+    ell = (1 << lay.flat(0, 0)) | (1 << lay.flat(1, 1))
+    for field, wrong, message in [
+        ("check", ClosureTable(lay), "the closure table and the space of the path differ"),
+        ("closed", frozenset({0}), "closure after a stage differs from the queried blocks"),
+    ]:
+        stage = pdt._Stage(Query(ell, Leaf(), Leaf()), ClosureTable(lay), 1)
+        run_pdt(Pdt(4, stage.fill(0, full_space(4))), 0)
+        setattr(stage, field, wrong)
+        with pytest.raises(AssertionError, match=message):
+            run_pdt(Pdt(4, stage.fill(0, full_space(4))), 0)
+
+
+def _triangle_ip2():
+    """The 3-cycle lifted by IP_2, its empty rho and its lifted hard distribution."""
+    tri, g2 = cycle_graph(3), ip_gadget(2)
+    lay = BlockLayout(3, 2)
+    rho = EdgePartialAssignment.empty(tri)
+    return lay, g2, rho, lifted_dtfooling_distribution(lay, g2, rho)
+
+
+def test_a_tree_completed_in_a_smaller_space_walks_from_it():
+    lay, g2, rho, dist = _triangle_ip2()
+    orig = random_linear_tree(6, 3, random.Random(4))
+    starts = [
+        (full_space(6).with_equation(1 << lay.flat(2, 1), 1), ClosureAssignment.from_dict(lay, {})),
+        (full_space(6), ClosureAssignment.from_dict(lay, {0: 0b10})),
+    ]
+    for a, y in starts:
+        out = block_complete(orig, lay, a, y)
+        start = out.root.space
+        assert is_subspace(start, a) and start.codim == a.codim + 2 * len(y.blocks)
+        inside = [x for x in range(64) if start.contains(x)]
+        assert len(inside) == 64 >> start.codim
+        for x in inside:
+            assert run_pdt(out, x)[0] is run_pdt(orig, x)[0]
+            for steps in range(4):
+                _, space = run_pdt(out, x, steps)
+                assert is_subspace(space, start) and space.contains(x)
+                assert space.codim <= start.codim + steps
+        outside = next(x for x in range(64) if not start.contains(x))
+        with pytest.raises(ValueError, match="outside the space the tree was completed in"):
+            run_pdt(out, outside)
+        draws = [sample_lifted(dist, None, random.Random(i)) for i in range(20)]
+        point = next(p for p in draws if not start.contains(p.bits))
+        with pytest.raises(ValueError, match="outside the space the tree was completed in"):
+            coin_game(out, lay, g2, rho, lambda r: point, Fraction(5), random.Random(0))
+
+
+def test_a_carried_space_that_excludes_the_point_stops_the_walk():
+    # the child carries the space of the other answer to the root's form, so
+    # the walk's next step cuts it by the point's own answer and finds it empty
+    lay, g2, rho, dist = _triangle_ip2()
+    point = sample_lifted(dist, None, random.Random(1))
+    form = 1 << lay.flat(0, 0)
+    kid = Query(form, Leaf(), Leaf(), space=full_space(6).with_equation(form, 1 - parity(form & point.bits)))
+    tree = Pdt(6, Query(form, kid, kid))
+    with pytest.raises(RuntimeError, match="a point left the space of its own answers"):
+        run_pdt(tree, point.bits)
+    with pytest.raises(RuntimeError, match="a point left the space of its own answers"):
+        coin_game(tree, lay, g2, rho, lambda r: point, Fraction(5), random.Random(0))
 
 
 def test_coin_game_zero_budget_loses_on_any_paying_split():
@@ -304,6 +379,37 @@ def test_lifted_games_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "8949a564b046b279"
 
 
+def test_a_lifted_game_adds_each_equation_once(monkeypatch):
+    # the game reads the spaces the completed tree built: at most one
+    # insertion per resolved node, and one for the step into an original leaf
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(AffineSpace, "_insert", counting("inserts", AffineSpace._insert))
+    monkeypatch.setattr(pdt._Stage, "fill_kid", counting("resolved", pdt._Stage.fill_kid))
+    monkeypatch.setattr(pdt._Stage, "query_kid", counting("resolved", pdt._Stage.query_kid))
+    graph, g = cycle_graph(7), ip_gadget(4)
+    lay = BlockLayout(graph.num_edges, g.b)
+    rho = EdgePartialAssignment.empty(graph)
+    dist = lifted_dtfooling_distribution(lay, g, rho)
+    y = ClosureAssignment.from_dict(lay, {})
+    inserts = resolved = 0
+    for trial in range(30):
+        counts.clear()
+        tprime = block_complete(_lazy_local_tree(lay, 10, trial), lay, full_space(lay.width), y)
+        coin_game(tprime, lay, g, rho, lambda r: sample_lifted(dist, None, r), Fraction(2), random.Random(trial))
+        assert counts["inserts"] <= counts["resolved"] + 1
+        inserts += counts["inserts"]
+        resolved += counts["resolved"]
+    assert resolved > 300 and inserts > resolved // 2
+
+
 def test_each_game_analyses_once_per_reveal(monkeypatch):
     calls = []
     real = pdt.analyze_partial
@@ -380,17 +486,14 @@ def test_game_path_reveals_the_fixed_blocks(case):
     # after every equation the unit mask is the space's unit rows, and the
     # blocks revealed so far are the fixed blocks, found from scratch
     lay, x, forms = case
-    path, revealed = pdt._GamePath(lay), set()
+    space, units, revealed = full_space(lay.width), 0, set()
     for form in forms:
-        fixed = set(path.cut(form, parity(form & x)))
-        assert not fixed & revealed
-        revealed |= fixed
-        assert path.units == sum(f for f in path.space.forms() if f & (f - 1) == 0)
-        assert revealed == fixed_blocks(path.space, lay)
-    asked = [f for f in forms if f]
-    if asked:
-        with pytest.raises(RuntimeError):
-            path.cut(asked[0], 1 - parity(asked[0] & x))
+        space = space.with_equation(form, parity(form & x))
+        units, fixed = pdt._unit_rows(lay, units, space)
+        assert not set(fixed) & revealed
+        revealed |= set(fixed)
+        assert units == sum(f for f in space.forms() if f & (f - 1) == 0)
+        assert revealed == fixed_blocks(space, lay)
 
 
 def test_coin_game_lifted_identity_and_budget():
