@@ -241,16 +241,7 @@ def cmd_hardness_experiment(args) -> int:
         return 2
     if args.lifted:
         gadget = ip_gadget(2 if args.ip is None else args.ip)
-        depth = args.q
-
-        def build_tree(rng: random.Random):
-            width = g.num_edges * gadget.b
-            return pdt.random_linear_tree(width, depth, rng)
-
-        report = pdt.lifted_hardness_experiment(
-            g, gadget, {"random-linear": build_tree}, trials=args.trials, seed=args.seed,
-            budget=budget, q=depth,
-        )
+        report = pdt.lifted_hardness_experiment(g, gadget, args.q, args.trials, args.seed, budget)
     else:
         strategies = None
         if args.strategy:

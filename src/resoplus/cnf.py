@@ -6,11 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-SWEEP_CAP = 26
-
-
-class SweepCapError(ValueError):
-    """Raised when an exhaustive assignment sweep would exceed the cap."""
+from . import f2
 
 
 @dataclass(frozen=True)
@@ -97,19 +93,11 @@ def _clause_masks(cnf: Cnf) -> list[tuple[int, int]]:
     return masks
 
 
-def satisfying_chunks(cnf: Cnf, cap: int = SWEEP_CAP, chunk_bits: int = 16) -> Iterator[np.ndarray]:
-    """Yield arrays of satisfying assignments, sweeping all 2^num_vars points.
-
-    The sweep goes 2^chunk_bits points at a time: at 2^16 each temporary
-    array is at most 512 KiB, which stays in cache and keeps the peak small.
-    """
-    if cnf.num_vars > cap:
-        raise SweepCapError(f"{cnf.num_vars} variables exceed sweep cap {cap}")
+def satisfying_chunks(cnf: Cnf, chunk_bits: int = f2.CHUNK_BITS) -> Iterator[np.ndarray]:
+    """Yield arrays of satisfying assignments, sweeping all 2^num_vars points
+    2^chunk_bits at a time (`f2.cube_chunks`)."""
     masks = _clause_masks(cnf)
-    total = 1 << cnf.num_vars
-    chunk = min(total, 1 << chunk_bits)
-    for start in range(0, total, chunk):
-        x = np.arange(start, start + chunk, dtype=np.uint64)
+    for x in f2.cube_chunks(cnf.num_vars, chunk_bits):
         ok = np.ones(len(x), dtype=bool)
         for pos, neg in masks:
             # clause false iff all positive vars are 0 and all negative vars are 1
@@ -125,8 +113,8 @@ def satisfying_chunks(cnf: Cnf, cap: int = SWEEP_CAP, chunk_bits: int = 16) -> I
             yield x[ok]
 
 
-def find_model(cnf: Cnf, cap: int = SWEEP_CAP) -> int | None:
+def find_model(cnf: Cnf) -> int | None:
     """First satisfying assignment in counter order, or None."""
-    for sat in satisfying_chunks(cnf, cap):
+    for sat in satisfying_chunks(cnf):
         return int(sat[0])
     return None

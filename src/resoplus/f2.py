@@ -22,11 +22,12 @@ import numpy as np
 
 from ._bits import bits_to_string, mask_bits, parity
 
-ENUMERATION_CAP = 26
+ENUMERATION_CAP = 26  # the widest exhaustive sweep, in bits: 2^26 points
+CHUNK_BITS = 16  # a cube sweep goes 2^16 points at a time: 512 KiB a uint64 array
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured cap."""
+    """Raised when an exhaustive enumeration would exceed ENUMERATION_CAP."""
 
 
 class EmptySpaceError(ValueError):
@@ -263,13 +264,28 @@ def sample_point(a: AffineSpace | _EmptySpace, rng: random.Random) -> FVec:
     return FVec(a.width, _solve_pivots(a, bits))
 
 
-def enumerate_points(a: AffineSpace | _EmptySpace, cap: int = ENUMERATION_CAP) -> Iterator[FVec]:
+def _check_cap(dim: int, what: str) -> None:
+    if dim > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{what} {dim} exceeds cap {ENUMERATION_CAP}")
+
+
+def cube_chunks(width: int, chunk_bits: int) -> Iterator[np.ndarray]:
+    """Every point of F2^width as uint64 bitmasks in counter order, 2^chunk_bits at a time.
+
+    The one exhaustive cube sweep; a small chunk stays in cache and keeps
+    the peak small.  The cap is checked on the call, before any chunk.
+    """
+    _check_cap(width, "width")
+    step = 1 << min(width, chunk_bits)
+    return (np.arange(start, start + step, dtype=np.uint64) for start in range(0, 1 << width, step))
+
+
+def enumerate_points(a: AffineSpace | _EmptySpace) -> Iterator[FVec]:
     """All members in deterministic order (counter over free coordinates)."""
     if a is EMPTY:
         return
     free = a.free_coords()
-    if len(free) > cap:
-        raise EnumerationCapError(f"free dimension {len(free)} exceeds cap {cap}")
+    _check_cap(len(free), "free dimension")
     for counter in range(1 << len(free)):
         bits = 0
         for j, i in enumerate(free):
@@ -278,15 +294,14 @@ def enumerate_points(a: AffineSpace | _EmptySpace, cap: int = ENUMERATION_CAP) -
         yield FVec(a.width, _solve_pivots(a, bits))
 
 
-def points_array(a: AffineSpace | _EmptySpace, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def points_array(a: AffineSpace | _EmptySpace) -> np.ndarray:
     """All members as a uint64 array of bitmasks (width <= 63 only)."""
     if a is EMPTY:
         return np.zeros(0, dtype=np.uint64)
     if a.width > 63:
         raise ValueError("points_array supports width <= 63")
     free = a.free_coords()
-    if len(free) > cap:
-        raise EnumerationCapError(f"free dimension {len(free)} exceeds cap {cap}")
+    _check_cap(len(free), "free dimension")
     base = _solve_pivots(a, 0)
     pts = np.array([base], dtype=np.uint64)
     for i in free:

@@ -172,8 +172,7 @@ def _fwht_inplace(vals: np.ndarray) -> None:
 
 def walsh_spectrum(g: Gadget, convention: str = PM_ONE) -> Spectrum:
     """Exact Walsh transform; coefficients are dyadic with denominator 2^b."""
-    if g.b > SPECTRUM_ARITY_CAP:
-        raise ValueError(f"arity {g.b} exceeds spectrum cap {SPECTRUM_ARITY_CAP}")
+    _check_arity(g.b)
     if convention not in (PM_ONE, ZERO_ONE):
         raise ValueError(f"unknown convention {convention!r}")
     vals = np.array(g.table, dtype=np.int64)

@@ -321,18 +321,16 @@ class _Accountant:
         )
 
 
-def _rooted_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -> Iterator[tuple[int, int]]:
+def _rooted_support(rho: EdgePartialAssignment) -> Iterator[tuple[int, int]]:
     """(root, z) for every point z of the hard distribution's support, root by root.
 
     z is rho's fixed bits plus one completion from the root's space, so its
     root is known by construction.
     """
-    if layout.n != rho.graph.num_edges:
-        raise ValueError("layout must have one block per edge")
     analysis = valid_analysis(rho)
     free = rho.free_edges()
-    if len(free) > cap:
-        raise f2.EnumerationCapError(f"{len(free)} free edges exceed support cap {cap}")
+    if len(free) > LIFTED_SUPPORT_CAP:
+        raise f2.EnumerationCapError(f"{len(free)} free edges exceed support cap {LIFTED_SUPPORT_CAP}")
     # spread[j][byte]: the edge bits of the free coordinates 8j..8j+7 set in byte
     spread = []
     for j in range(0, len(free), 8):
@@ -344,35 +342,36 @@ def _rooted_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -
         space, order = root_space(rho, v)
         if order != free:
             raise RuntimeError("a root space is not over the free edges in ascending order")
-        for pt in points_array(space, cap=cap).tolist():
+        for pt in points_array(space).tolist():
             z = rho.bits
             for j, table in enumerate(spread):
                 z |= table[(pt >> (8 * j)) & 0xFF]
             yield v, z
 
 
-def lifted_dtfooling_distribution(
-    layout: BlockLayout, g: Gadget, rho: EdgePartialAssignment, cap: int = LIFTED_SUPPORT_CAP
-) -> LiftedDistribution:
+def lifted_dtfooling_distribution(layout: BlockLayout, g: Gadget, rho: EdgePartialAssignment) -> LiftedDistribution:
     """The lift of the hard distribution: explicit uniform support over roots.
 
     The per-root completion spaces are disjoint and equicardinal, so listing
     every completion with weight one is exactly the sampler's base law.
     """
-    return LiftedDistribution(layout, g, tuple((z, 1) for _, z in _rooted_support(layout, rho, cap)))
+    return LiftedDistribution(layout, g, tuple((z, 1) for _, z in _cached_support(layout, rho)[0]))
 
 
-def _cached_support(layout: BlockLayout, rho: EdgePartialAssignment, cap: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _cached_support(layout: BlockLayout, rho: EdgePartialAssignment) -> tuple[list[tuple[int, int]], np.ndarray]:
     """`_rooted_support` as a list, and each point's block classes (`gadget._target_classes`).
 
-    Both depend only on (layout, rho, cap), so they are kept in rho's
-    `memo`, for one (layout, cap) at a time, and go with rho.
+    The layout must have one block per edge.  Then both depend on rho
+    alone (a class is a bit of z), so they are kept in rho's `memo` and go
+    with rho.
     """
+    if layout.n != rho.graph.num_edges:
+        raise ValueError("layout must have one block per edge")
     kept = rho.memo.get(_cached_support)
-    if kept is None or kept[0] != (layout, cap):
-        points = list(_rooted_support(layout, rho, cap))
-        kept = rho.memo[_cached_support] = ((layout, cap), points, _target_classes(layout, [z for _, z in points]))
-    return kept[1], kept[2]
+    if kept is None:
+        points = list(_rooted_support(rho))
+        kept = rho.memo[_cached_support] = (points, _target_classes(layout, [z for _, z in points]))
+    return kept
 
 
 def exact_lifted_root_law(
@@ -380,19 +379,18 @@ def exact_lifted_root_law(
     g: Gadget,
     rho: EdgePartialAssignment,
     conditioning: AffineSpace | None = None,
-    cap: int = LIFTED_SUPPORT_CAP,
 ) -> tuple[tuple[int, Fraction], ...]:
     """Exact law of root(G(x)) for x from the lifted hard distribution given x in C.
 
     A support point z weighs |G^-1(z) ∩ C| / |G^-1(z)|.  The counts for all
     support points come from one Walsh-domain product of per-block syndrome
-    tables.  The support and its block classes depend only on (layout, rho),
-    so they are built once and kept (`_cached_support`).  The fibre
+    tables.  The support and its block classes depend on rho alone, so
+    they are built once and kept (`_cached_support`).  The fibre
     |G^-1(z)| depends only on |z|, so the counts are summed per (root, |z|)
     and divided once per group.  The near-uniformity of the lifted root can
     then be checked against the finite-scale spectral budget.
     """
-    support, classes = _cached_support(layout, rho, cap)
+    support, classes = _cached_support(layout, rho)
     space = conditioning if conditioning is not None else full_space(layout.width)
     _check_layout(space, layout, g)
     counts = _class_counts(space, layout, g, classes).tolist()
@@ -468,9 +466,10 @@ class EdgeQueryStrategy:
 
 
 class ScriptedStrategy(EdgeQueryStrategy):
-    def __init__(self, edges: Sequence[int], name: str = "scripted"):
+    name = "scripted"
+
+    def __init__(self, edges: Sequence[int]):
         self.edges = list(edges)
-        self.name = name
         self._pos = 0
 
     def next_edge(self, analysis, graph, free, rng):
@@ -541,9 +540,11 @@ def run_unlifted_game(
     return acct.transcript(), acct.partial
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The Wilson score interval at 95% confidence."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / trials
     denom = 1 + z * z / trials
     center = phat + z * z / (2 * trials)
@@ -673,34 +674,29 @@ def _experiment(
 def lifted_hardness_experiment(
     graph: Graph,
     g: Gadget,
-    trees: Mapping[str, Callable[[random.Random], Pdt]],
+    q: int,
     trials: int,
     seed: int,
-    rho: EdgePartialAssignment | None = None,
     budget: Fraction | None = None,
-    q: int = 0,
 ) -> ExperimentReport:
-    """Coin-game Monte Carlo over parity decision trees on the lifted space.
+    """Coin-game Monte Carlo over random linear parity trees of depth q on the lifted space.
 
-    Trees are built per trial (so adaptive families can resample forms), run
-    through the block-completing transform, and played against exact samples
-    of the lifted hard distribution; success means the revealed base partial
-    assignment stays valid.  q is only a report label for the family's
-    nominal depth.  Desk scale only: the explicit lifted support caps the
-    edge count.
+    Each trial draws a fresh tree, runs it through the block-completing
+    transform, and plays it against an exact sample of the lifted hard
+    distribution; success means the revealed base partial assignment stays
+    valid.  Desk scale only: the explicit lifted support caps the edge count.
     """
-    if rho is None:
-        rho = EdgePartialAssignment.empty(graph)
+    rho = EdgePartialAssignment.empty(graph)
     layout = BlockLayout(graph.num_edges, g.b)
     dist = lifted_dtfooling_distribution(layout, g, rho)
     base_space = full_space(layout.width)
     y = ClosureAssignment.from_dict(layout, {})
 
     def play(name: str, rng: random.Random, budget: Fraction):
-        tprime = block_complete(trees[name](rng), layout, base_space, y)
+        tprime = block_complete(random_linear_tree(layout.width, q, rng), layout, base_space, y)
         return coin_game(tprime, layout, g, rho, lambda r: sample_lifted(dist, None, r), budget, rng)
 
-    return _experiment(graph, trees, q, trials, seed, budget, play)
+    return _experiment(graph, ("random-linear",), q, trials, seed, budget, play)
 
 
 def hardness_experiment(
@@ -709,7 +705,6 @@ def hardness_experiment(
     trials: int,
     seed: int,
     strategies: Mapping[str, Callable[[], EdgeQueryStrategy]] | None = None,
-    rho: EdgePartialAssignment | None = None,
     budget: Fraction | None = None,
 ) -> ExperimentReport:
     """Monte Carlo estimate of how often q queries keep the assignment valid.
@@ -720,8 +715,7 @@ def hardness_experiment(
     """
     if strategies is None:
         strategies = default_strategies()
-    if rho is None:
-        rho = EdgePartialAssignment.empty(graph)
+    rho = EdgePartialAssignment.empty(graph)
 
     def play(name: str, rng: random.Random, budget: Fraction):
         drawn = dtf_sample(rho, rng)

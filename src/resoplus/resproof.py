@@ -21,6 +21,7 @@ WEAK = "WEAK"
 QRY = "QRY"
 
 REFUTE_VAR_CAP = 20
+_TRACE_WIDTH_CAP = 16  # widest proof all_inputs_trace_ok traces on every input
 
 
 class ProofSyntaxError(ValueError):
@@ -398,9 +399,9 @@ def pdt_refute(cnf: Cnf) -> ProofDag:
     return ProofDag.build(n, nodes)
 
 
-def all_inputs_trace_ok(dag: ProofDag, cnf: Cnf, cap: int = 16) -> bool:
+def all_inputs_trace_ok(dag: ProofDag, cnf: Cnf) -> bool:
     """Exhaustively re-run trace on every input; oracle for small widths."""
-    if dag.width > cap:
+    if dag.width > _TRACE_WIDTH_CAP:
         raise f2.EnumerationCapError("width too large for exhaustive tracing")
     for bits in range(1 << dag.width):
         trace(dag, cnf, bits)

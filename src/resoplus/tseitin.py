@@ -14,8 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import cnf as cnf_mod
-from .cnf import Cnf
+from .cnf import Cnf, find_model
 
 CHEEGER_SWEEP_CAP = 20
 _REGULAR_GRAPH_TRIES = 200  # pairing-model attempts random_regular_graph makes
@@ -116,14 +115,14 @@ class Graph:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            if len(parts) != {"v": 2, "e": 3}.get(parts[0]):
+                raise ValueError(f"bad graph line: {line!r}")
             if parts[0] == "v":
                 if num is not None:
                     raise ValueError(f"second vertex count line: {line!r}")
                 num = int(parts[1])
-            elif parts[0] == "e":
-                pairs.append((int(parts[1]), int(parts[2])))
             else:
-                raise ValueError(f"bad graph line: {line!r}")
+                pairs.append((int(parts[1]), int(parts[2])))
         if num is None:
             raise ValueError("missing vertex count line")
         return cls.from_pairs(num, pairs)
@@ -214,6 +213,8 @@ def expander_metrics(g: Graph) -> ExpanderMetrics:
     d = g.degree_if_regular()
     if d is None:
         raise ValueError("expander metrics require a regular graph")
+    if d == 0:
+        raise ValueError("expander metrics require at least one edge")
     eigs = np.linalg.eigvalsh(g.adjacency())
     lam = float(max(abs(eigs[0]), abs(eigs[-2]))) / d if g.num_vertices > 1 else 0.0
     if g.num_vertices > CHEEGER_SWEEP_CAP:
@@ -272,10 +273,10 @@ def tseitin_cnf(g: Graph, charge: Sequence[int] | None = None, contradiction: bo
     return TseitinCnf(g, charge, Cnf(g.num_edges, tuple(clauses)), tuple(ranges))
 
 
-def brute_unsat(formula: Cnf | TseitinCnf, cap: int = cnf_mod.SWEEP_CAP) -> bool:
+def brute_unsat(formula: Cnf | TseitinCnf) -> bool:
     """Exhaustive unsatisfiability sweep over all assignments."""
     c = formula.cnf if isinstance(formula, TseitinCnf) else formula
-    return cnf_mod.find_model(c, cap) is None
+    return find_model(c) is None
 
 
 def emit_dimacs(formula: Cnf | TseitinCnf, path) -> None:

@@ -99,7 +99,7 @@ def test_criterion_3_conditional_fooling_and_counterexample():
 
 def test_criterion_4_closure_laws():
     started = time.time()
-    rep = closure_law_suite(1000, 314159, max_n=4, max_b=3)
+    rep = closure_law_suite(1000, 314159)
     assert rep.ok, rep.to_text()
     _report("criterion-4 closure-laws", started, 120, "1000 randomized instances, all five laws, 0 failures")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from resoplus.cli import main
@@ -275,6 +277,38 @@ def test_a_malformed_proof_number_names_its_line(tmp_path, capsys, text, line):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: ProofSyntaxError: line {line}: ")
+
+
+@pytest.mark.parametrize("text", ["v\n", "v 3 4\n", "v 2\ne 0\n", "v 3\ne 0 1 2\n"])
+def test_a_graph_line_with_the_wrong_field_count_is_usage_error(tmp_path, capsys, text):
+    # too few fields would be read past the end of the line, and extra ones ignored
+    graph = tmp_path / "bad.graph"
+    graph.write_text(text)
+    code = main(["metrics", "--graph", str(graph)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: bad graph line: {text.splitlines()[-1]!r}\n"
+
+
+def test_metrics_of_an_edgeless_graph_is_usage_error(tmp_path, capsys):
+    # the normalized eigenvalue divides by the degree
+    graph = tmp_path / "edgeless.graph"
+    graph.write_text("v 3\n")
+    code = main(["metrics", "--graph", str(graph)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: ValueError: expander metrics require at least one edge\n"
+
+
+def test_lifted_hardness_csv_is_pinned(capsys):
+    # the lifted CLI path end to end: random linear trees of depth q, block-completed, in the coin game
+    code, out = run(
+        capsys, "hardness-experiment", "--lifted", "--type", "cycle", "--vertices", "5", "--ip", "4",
+        "--q", "4", "--trials", "100", "--seed", "7", "--format", "csv",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "30ce72d0dc62c7fc"
 
 
 def test_random_graph_without_seed_says_why(capsys):

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from helpers import intersect_space
 from resoplus._bits import parity, string_to_bits
+from resoplus.blocks import BlockLayout
+from resoplus.cnf import Cnf, find_model
 from resoplus.f2 import (
     EMPTY,
+    ENUMERATION_CAP,
     AffineSpace,
     EnumerationCapError,
     EmptySpaceError,
     FVec,
+    cube_chunks,
     enumerate_points,
     full_space,
     is_subspace,
@@ -23,6 +27,8 @@ from resoplus.f2 import (
     sample_point,
     space_from_pairs,
 )
+from resoplus.gadget import parity_gadget
+from resoplus.lemmalab import cube_counts
 
 
 def test_rank_identity_and_dependent_rows():
@@ -93,7 +99,15 @@ def test_enumerate_points_examples():
 
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
-        list(enumerate_points(full_space(30), cap=26))
+        list(enumerate_points(full_space(30)))
+    # every exhaustive sweep has the one cap, checked before any point is made
+    wide = ENUMERATION_CAP + 1
+    with pytest.raises(EnumerationCapError):
+        cube_chunks(wide, 16)
+    with pytest.raises(EnumerationCapError):
+        find_model(Cnf(wide, ()))
+    with pytest.raises(EnumerationCapError):
+        cube_counts(BlockLayout(9, 3), parity_gadget(3), FVec(9, 0), [])
 
 
 def test_enumeration_counts_match_rank_on_random_systems():

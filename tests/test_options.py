@@ -1,0 +1,59 @@
+"""Every option is a configuration to cover: a defaulted parameter must have a caller that sets it.
+
+Each entry of OPTIONS names a defaulted parameter of the library and one
+caller (library, CLI, demo, benchmark or a test of that value) that passes
+it a value other than its default.  A parameter that nothing sets is a
+configuration no one runs: remove it, or add its entry with its caller.
+"""
+import ast
+from pathlib import Path
+
+import resoplus
+
+SRC = Path(resoplus.__file__).parent
+
+OPTIONS = {
+    "blocks._augment(usable)": "blocks.amortized_closure, which limits each search to the chosen blocks' columns",
+    "cli.main(argv)": "tests/test_cli.py, which passes each command line",
+    "cnf.satisfying_chunks(chunk_bits)": "tests/test_tseitin.py::test_sweep_is_independent_of_chunk_size",
+    "dtfooling.exact_root_distribution(condition)": "cli.cmd_root_dist (--condition)",
+    "f2._tagged_reduce(tag)": "f2._tagged_insert",
+    "f2.AffineSpace.reduce(bit)": "f2.AffineSpace.with_equation",
+    "gadget.walsh_spectrum(convention)": "demos/03_gadget_fourier.py (ZERO_ONE)",
+    "gadget.walsh_spectrum_direct(convention)": "tests/test_gadget.py, which compares both conventions",
+    "lemmalab.nested_pair_with_gap(concentrate_block)": "cli._verify_conditional_fooling",
+    "pdt.Query.__init__(note)": "pdt._Stage.fill",
+    "pdt.Query.__init__(space)": "pdt._Stage.fill",
+    "pdt.run_pdt(steps)": "tests/test_pdt.py, which stops the walk after each step count",
+    "pdt.exact_lifted_root_law(conditioning)": "perfbench/workloads.py (tseitin-certify's lifted-law items)",
+    "pdt.lifted_hardness_experiment(budget)": "cli.cmd_hardness_experiment (--budget)",
+    "pdt.hardness_experiment(strategies)": "cli.cmd_hardness_experiment (--strategy)",
+    "pdt.hardness_experiment(budget)": "cli.cmd_hardness_experiment (--budget)",
+    "tseitin.tseitin_cnf(charge)": "cli.cmd_gen_tseitin (--charge)",
+    "tseitin.tseitin_cnf(contradiction)": "cli.cmd_gen_tseitin (--no-contradiction)",
+}
+
+
+def _defaulted(node, prefix: str):
+    """'module.qualname(param)' for every defaulted parameter of the functions under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{prefix}{child.name}({name})" for name in names)
+            yield from _defaulted(child, f"{prefix}{child.name}.")
+
+
+def test_every_option_names_a_caller_that_sets_it():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        found.update(_defaulted(ast.parse(path.read_text(), filename=str(path)), f"{module}."))
+    extra = sorted(found - OPTIONS.keys())
+    gone = sorted(OPTIONS.keys() - found)
+    assert not extra, "options with no caller that sets them: " + ", ".join(extra)
+    assert not gone, "entries for options that no longer exist: " + ", ".join(gone)

@@ -632,7 +632,7 @@ def test_exact_lifted_root_law_matches_per_point_formula(instance):
 def _lifted_root_law_per_call(layout, g, rho, conditioning):
     """The lifted root law as it was: the support rebuilt by `_rooted_support`
     and every target read again on each call."""
-    support = list(pdt._rooted_support(layout, rho, pdt.LIFTED_SUPPORT_CAP))
+    support = list(pdt._rooted_support(rho))
     space = conditioning if conditioning is not None else full_space(layout.width)
     counts = counts_in_space(space, layout, g, [z for _, z in support])
     groups = {}
@@ -669,6 +669,26 @@ def test_cached_lifted_root_law_matches_the_per_call_law(instance):
         exact_lifted_root_law(BlockLayout(lay.n + 1, lay.b), g, rho)
 
 
+def test_lifted_support_is_built_once_per_rho(monkeypatch):
+    # the support and its block classes depend on rho alone: the distribution
+    # and the law read the one kept in rho's memo, whatever the gadget
+    calls = []
+    build = pdt._rooted_support
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pdt, "_rooted_support", counting)
+    c5 = cycle_graph(5)
+    rho = EdgePartialAssignment.empty(c5)
+    for b in (2, 4):
+        lay = BlockLayout(c5.num_edges, b)
+        lifted_dtfooling_distribution(lay, ip_gadget(b), rho)
+        exact_lifted_root_law(lay, ip_gadget(b), rho)
+    assert len(calls) == 1
+
+
 def test_lifted_root_law_rejects_k4():
     # an even vertex count leaves no valid rho: every fixing keeps the residue sum even
     k4 = complete_graph(4)
@@ -689,10 +709,9 @@ def test_exact_lifted_root_law_rejects_a_constant_gadget():
 def test_lifted_hardness_experiment_triangle():
     tri = cycle_graph(3)
     g2 = ip_gadget(2)
-    trees = {"random-linear": lambda rng: random_linear_tree(6, 3, rng)}
-    report = lifted_hardness_experiment(tri, g2, trees, trials=60, seed=5, q=3)
+    report = lifted_hardness_experiment(tri, g2, 3, trials=60, seed=5)
     assert all(s.all_identities_ok for s in report.summaries)
-    again = lifted_hardness_experiment(tri, g2, trees, trials=60, seed=5, q=3)
+    again = lifted_hardness_experiment(tri, g2, 3, trials=60, seed=5)
     assert again.to_csv() == report.to_csv()
 
 
@@ -720,6 +739,7 @@ def test_empty_tree_success_probability_one():
 def test_wilson_interval_basics():
     low, high = wilson_interval(50, 100)
     assert 0.40 <= low <= 0.5 <= high <= 0.60
+    assert (round(low, 4), round(high, 4)) == (0.4038, 0.5962)  # z = 1.96, the 95% interval
     assert wilson_interval(0, 0) == (0.0, 1.0)
     low, _ = wilson_interval(100, 100)
     assert low > 0.95
