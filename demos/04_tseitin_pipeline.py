@@ -4,10 +4,7 @@ K5 with all-ones charge is contradictory because the per-vertex parities sum
 to the odd vertex count.  Lifting substitutes the gadget into every clause;
 unsatisfiability survives, as the exhaustive sweeps confirm.
 """
-import tempfile
-from pathlib import Path
-
-from resoplus import Cnf, brute_unsat, complete_graph, cycle_graph, emit_dimacs, expander_metrics, ip_gadget, lift_cnf, tseitin_cnf
+from resoplus import Cnf, brute_unsat, complete_graph, cycle_graph, expander_metrics, ip_gadget, lift_cnf, tseitin_cnf
 
 k5 = complete_graph(5)
 metrics = expander_metrics(k5)
@@ -23,13 +20,10 @@ lifted = lift_cnf(tri, ip_gadget(2))
 print(f"\ntriangle lifted by IP(2): {lifted.num_vars} variables, {len(lifted.clauses)} clauses")
 print("still unsatisfiable (2^6 sweep):", brute_unsat(lifted))
 
-# DIMACS round trip.
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "k5.cnf"
-    emit_dimacs(t, path)
-    text = path.read_text()
-    print("\nDIMACS header:", text.splitlines()[0])
-    print("round-trips:", Cnf.from_dimacs(text) == t.cnf)
+# DIMACS round trip: the library writes and reads text; the CLI opens the files.
+text = t.cnf.to_dimacs()
+print("\nDIMACS header:", text.splitlines()[0])
+print("round-trips:", Cnf.from_dimacs(text) == t.cnf)
 
 # A satisfiable variant: flip one vertex charge so the total is even.
 charge = [1, 1, 1, 1, 0]

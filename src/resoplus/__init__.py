@@ -59,7 +59,7 @@ from .pdt import (
     run_unlifted_game,
     wilson_interval,
 )
-from .resproof import ProofDag, check, metrics, parse, pdt_refute, trace
+from .resproof import ProofDag, check, metrics, parse_text, pdt_refute, trace
 from .tseitin import (
     EdgePartialAssignment,
     Graph,
@@ -68,7 +68,6 @@ from .tseitin import (
     brute_unsat,
     complete_graph,
     cycle_graph,
-    emit_dimacs,
     expander_metrics,
     random_regular_graph,
     tseitin_cnf,
@@ -108,7 +107,6 @@ __all__ = [
     "complete_graph",
     "counterexample_demo",
     "cycle_graph",
-    "emit_dimacs",
     "enumerate_points",
     "exact_root_distribution",
     "expander_metrics",
@@ -121,7 +119,7 @@ __all__ = [
     "lift_eval",
     "max_fourier",
     "metrics",
-    "parse",
+    "parse_text",
     "pdt_refute",
     "preimages",
     "random_regular_graph",

@@ -27,7 +27,8 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from . import f2
-from ._bits import bits_to_string, mask_bits, parity, set_bits, string_to_bits
+from ._bits import bits_to_string, mask_bits, parity, set_bits
+from ._text import Lines, parse_bits
 from .f2 import EMPTY, AffineSpace, _tagged_insert, _tagged_reduce, rank_of_rows
 
 
@@ -519,9 +520,13 @@ class ClosureAssignment:
     @classmethod
     def from_text(cls, layout: BlockLayout, text: str) -> "ClosureAssignment":
         values = {}
-        for token in text.split():
-            blk_s, val_s = token.split(":")
-            values[int(blk_s)] = string_to_bits(val_s)
+        with Lines(text, "#") as lines:
+            for fields in lines:
+                for token in fields:
+                    blk_s, _, val_s = token.partition(":")
+                    if int(blk_s) in values:
+                        raise ValueError(f"block {int(blk_s)} is assigned twice")
+                    values[int(blk_s)] = parse_bits(val_s, layout.b)
         return cls.from_dict(layout, values)
 
 

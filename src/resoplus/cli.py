@@ -21,39 +21,12 @@ from .f2 import FVec
 from .gadget import Gadget, ip_gadget, lift_cnf, walsh_spectrum
 
 
-def _graph_from_args(args) -> tseitin.Graph:
-    if args.graph:
-        return tseitin.Graph.from_file(args.graph)
-    kind = args.type
-    if kind == "k5":
-        return tseitin.complete_graph(5)
-    if kind == "k7":
-        return tseitin.complete_graph(7)
-    if kind == "complete":
-        return tseitin.complete_graph(args.vertices)
-    if kind == "cycle":
-        return tseitin.cycle_graph(args.vertices)
-    if kind == "random":
-        if args.seed is None:
-            print("error: --type random needs --seed", file=sys.stderr)
-            raise SystemExit(2)
-        return tseitin.random_regular_graph(args.vertices, args.degree, args.seed)
-    raise SystemExit(2)
-
-
-def _gadget_from_args(args) -> Gadget:
-    if getattr(args, "ip", None) is not None:
-        return ip_gadget(args.ip)
-    if getattr(args, "gadget", None):
-        return Gadget.from_file(args.gadget)
-    print("error: need --ip B or --gadget FILE", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _rho_from_args(args, graph) -> tseitin.EdgePartialAssignment:
-    if getattr(args, "rho", None):
-        return tseitin.EdgePartialAssignment.from_file(graph, args.rho)
-    return tseitin.EdgePartialAssignment.empty(graph)
+def _read(path) -> str:
+    """The text of an input file; an optional input left out reads as the empty text."""
+    if path is None:
+        return ""
+    with open(path) as fh:
+        return fh.read()
 
 
 def _emit(text: str, out_path) -> None:
@@ -62,6 +35,33 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+_GRAPH_TYPES = {
+    "k5": lambda args: tseitin.complete_graph(5),
+    "k7": lambda args: tseitin.complete_graph(7),
+    "complete": lambda args: tseitin.complete_graph(args.vertices),
+    "cycle": lambda args: tseitin.cycle_graph(args.vertices),
+    "random": lambda args: tseitin.random_regular_graph(args.vertices, args.degree, args.seed),
+}
+
+
+def _graph_from_args(args) -> tseitin.Graph:
+    if args.graph:
+        return tseitin.Graph.from_text(_read(args.graph))
+    if args.type == "random" and args.seed is None:
+        print("error: --type random needs --seed", file=sys.stderr)
+        raise SystemExit(2)
+    return _GRAPH_TYPES[args.type](args)
+
+
+def _gadget_from_args(args) -> Gadget:
+    if getattr(args, "ip", None) is not None:
+        return ip_gadget(args.ip)
+    if getattr(args, "gadget", None):
+        return Gadget.from_text(_read(args.gadget))
+    print("error: need --ip B or --gadget FILE", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_gen_graph(args) -> int:
@@ -73,7 +73,7 @@ def cmd_gen_graph(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    g = tseitin.Graph.from_file(args.graph)
+    g = tseitin.Graph.from_text(_read(args.graph))
     m = tseitin.expander_metrics(g)
     lines = [
         f"vertex_count: {g.num_vertices}",
@@ -87,17 +87,15 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gen_tseitin(args) -> int:
-    g = tseitin.Graph.from_file(args.graph)
-    charge = None
-    if args.charge:
-        charge = tuple(int(ch) for ch in args.charge)
+    g = tseitin.Graph.from_text(_read(args.graph))
+    charge = tuple(map(int, args.charge)) if args.charge else None
     t = tseitin.tseitin_cnf(g, charge=charge, contradiction=not args.no_contradiction)
     _emit(t.cnf.to_dimacs(), args.out)
     return 0
 
 
 def cmd_lift(args) -> int:
-    base = Cnf.from_file(args.cnf)
+    base = Cnf.from_dimacs(_read(args.cnf))
     g = _gadget_from_args(args)
     lifted = lift_cnf(base, g)
     _emit(lifted.to_dimacs(), args.out)
@@ -118,8 +116,8 @@ def cmd_gadget_spectrum(args) -> int:
 
 
 def cmd_sample_dtfooling(args) -> int:
-    g = tseitin.Graph.from_file(args.graph)
-    rho = _rho_from_args(args, g)
+    g = tseitin.Graph.from_text(_read(args.graph))
+    rho = tseitin.EdgePartialAssignment.from_text(g, _read(args.rho))
     rng = random.Random(args.seed)
     lines = ["seed,root,assignment"]
     ok = True
@@ -133,13 +131,10 @@ def cmd_sample_dtfooling(args) -> int:
 
 
 def cmd_root_dist(args) -> int:
-    g = tseitin.Graph.from_file(args.graph)
-    rho = _rho_from_args(args, g)
-    condition = {}
-    if args.condition:
-        cond = tseitin.EdgePartialAssignment.from_file(g, args.condition)
-        condition = cond.as_dict()
-    report = dtfooling.exact_root_distribution(rho, condition)
+    g = tseitin.Graph.from_text(_read(args.graph))
+    rho = tseitin.EdgePartialAssignment.from_text(g, _read(args.rho))
+    condition = tseitin.EdgePartialAssignment.from_text(g, _read(args.condition))
+    report = dtfooling.exact_root_distribution(rho, condition.as_dict())
     text = report.to_csv()
     text += f"uniform_ok,{int(report.uniform_ok)}\nequal_counts_ok,{int(report.equal_counts_ok)}\n"
     _emit(text, args.out)
@@ -147,15 +142,15 @@ def cmd_root_dist(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    dag = resproof.parse(args.proof)
-    cnf = Cnf.from_file(args.cnf)
+    dag = resproof.parse_text(_read(args.proof))
+    cnf = Cnf.from_dimacs(_read(args.cnf))
     result = resproof.check(dag, cnf)
     print(str(result))
     return 0 if result.ok else 1
 
 
 def cmd_proof_metrics(args) -> int:
-    dag = resproof.parse(args.proof)
+    dag = resproof.parse_text(_read(args.proof))
     size, depth = resproof.metrics(dag)
     print(f"size: {size}")
     print(f"depth: {depth}")
@@ -163,13 +158,13 @@ def cmd_proof_metrics(args) -> int:
 
 
 def cmd_pdt_refute(args) -> int:
-    cnf = Cnf.from_file(args.cnf)
+    cnf = Cnf.from_dimacs(_read(args.cnf))
     try:
         dag = resproof.pdt_refute(cnf)
     except resproof.SatisfiableError as exc:
         print(f"SATISFIABLE: model {exc.model.to_string()}")
         return 1
-    resproof.write(dag, args.out)
+    _emit(resproof.to_text(dag), args.out)
     result = resproof.check(dag, cnf)
     print(f"wrote refutation: size={len(dag.nodes)} check={result}")
     return 0 if result.ok else 1
@@ -217,11 +212,8 @@ def cmd_verify_lemma(args) -> int:
         reports = _verify_safe_space_lemma(args, lemmalab.check_exponential_sum)
     elif args.lemma == "uniform-coset":
         reports = _verify_safe_space_lemma(args, lemmalab.check_uniform_coset)
-    elif args.lemma == "conditional-fooling":
-        reports = _verify_conditional_fooling(args)
     else:
-        print(f"unknown lemma {args.lemma!r}", file=sys.stderr)
-        return 2
+        reports = _verify_conditional_fooling(args)
     if args.format == "csv":
         rows = [rep.to_csv().splitlines()[1] for rep in reports]
         _emit("\n".join([lemmalab.LEMMA_CSV_HEADER] + rows) + "\n", args.out)
@@ -288,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-graph", help="write a built-in or random regular graph")
-    sp.add_argument("--type", choices=["k5", "k7", "complete", "cycle", "random"], default="k5")
+    sp.add_argument("--type", choices=list(_GRAPH_TYPES), default="k5")
     sp.add_argument("--vertices", type=int, default=5)
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--seed", type=nonnegative_int)
@@ -370,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hardness-experiment", help="Monte Carlo decision-tree hardness")
     sp.add_argument("--graph")
-    sp.add_argument("--type", choices=["k5", "k7", "complete", "cycle", "random"], default="random")
+    sp.add_argument("--type", choices=list(_GRAPH_TYPES), default="random")
     sp.add_argument("--vertices", type=int, default=51)
     sp.add_argument("--degree", type=int, default=6)
     sp.add_argument("--q", type=nonnegative_int, required=True)

@@ -1,4 +1,4 @@
-"""CNF container with DIMACS serialization and exhaustive sweep helpers."""
+"""CNF container with DIMACS text and exhaustive sweep helpers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,6 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from . import f2
+from ._text import Lines, expect
 
 
 @dataclass(frozen=True)
@@ -38,45 +39,33 @@ class Cnf:
             lines.append(" ".join(str(l) for l in clause) + " 0")
         return "\n".join(lines) + "\n"
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_dimacs())
-
     @classmethod
     def from_dimacs(cls, text: str) -> "Cnf":
-        num_vars = None
-        declared = None
+        num_vars = declared = None
         clauses: list[tuple[int, ...]] = []
         current: list[int] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"bad problem line: {line!r}")
-                num_vars, declared = int(parts[2]), int(parts[3])
-                continue
-            for tok in line.split():
-                lit = int(tok)
-                if lit == 0:
-                    clauses.append(tuple(current))
-                    current = []
-                else:
-                    current.append(lit)
-        if num_vars is None:
-            raise ValueError("missing problem line")
-        if current:
-            raise ValueError("unterminated clause")
-        if declared is not None and declared != len(clauses):
-            raise ValueError(f"declared {declared} clauses, found {len(clauses)}")
+        with Lines(text, "c") as lines:
+            for fields in lines:
+                if fields[0] == "p":
+                    if num_vars is not None:
+                        raise ValueError("second p header")
+                    vars_s, clauses_s = expect(fields, "p cnf <vars> <clauses>")
+                    num_vars, declared = int(vars_s), int(clauses_s)
+                    continue
+                for tok in fields:
+                    lit = int(tok)
+                    if lit == 0:
+                        clauses.append(tuple(current))
+                        current = []
+                    else:
+                        current.append(lit)
+            if num_vars is None:
+                raise ValueError("missing p header")
+            if current:
+                raise ValueError("unterminated clause")
+            if declared != len(clauses):
+                raise ValueError(f"declared {declared} clauses, found {len(clauses)}")
         return cls(num_vars, tuple(clauses))
-
-    @classmethod
-    def from_file(cls, path) -> "Cnf":
-        with open(path) as fh:
-            return cls.from_dimacs(fh.read())
 
 
 def _clause_masks(cnf: Cnf) -> list[tuple[int, int]]:

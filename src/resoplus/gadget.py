@@ -25,6 +25,7 @@ import numpy as np
 
 from . import f2
 from ._bits import mask_bits, parity, parity_u64
+from ._text import Lines, expect, parse_bits
 from .blocks import BlockLayout
 from .cnf import Cnf
 from .f2 import EMPTY, AffineSpace, FVec
@@ -81,21 +82,18 @@ class Gadget:
 
     @classmethod
     def from_text(cls, text: str) -> "Gadget":
-        lines = text.split()
-        if len(lines) < 2:
-            raise ValueError("gadget text needs an arity line and a truth-table line")
-        b = int(lines[0])
-        bits = lines[1]
-        return cls(b, tuple(int(ch) for ch in bits))
-
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_file(cls, path) -> "Gadget":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        b = table = None
+        with Lines(text, "#") as lines:
+            for fields in lines:
+                if b is None:
+                    b = int(expect(fields, "<arity>")[0])
+                elif table is None:
+                    table = tuple(parse_bits(ch, 1) for ch in expect(fields, "<table>")[0])
+                else:
+                    raise ValueError("a gadget is an arity line and a truth-table line only")
+            if table is None:
+                raise ValueError("gadget text needs an arity line and a truth-table line")
+        return cls(b, table)
 
 
 def _check_arity(b: int) -> None:

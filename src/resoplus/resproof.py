@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import f2
-from ._bits import bits_to_string, parity, string_to_bits
+from ._bits import bits_to_string, parity
+from ._text import Lines, expect, parse_bits
 from .cnf import Cnf, _clause_masks
 from .f2 import EMPTY, AffineSpace, FVec, full_space, is_subspace, space_from_pairs
 
@@ -22,12 +23,6 @@ QRY = "QRY"
 
 REFUTE_VAR_CAP = 20
 _TRACE_WIDTH_CAP = 16  # widest proof all_inputs_trace_ok traces on every input
-
-
-class ProofSyntaxError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class DanglingNodeError(ValueError):
@@ -187,57 +182,40 @@ def _split_violation(space: AffineSpace | f2._EmptySpace, form: int, kid0: Affin
 
 
 def parse_text(text: str) -> ProofDag:
-    """Read a proof file; every malformed line raises `ProofSyntaxError` naming its line."""
+    """Read a proof; a malformed line raises `ParseError` naming it."""
     width = declared = None
     read: list[tuple[dict, list[tuple[int, int]]]] = []  # per node, its fields and its eq rows
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        try:
-            if parts[0] == "rxp":
+    with Lines(text, "#") as lines:
+        for fields in lines:
+            if fields[0] == "rxp":
                 if width is not None:
                     raise ValueError("second rxp header")
-                if len(parts) != 3:
-                    raise ValueError("header must be `rxp <width> <nodes>`")
-                width, declared = int(parts[1]), int(parts[2])
+                width_s, nodes_s = expect(fields, "rxp <width> <nodes>")
+                width, declared = int(width_s), int(nodes_s)
             elif width is None:
                 raise ValueError("missing rxp header")
-            elif parts[0] == "eq":
+            elif fields[0] == "eq":
                 if not read:
                     raise ValueError("eq line outside a node")
-                if len(parts) != 3 or len(parts[1]) != width:
-                    raise ValueError("eq needs a width-long form and a bit")
-                read[-1][1].append((string_to_bits(parts[1]), int(parts[2]) & 1))
+                form, bit = expect(fields, "eq <form> <bit>")
+                read[-1][1].append((parse_bits(form, width), parse_bits(bit, 1)))
+            elif fields[1:2] == ["k=LEAF"]:
+                node_id, clause = expect(fields, "<id> k=LEAF <clause>")
+                read.append((dict(node_id=int(node_id), kind=LEAF, clause=int(clause)), []))
+            elif fields[1:2] == ["k=WEAK"]:
+                node_id, child = expect(fields, "<id> k=WEAK <child>")
+                read.append((dict(node_id=int(node_id), kind=WEAK, child=int(child)), []))
+            elif fields[1:2] == ["k=QRY"]:
+                node_id, form, c0, c1 = expect(fields, "<id> k=QRY <form> <child0> <child1>")
+                form = parse_bits(form, width)
+                read.append((dict(node_id=int(node_id), kind=QRY, form=form, child0=int(c0), child1=int(c1)), []))
             else:
-                node_id = int(parts[0])
-                if len(parts) < 2 or not parts[1].startswith("k="):
-                    raise ValueError("expected k=<kind>")
-                kind = parts[1][2:]
-                if kind == LEAF:
-                    fields = dict(node_id=node_id, kind=LEAF, clause=int(parts[2]))
-                elif kind == WEAK:
-                    fields = dict(node_id=node_id, kind=WEAK, child=int(parts[2]))
-                elif kind == QRY:
-                    if len(parts[2]) != width:
-                        raise ValueError("query form width mismatch")
-                    form = string_to_bits(parts[2])
-                    fields = dict(node_id=node_id, kind=QRY, form=form, child0=int(parts[3]), child1=int(parts[4]))
-                else:
-                    raise ValueError(f"unknown node kind {kind!r}")
-                read.append((fields, []))
-        except (ValueError, IndexError) as exc:
-            raise ProofSyntaxError(line_no, str(exc)) from None
-    if width is None:
-        raise ProofSyntaxError(0, "empty proof file")
-    if declared != len(read):
-        raise ProofSyntaxError(0, f"declared {declared} nodes, found {len(read)}")
+                raise ValueError(f"expected a node line `<id> k=LEAF|WEAK|QRY ...`, got {' '.join(fields)!r}")
+        if width is None:
+            raise ValueError("missing rxp header")
+        if declared != len(read):
+            raise ValueError(f"declared {declared} nodes, found {len(read)}")
     return ProofDag.build(width, [ProofNode(space=space_from_pairs(width, rows), **fields) for fields, rows in read])
-
-
-def parse(path) -> ProofDag:
-    with open(path) as fh:
-        return parse_text(fh.read())
 
 
 def to_text(dag: ProofDag) -> str:
@@ -259,11 +237,6 @@ def to_text(dag: ProofDag) -> str:
             zero = "0" * dag.width
             lines.append(f"eq {zero} 1")
     return "\n".join(lines) + "\n"
-
-
-def write(dag: ProofDag, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_text(dag))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._text import Lines, expect, parse_bits
 from .cnf import Cnf, find_model
 
 CHEEGER_SWEEP_CAP = 20
@@ -110,31 +111,18 @@ class Graph:
     def from_text(cls, text: str) -> "Graph":
         num = None
         pairs = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != {"v": 2, "e": 3}.get(parts[0]):
-                raise ValueError(f"bad graph line: {line!r}")
-            if parts[0] == "v":
-                if num is not None:
-                    raise ValueError(f"second vertex count line: {line!r}")
-                num = int(parts[1])
-            else:
-                pairs.append((int(parts[1]), int(parts[2])))
-        if num is None:
-            raise ValueError("missing vertex count line")
+        with Lines(text, "#") as lines:
+            for fields in lines:
+                if fields[0] != "v":
+                    u, w = expect(fields, "e <u> <w>")
+                    pairs.append((int(u), int(w)))
+                elif num is not None:
+                    raise ValueError("second v header")
+                else:
+                    num = int(expect(fields, "v <count>")[0])
+            if num is None:
+                raise ValueError("missing v header")
         return cls.from_pairs(num, pairs)
-
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_file(cls, path) -> "Graph":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
 
 
 def complete_graph(k: int) -> Graph:
@@ -252,9 +240,9 @@ def tseitin_cnf(g: Graph, charge: Sequence[int] | None = None, contradiction: bo
     """
     if charge is None:
         charge = (1,) * g.num_vertices
-    charge = tuple(int(c) & 1 for c in charge)
-    if len(charge) != g.num_vertices:
-        raise ValueError("charge length must equal the vertex count")
+    charge = tuple(int(c) for c in charge)
+    if len(charge) != g.num_vertices or any(c not in (0, 1) for c in charge):
+        raise ValueError(f"charge must be {g.num_vertices} bits 0 or 1, got {charge}")
     if contradiction and sum(charge) % 2 == 0:
         raise ValueError("contradiction mode needs odd total charge")
     clauses: list[tuple[int, ...]] = []
@@ -277,11 +265,6 @@ def brute_unsat(formula: Cnf | TseitinCnf) -> bool:
     """Exhaustive unsatisfiability sweep over all assignments."""
     c = formula.cnf if isinstance(formula, TseitinCnf) else formula
     return find_model(c) is None
-
-
-def emit_dimacs(formula: Cnf | TseitinCnf, path) -> None:
-    c = formula.cnf if isinstance(formula, TseitinCnf) else formula
-    c.to_file(path)
 
 
 @dataclass(frozen=True)
@@ -374,24 +357,13 @@ class EdgePartialAssignment:
     @classmethod
     def from_text(cls, g: Graph, text: str) -> "EdgePartialAssignment":
         values = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            k_s, bit_s = line.split()
-            if int(k_s) in values:
-                raise ValueError(f"edge {int(k_s)} is fixed twice, again by line {line!r}")
-            values[int(k_s)] = int(bit_s)
+        with Lines(text, "#") as lines:
+            for fields in lines:
+                k_s, bit_s = expect(fields, "<edge> <bit>")
+                if int(k_s) in values:
+                    raise ValueError(f"edge {int(k_s)} is fixed twice")
+                values[int(k_s)] = parse_bits(bit_s, 1)
         return cls.from_dict(g, values)
-
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_file(cls, g: Graph, path) -> "EdgePartialAssignment":
-        with open(path) as fh:
-            return cls.from_text(g, fh.read())
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def _reference_dimacs_parse(text: str):
     return header, clauses
 
 
-def test_criterion_6_tseitin_pipeline(tmp_path):
+def test_criterion_6_tseitin_pipeline():
     started = time.time()
     k5 = tseitin_cnf(complete_graph(5))
     assert k5.cnf.num_vars == 10 and len(k5.cnf.clauses) == 40
@@ -171,9 +171,7 @@ def test_criterion_6_tseitin_pipeline(tmp_path):
     # three base variables at two bits per block
     assert lifted.num_vars == 6
     assert brute_unsat(lifted)
-    path = tmp_path / "k5.cnf"
-    k5.cnf.to_file(path)
-    header, clauses = _reference_dimacs_parse(path.read_text())
+    header, clauses = _reference_dimacs_parse(k5.cnf.to_dimacs())
     assert header == (10, 40)
     assert clauses == [frozenset(c) for c in k5.cnf.clauses]
     _report(

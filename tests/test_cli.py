@@ -206,21 +206,21 @@ def test_missing_seed_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["root-dist", "--graph", "{empty}"], "ValueError"),
+        (["root-dist", "--graph", "{empty}"], "ParseError: line 0"),
         (["root-dist", "--graph", "{missing}"], "FileNotFoundError"),
-        (["check-proof", "{empty}", "{empty}"], "ProofSyntaxError"),
+        (["check-proof", "{empty}", "{empty}"], "ParseError: line 0"),
         (["check-proof", "{dangling}", "{empty}"], "DanglingNodeError"),
-        (["gadget-spectrum", "--gadget", "{empty}"], "ValueError"),
+        (["gadget-spectrum", "--gadget", "{empty}"], "ParseError: line 0"),
         (["root-dist", "--graph", "{k5}", "--rho", "{isolated0}"], "InvalidAssignmentError"),
         (["sample-dtfooling", "--graph", "{k5}", "--rho", "{isolated0}", "--seed", "1"], "InvalidAssignmentError"),
         (["root-dist", "--graph", "{k5}", "--condition", "{split}"], "InconsistentConditionError"),
         (["gen-graph", "--graph", "{negative}"], "ValueError"),
-        (["root-dist", "--graph", "{k5}", "--rho", "{twice}"], "ValueError"),
-        (["root-dist", "--graph", "{k5}", "--condition", "{twice}"], "ValueError"),
-        (["sample-dtfooling", "--graph", "{k5}", "--rho", "{twice}", "--seed", "1"], "ValueError"),
-        (["gen-graph", "--graph", "{two_counts}"], "ValueError"),
-        (["check-proof", "{two_headers}", "{unit_cnf}"], "ProofSyntaxError"),
-        (["proof-metrics", "{two_headers}"], "ProofSyntaxError"),
+        (["root-dist", "--graph", "{k5}", "--rho", "{twice}"], "ParseError: line 2"),
+        (["root-dist", "--graph", "{k5}", "--condition", "{twice}"], "ParseError: line 2"),
+        (["sample-dtfooling", "--graph", "{k5}", "--rho", "{twice}", "--seed", "1"], "ParseError: line 2"),
+        (["gen-graph", "--graph", "{two_counts}"], "ParseError: line 2"),
+        (["check-proof", "{two_headers}", "{unit_cnf}"], "ParseError: line 3"),
+        (["proof-metrics", "{two_headers}"], "ParseError: line 3"),
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, argv, error):
@@ -276,7 +276,7 @@ def test_a_malformed_proof_number_names_its_line(tmp_path, capsys, text, line):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: ProofSyntaxError: line {line}: ")
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: ParseError: line {line}: ")
 
 
 @pytest.mark.parametrize("text", ["v\n", "v 3 4\n", "v 2\ne 0\n", "v 3\ne 0 1 2\n"])
@@ -288,7 +288,69 @@ def test_a_graph_line_with_the_wrong_field_count_is_usage_error(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: ValueError: bad graph line: {text.splitlines()[-1]!r}\n"
+    last = text.splitlines()[-1]
+    form = {"v": "v <count>", "e": "e <u> <w>"}[last[0]]
+    assert captured.err == f"error: ParseError: line {len(text.splitlines())}: expected `{form}`, got {last!r}\n"
+
+
+# a refutation of x1 & ~x1; WEAK_UNIT puts a weakening above it
+UNIT_PROOF = "rxp 1 3\n0 k=QRY 1 1 2\n1 k=LEAF 0\neq 1 0\n2 k=LEAF 1\neq 1 1\n"
+WEAK_UNIT = "rxp 1 4\n0 k=WEAK 1\n1 k=QRY 1 2 3\n2 k=LEAF 0\neq 1 0\n3 k=LEAF 1\neq 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (["root-dist", "--graph", "{k5}", "--rho", "{bad}"], "0 1\n0\n", 2),
+        (["root-dist", "--graph", "{k5}", "--rho", "{bad}"], "0 1 1\n", 1),
+        (["root-dist", "--graph", "{k5}", "--rho", "{bad}"], "# edge 0\n0 x\n", 2),
+        (["root-dist", "--graph", "{k5}", "--rho", "{bad}"], "0 2\n", 1),
+        (["metrics", "--graph", "{bad}"], "v 3\ne 0 x\n", 2),
+        (["metrics", "--graph", "{bad}"], "v x\n", 1),
+        (["lift", "--cnf", "{bad}", "--ip", "2"], "p cnf 1 1\n1 0\np cnf 1 1\n", 3),
+        (["lift", "--cnf", "{bad}", "--ip", "2"], "p cnf 1 1\nx 0\n", 2),
+        (["gadget-spectrum", "--gadget", "{bad}"], "2\n0001\n1\n", 3),
+        (["check-proof", "{bad}", "{unit}"], UNIT_PROOF.replace("eq 1 0", "eq 1 2"), 4),
+        (["check-proof", "{bad}", "{unit}"], UNIT_PROOF.replace("eq 1 1", "eq 1 -1"), 6),
+        (["check-proof", "{bad}", "{unit}"], UNIT_PROOF.replace("k=LEAF 0", "k=LEAF 0 9"), 3),
+        (["check-proof", "{bad}", "{unit}"], WEAK_UNIT.replace("k=WEAK 1", "k=WEAK 1 9"), 2),
+        (["check-proof", "{bad}", "{unit}"], UNIT_PROOF.replace("k=QRY 1 1 2", "k=QRY 1 1 2 9"), 2),
+    ],
+)
+def test_malformed_input_names_its_line(tmp_path, capsys, argv, text, line):
+    # each of these read past the flaw at the parent; the proofs even checked OK
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    k5 = tmp_path / "k5.graph"
+    k5.write_text(complete_graph(5).to_text())
+    unit = tmp_path / "unit.cnf"
+    unit.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    code = main([a.format(bad=bad, k5=k5, unit=unit) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: ParseError: line {line}: ")
+
+
+def test_well_formed_unit_proofs_check(tmp_path, capsys):
+    unit = tmp_path / "unit.cnf"
+    unit.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    for text in (UNIT_PROOF, WEAK_UNIT):
+        proof = tmp_path / "unit.rxp"
+        proof.write_text(text)
+        code, out = run(capsys, "check-proof", str(proof), str(unit))
+        assert code == 0 and out == "OK\n"
+
+
+def test_a_charge_entry_other_than_a_bit_is_usage_error(tmp_path, capsys):
+    # 3 used to be read as 3 & 1, so 31111 wrote the CNF of 11111
+    k5 = tmp_path / "k5.graph"
+    k5.write_text(complete_graph(5).to_text())
+    code = main(["gen-tseitin", "--graph", str(k5), "--charge", "31111"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: charge must be 5 bits 0 or 1, got (3, 1, 1, 1, 1)\n"
 
 
 def test_metrics_of_an_edgeless_graph_is_usage_error(tmp_path, capsys):

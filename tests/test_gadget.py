@@ -115,11 +115,9 @@ def test_ip_gadget_table():
         ip_gadget(3)
 
 
-def test_gadget_file_round_trip(tmp_path):
+def test_gadget_file_round_trip():
     g = ip_gadget(4)
-    path = tmp_path / "ip4.gadget"
-    g.to_file(path)
-    assert Gadget.from_file(path) == g
+    assert Gadget.from_text(g.to_text()) == g
 
 
 def test_lift_eval():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from resoplus import lemmalab
 from resoplus._bits import parity
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure
 from resoplus.f2 import FVec, full_space, space_from_pairs
@@ -278,6 +279,20 @@ def test_closure_law_suite_small():
     rep = closure_law_suite(200, 11)
     assert rep.ok, rep.to_text()
     assert dict(rep.checked)["containment"] == 200
+
+
+def test_closure_law_suite_draws_every_layout_size(monkeypatch):
+    # the report counts instances per law, which does not show the layouts drawn
+    drawn = []
+
+    def recording_layout(n, b):
+        drawn.append((n, b))
+        return BlockLayout(n, b)
+
+    monkeypatch.setattr(lemmalab, "BlockLayout", recording_layout)
+    assert closure_law_suite(200, 11).ok
+    assert {n for n, _ in drawn} == {1, 2, 3, 4}
+    assert {b for _, b in drawn} == {1, 2, 3}
 
 
 def test_cube_sweep_agrees_with_syndrome_counting_at_headline_scale():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resoplus._text import ParseError
 from resoplus.cnf import Cnf, _clause_masks
 from resoplus.f2 import EMPTY, FVec, enumerate_points, full_space, is_subspace, space_from_pairs
 from resoplus.gadget import ip_gadget, lift_cnf
@@ -17,7 +18,6 @@ from resoplus.resproof import (
     DanglingNodeError,
     ProofDag,
     ProofNode,
-    ProofSyntaxError,
     SatisfiableError,
     all_inputs_trace_ok,
     check,
@@ -58,11 +58,11 @@ def test_parse_errors():
         parse_text("rxp 1 1\n0 k=WEAK 7\n")
     with pytest.raises(CycleError):
         parse_text("rxp 1 2\n0 k=WEAK 1\n1 k=WEAK 0\n")
-    with pytest.raises(ProofSyntaxError):
+    with pytest.raises(ParseError, match="^line 2: "):
         parse_text("rxp 1 1\n0 k=BOGUS 0\n")
-    with pytest.raises(ProofSyntaxError):
-        parse_text("0 k=LEAF 0\n")  # missing header
-    with pytest.raises(ProofSyntaxError, match="^line 3: second rxp header$"):
+    with pytest.raises(ParseError, match="^line 1: missing rxp header$"):
+        parse_text("0 k=LEAF 0\n")
+    with pytest.raises(ParseError, match="^line 3: second rxp header$"):
         parse_text("rxp 1 2\n0 k=WEAK 1\nrxp 1 2\n1 k=LEAF 0\n")
 
 
