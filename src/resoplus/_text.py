@@ -48,6 +48,18 @@ def expect(fields: list[str], form: str) -> list[str]:
     return [f for w, f in zip(words, fields) if w[0] == "<"]
 
 
+def parse_int(field: str, signed: bool) -> int:
+    """A decimal integer in ASCII digits, with a leading `-` only when `signed`.
+
+    Python's `int` also reads `+3`, `1_000` and non-ASCII digits such as
+    the Arabic-Indic three; no format here writes them.
+    """
+    digits = field[1:] if signed and field[:1] == "-" else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected {'an' if signed else 'a nonnegative'} integer, got {field!r}")
+    return int(field)
+
+
 def parse_bits(field: str, width: int) -> int:
     """A string of exactly `width` characters 0 or 1, coordinate 0 leftmost; one bit is width 1."""
     if len(field) != width:

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import f2
 from ._bits import bits_to_string, mask_bits, parity, set_bits
-from ._text import Lines, parse_bits
+from ._text import Lines, parse_bits, parse_int
 from .f2 import EMPTY, AffineSpace, _tagged_insert, _tagged_reduce, rank_of_rows
 
 
@@ -524,9 +524,10 @@ class ClosureAssignment:
             for fields in lines:
                 for token in fields:
                     blk_s, _, val_s = token.partition(":")
-                    if int(blk_s) in values:
-                        raise ValueError(f"block {int(blk_s)} is assigned twice")
-                    values[int(blk_s)] = parse_bits(val_s, layout.b)
+                    blk = parse_int(blk_s, False)
+                    if blk in values:
+                        raise ValueError(f"block {blk} is assigned twice")
+                    values[blk] = parse_bits(val_s, layout.b)
         return cls.from_dict(layout, values)
 
 

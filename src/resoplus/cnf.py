@@ -7,7 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from . import f2
-from ._text import Lines, expect
+from ._text import Lines, expect, parse_int
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,8 @@ class Cnf:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError("variable count must be nonnegative")
         for clause in self.clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
@@ -50,10 +52,10 @@ class Cnf:
                     if num_vars is not None:
                         raise ValueError("second p header")
                     vars_s, clauses_s = expect(fields, "p cnf <vars> <clauses>")
-                    num_vars, declared = int(vars_s), int(clauses_s)
+                    num_vars, declared = parse_int(vars_s, False), parse_int(clauses_s, False)
                     continue
                 for tok in fields:
-                    lit = int(tok)
+                    lit = parse_int(tok, True)
                     if lit == 0:
                         clauses.append(tuple(current))
                         current = []

@@ -274,19 +274,23 @@ def exact_root_distribution(
     size of its root space cut by the condition: 2^dim, or 0 when EMPTY.
 
     Root v's system is the vertex rows of `root_space` with bit v of the
-    right-hand side flipped, plus the condition's unit rows.  One tagged
-    elimination serves every root.  A row's tag holds its right-hand side at
-    bit 0 and, at bit u + 1, whether it sums vertex row u.  The rank does not
-    depend on v, and v's system is consistent exactly when each row that
-    reduces to zero has tag bit 0 equal to tag bit v + 1.
+    right-hand side flipped, plus the condition's unit rows.  The rows are
+    written over the edge coordinates: vertex row u is the mask of u's free
+    edges, and the rank is that of `root_space`'s rows, which number the
+    free edges in ascending order instead.  One tagged elimination serves
+    every root.  A row's tag holds its right-hand side at bit 0 and, at bit
+    u + 1, whether it sums vertex row u.  The rank does not depend on v, and
+    v's system is consistent exactly when each row that reduces to zero has
+    tag bit 0 equal to tag bit v + 1: so one OR over those rows of the tag's
+    vertex bits, all flipped when bit 0 is set, marks every inconsistent root.
     """
     g = rho.graph
     analysis = valid_analysis(rho)
     odd = analysis.odd_component
-    pos, forms = _vertex_forms(rho)
+    free = rho.free_mask
     condition = dict(condition or {})
     for k in condition:
-        if k not in pos:
+        if k not in range(g.num_edges) or not free >> k & 1:
             raise ValueError(f"conditioned edge {k} is not free in rho")
     combined = rho.extend(condition)
     comb_analysis = analyze_partial(g, combined)
@@ -295,23 +299,24 @@ def exact_root_distribution(
     c1 = comb_analysis.odd_components[0]
 
     f = analysis.f_rho
-    rows = [(form, f[u] | (2 << u)) for u, form in enumerate(forms)]
-    rows += [(1 << pos[k], bit & 1) for k, bit in condition.items()]
+    rows = [(edges & free, f[u] | (2 << u)) for u, edges in enumerate(g._edge_masks)]
+    rows += [(1 << k, bit & 1) for k, bit in condition.items()]
     basis: list[tuple[int, int, int]] = []
-    zero_tags = []  # the reduced tag of every row that reduces to zero
+    bad = 0  # bit v set when root v's system is inconsistent
+    every_vertex = (1 << g.num_vertices) - 1
     for form, tag in rows:
         residue, tag = f2._tagged_insert(basis, form, tag)
         if not residue:
-            zero_tags.append(tag)
-    size = 1 << (len(pos) - len(basis))
-    counts = [(v, size if all((tag ^ (tag >> (v + 1))) & 1 == 0 for tag in zero_tags) else 0) for v in sorted(odd)]
+            bad |= (tag >> 1) ^ (every_vertex if tag & 1 else 0)
+    size = 1 << (free.bit_count() - len(basis))
+    counts = tuple((v, 0 if bad >> v & 1 else size) for v in sorted(odd))
     total = sum(c for _, c in counts)
     if total == 0:
         raise InconsistentConditionError("condition matches no sample")
-    law = tuple((v, Fraction(c, total)) for v, c in counts)
-    support = frozenset(v for v, c in counts if c > 0)
-    support_ok = support == c1
+    share, zero = Fraction(size, total), Fraction(0)
+    law = tuple((v, share if c else zero) for v, c in counts)
+    support_ok = frozenset(v for v, c in counts if c) == c1
     in_c1 = [c for v, c in counts if v in c1]
     equal_counts_ok = len(set(in_c1)) == 1 and all(c == 0 for v, c in counts if v not in c1)
-    uniform_ok = all(p == Fraction(1, len(c1)) for v, p in law if v in c1) and support_ok
-    return RootLawReport(c1, tuple(counts), law, support_ok, uniform_ok, equal_counts_ok)
+    uniform_ok = all(c * len(c1) == total for c in in_c1) and support_ok
+    return RootLawReport(c1, counts, law, support_ok, uniform_ok, equal_counts_ok)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import f2
 from ._bits import mask_bits, parity, parity_u64
-from ._text import Lines, expect, parse_bits
+from ._text import Lines, expect, parse_bits, parse_int
 from .blocks import BlockLayout
 from .cnf import Cnf
 from .f2 import EMPTY, AffineSpace, FVec
@@ -86,7 +86,7 @@ class Gadget:
         with Lines(text, "#") as lines:
             for fields in lines:
                 if b is None:
-                    b = int(expect(fields, "<arity>")[0])
+                    b = parse_int(expect(fields, "<arity>")[0], False)
                 elif table is None:
                     table = tuple(parse_bits(ch, 1) for ch in expect(fields, "<table>")[0])
                 else:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import f2
 from ._bits import bits_to_string, parity
-from ._text import Lines, expect, parse_bits
+from ._text import Lines, expect, parse_bits, parse_int
 from .cnf import Cnf, _clause_masks
 from .f2 import EMPTY, AffineSpace, FVec, full_space, is_subspace, space_from_pairs
 
@@ -191,7 +191,7 @@ def parse_text(text: str) -> ProofDag:
                 if width is not None:
                     raise ValueError("second rxp header")
                 width_s, nodes_s = expect(fields, "rxp <width> <nodes>")
-                width, declared = int(width_s), int(nodes_s)
+                width, declared = parse_int(width_s, False), parse_int(nodes_s, False)
             elif width is None:
                 raise ValueError("missing rxp header")
             elif fields[0] == "eq":
@@ -201,14 +201,15 @@ def parse_text(text: str) -> ProofDag:
                 read[-1][1].append((parse_bits(form, width), parse_bits(bit, 1)))
             elif fields[1:2] == ["k=LEAF"]:
                 node_id, clause = expect(fields, "<id> k=LEAF <clause>")
-                read.append((dict(node_id=int(node_id), kind=LEAF, clause=int(clause)), []))
+                read.append((dict(node_id=parse_int(node_id, False), kind=LEAF, clause=parse_int(clause, False)), []))
             elif fields[1:2] == ["k=WEAK"]:
                 node_id, child = expect(fields, "<id> k=WEAK <child>")
-                read.append((dict(node_id=int(node_id), kind=WEAK, child=int(child)), []))
+                read.append((dict(node_id=parse_int(node_id, False), kind=WEAK, child=parse_int(child, False)), []))
             elif fields[1:2] == ["k=QRY"]:
                 node_id, form, c0, c1 = expect(fields, "<id> k=QRY <form> <child0> <child1>")
                 form = parse_bits(form, width)
-                read.append((dict(node_id=int(node_id), kind=QRY, form=form, child0=int(c0), child1=int(c1)), []))
+                node_id, c0, c1 = (parse_int(x, False) for x in (node_id, c0, c1))
+                read.append((dict(node_id=node_id, kind=QRY, form=form, child0=c0, child1=c1), []))
             else:
                 raise ValueError(f"expected a node line `<id> k=LEAF|WEAK|QRY ...`, got {' '.join(fields)!r}")
         if width is None:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._text import Lines, expect, parse_bits
+from ._text import Lines, expect, parse_bits, parse_int
 from .cnf import Cnf, find_model
 
 CHEEGER_SWEEP_CAP = 20
@@ -71,6 +71,15 @@ class Graph:
             out[b].append((k, a))
         return tuple(map(tuple, out))
 
+    @cached_property
+    def _edge_masks(self) -> tuple[int, ...]:
+        """Per vertex, the mask of its incident edges: bit k set when edge k touches it."""
+        out = [0] * self.num_vertices
+        for k, (a, b) in enumerate(self.edges):
+            out[a] |= 1 << k
+            out[b] |= 1 << k
+        return tuple(out)
+
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge index, other endpoint) pairs for edges at v, ascending index."""
         if not 0 <= v < self.num_vertices:
@@ -86,7 +95,13 @@ class Graph:
 
     def components(self, free_edges: Iterable[int]) -> list[frozenset[int]]:
         """Connected components of (V, given edge subset), sorted by least vertex."""
-        free = set(free_edges)
+        free = 0
+        for k in free_edges:
+            free |= 1 << k
+        return self._flood(free)
+
+    def _flood(self, free: int) -> list[frozenset[int]]:
+        """Connected components of (V, the edges whose bits are set in free), sorted by least vertex."""
         seen = [False] * self.num_vertices
         out = []
         for start in range(self.num_vertices):
@@ -96,7 +111,7 @@ class Graph:
             comp = [start]
             for u in comp:  # comp grows while it is walked
                 for k, w in self._incidence[u]:
-                    if not seen[w] and k in free:
+                    if not seen[w] and free >> k & 1:
                         seen[w] = True
                         comp.append(w)
             out.append(frozenset(comp))
@@ -115,11 +130,12 @@ class Graph:
             for fields in lines:
                 if fields[0] != "v":
                     u, w = expect(fields, "e <u> <w>")
-                    pairs.append((int(u), int(w)))
+                    pairs.append((parse_int(u, False), parse_int(w, False)))
                 elif num is not None:
                     raise ValueError("second v header")
                 else:
-                    num = int(expect(fields, "v <count>")[0])
+                    # signed, so that Graph itself reports a negative count
+                    num = parse_int(expect(fields, "v <count>")[0], True)
             if num is None:
                 raise ValueError("missing v header")
         return cls.from_pairs(num, pairs)
@@ -305,6 +321,11 @@ class EdgePartialAssignment:
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
+    @property
+    def free_mask(self) -> int:
+        """The mask of the free edges: bit k set when edge k is not fixed."""
+        return ((1 << self.graph.num_edges) - 1) ^ self.mask
+
     def free_edges(self) -> list[int]:
         return [k for k in range(self.graph.num_edges) if not self.mask >> k & 1]
 
@@ -337,7 +358,7 @@ class EdgePartialAssignment:
             f[u] ^= 1
             f[v] ^= 1
             bits ^= low
-        comps = g.components(self.free_edges())
+        comps = g._flood(self.free_mask)
         odd = tuple(c for c in comps if sum(f[v] for v in c) & 1)
         valid = len(odd) == 1 and 2 * len(odd[0]) > g.num_vertices
         return PartialAnalysis(tuple(comps), tuple(f), odd, valid)
@@ -360,9 +381,10 @@ class EdgePartialAssignment:
         with Lines(text, "#") as lines:
             for fields in lines:
                 k_s, bit_s = expect(fields, "<edge> <bit>")
-                if int(k_s) in values:
-                    raise ValueError(f"edge {int(k_s)} is fixed twice")
-                values[int(k_s)] = parse_bits(bit_s, 1)
+                k = parse_int(k_s, False)
+                if k in values:
+                    raise ValueError(f"edge {k} is fixed twice")
+                values[k] = parse_bits(bit_s, 1)
         return cls.from_dict(g, values)
 
 

@@ -315,12 +315,18 @@ WEAK_UNIT = "rxp 1 4\n0 k=WEAK 1\n1 k=QRY 1 2 3\n2 k=LEAF 0\neq 1 0\n3 k=LEAF 1\
         (["check-proof", "{bad}", "{unit}"], UNIT_PROOF.replace("k=LEAF 0", "k=LEAF 0 9"), 3),
         (["check-proof", "{bad}", "{unit}"], WEAK_UNIT.replace("k=WEAK 1", "k=WEAK 1 9"), 2),
         (["check-proof", "{bad}", "{unit}"], UNIT_PROOF.replace("k=QRY 1 1 2", "k=QRY 1 1 2 9"), 2),
+        # numbers that Python's int reads, and the parent read
+        (["metrics", "--graph", "{bad}"], "v \u0663\ne 0 1\n", 1),  # an Arabic-Indic three
+        (["metrics", "--graph", "{bad}"], "v +3\n", 1),
+        (["metrics", "--graph", "{bad}"], "v 3\ne 0 1_0\n", 2),
+        (["lift", "--cnf", "{bad}", "--ip", "2"], "p cnf 1 1\n+1 0\n", 2),
+        (["proof-metrics", "{bad}"], "rxp 1 1\n\uff10 k=LEAF 0\n", 2),  # a full-width zero
     ],
 )
 def test_malformed_input_names_its_line(tmp_path, capsys, argv, text, line):
     # each of these read past the flaw at the parent; the proofs even checked OK
     bad = tmp_path / "bad"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     k5 = tmp_path / "k5.graph"
     k5.write_text(complete_graph(5).to_text())
     unit = tmp_path / "unit.cnf"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from collections import Counter, deque
@@ -8,16 +10,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resoplus import dtfooling, f2
 from resoplus.dtfooling import (
     InconsistentConditionError,
     InvalidAssignmentError,
     Many,
+    RootLawReport,
     bfs_tree,
     exact_root_distribution,
     root_of,
     root_space,
     sample,
     tree_complete,
+    valid_analysis,
 )
 from resoplus.f2 import EMPTY, points_array
 from resoplus.tseitin import (
@@ -399,6 +404,122 @@ def test_exact_root_distribution_counts_match_root_spaces(case):
         return
     assert list(rep.counts) == want
     assert rep.ok
+
+
+def _root_law_by_free_edge_positions(rho, condition=None):
+    """`exact_root_distribution` as it was written over free-edge positions:
+    a position dict, compressed vertex forms and one Fraction per vertex,
+    each compared with 1/|c1|.  Kept as the reference for the mask version."""
+    g = rho.graph
+    odd = valid_analysis(rho).odd_component
+    pos = {k: i for i, k in enumerate(rho.free_edges())}
+    forms = [sum(1 << pos[k] for k, _ in g.incident(u) if k in pos) for u in range(g.num_vertices)]
+    condition = dict(condition or {})
+    for k in condition:
+        if k not in pos:
+            raise ValueError(f"conditioned edge {k} is not free in rho")
+    comb_analysis = analyze_partial(g, rho.extend(condition))
+    if len(comb_analysis.odd_components) != 1:
+        raise InconsistentConditionError("condition breaks the single-odd-component structure")
+    c1 = comb_analysis.odd_components[0]
+    f = rho.analysis.f_rho
+    rows = [(form, f[u] | (2 << u)) for u, form in enumerate(forms)]
+    rows += [(1 << pos[k], bit & 1) for k, bit in condition.items()]
+    basis = []
+    zero_tags = []
+    for form, tag in rows:
+        residue, tag = f2._tagged_insert(basis, form, tag)
+        if not residue:
+            zero_tags.append(tag)
+    size = 1 << (len(pos) - len(basis))
+    counts = [(v, size if all((tag ^ (tag >> (v + 1))) & 1 == 0 for tag in zero_tags) else 0) for v in sorted(odd)]
+    total = sum(c for _, c in counts)
+    if total == 0:
+        raise InconsistentConditionError("condition matches no sample")
+    law = tuple((v, Fraction(c, total)) for v, c in counts)
+    support_ok = frozenset(v for v, c in counts if c > 0) == c1
+    in_c1 = [c for v, c in counts if v in c1]
+    equal_counts_ok = len(set(in_c1)) == 1 and all(c == 0 for v, c in counts if v not in c1)
+    uniform_ok = all(p == Fraction(1, len(c1)) for v, p in law if v in c1) and support_ok
+    return RootLawReport(c1, tuple(counts), law, support_ok, uniform_ok, equal_counts_ok)
+
+
+@st.composite
+def root_law_inputs(draw):
+    """`rooted_conditions`, at times with one more condition entry: an edge
+    fixed in rho, an edge index out of range, or a value other than a bit."""
+    rho, cond = draw(rooted_conditions())
+    extra = draw(st.sampled_from(["none", "fixed", "range", "value"]))
+    fixed = [k for k in range(rho.graph.num_edges) if rho.mask >> k & 1]
+    if extra == "fixed" and fixed:
+        key, value = draw(st.sampled_from(fixed)), draw(st.integers(0, 1))
+    elif extra == "range":
+        key, value = draw(st.sampled_from([-1, rho.graph.num_edges, rho.graph.num_edges + 5])), draw(st.integers(0, 1))
+    elif extra == "value" and rho.free_edges():
+        key, value = draw(st.sampled_from(rho.free_edges())), 2
+    else:
+        return rho, cond
+    items = list(cond.items())
+    items.insert(draw(st.integers(0, len(items))), (key, value))
+    return rho, dict(items)
+
+
+def _root_law_outcome(law, rho, cond):
+    try:
+        return law(rho, cond)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(root_law_inputs())
+def test_exact_root_distribution_matches_the_free_edge_position_version(case):
+    # the whole report, or the same exception type and message
+    rho, cond = case
+    want = _root_law_outcome(_root_law_by_free_edge_positions, rho, cond)
+    got = _root_law_outcome(exact_root_distribution, rho, cond)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_root_laws_are_pinned():
+    """Root laws of every conditioning of at most two edges of K5 and of the
+    7-vertex 4-regular graph at seed 7, the two graphs of tseitin-certify."""
+    rows = []
+    for g in (complete_graph(5), random_regular_graph(7, 4, seed=7)):
+        rho = EdgePartialAssignment.empty(g)
+        for size in range(3):
+            for subset in itertools.combinations(range(g.num_edges), size):
+                for bits in itertools.product((0, 1), repeat=size):
+                    rep = exact_root_distribution(rho, dict(zip(subset, bits)))
+                    law = [(v, p.numerator, p.denominator) for v, p in rep.law]
+                    rows.append((sorted(rep.odd_component), rep.counts, law, rep.support_ok, rep.uniform_ok, rep.equal_counts_ok))
+    assert len(rows) == 594
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "88f3c47885252abd"
+
+
+@pytest.mark.parametrize(
+    "graph, condition, odd",
+    [
+        (complete_graph(5), {0: 1}, {0, 1, 2, 3}),  # the support is all five vertices
+        (cycle_graph(5), {0: 1, 1: 0}, {0, 1, 2, 3, 4}),  # vertex 1 is cut off, with count 0
+    ],
+)
+def test_root_law_checks_fail_when_the_odd_component_is_not_the_support(monkeypatch, graph, condition, odd):
+    # root hiding makes the three checks hold on every real input, so each is
+    # shown to be a check by handing it a conditioned odd component that is wrong
+    rho = EdgePartialAssignment.empty(graph)
+    real = dtfooling.analyze_partial
+
+    def wrong_odd_component(g, assignment):
+        analysis = real(g, assignment)
+        return analysis if assignment is rho else dataclasses.replace(analysis, odd_components=(frozenset(odd),))
+
+    assert exact_root_distribution(rho, condition).ok
+    monkeypatch.setattr(dtfooling, "analyze_partial", wrong_odd_component)
+    rep = exact_root_distribution(rho, condition)
+    assert rep.odd_component == frozenset(odd)
+    assert (rep.support_ok, rep.uniform_ok, rep.equal_counts_ok) == (False, False, False)
 
 
 def test_sampler_matches_exact_law_conditionally():

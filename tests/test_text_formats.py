@@ -2,7 +2,7 @@
 ParseError naming it, and a well-formed text reads back to what wrote it."""
 import pytest
 
-from resoplus._text import Lines, ParseError, expect, parse_bits
+from resoplus._text import Lines, ParseError, expect, parse_bits, parse_int
 from resoplus.blocks import BlockLayout, ClosureAssignment
 from resoplus.cnf import Cnf
 from resoplus.gadget import Gadget, ip_gadget
@@ -70,6 +70,24 @@ PARSERS = {
         ("gadget", "2\n", 0),
         ("proof", "", 0),
         ("proof", "rxp 1 2\n0 k=LEAF 0\n", 0),
+        # a number in other than ASCII decimal digits, or a sign the field may not have
+        ("graph", "v \u0663\ne 0 1\n", 1),  # an Arabic-Indic three
+        ("graph", "v +3\n", 1),
+        ("graph", "v 3\ne 0 1_0\n", 2),
+        ("graph", "v 3\ne -0 1\n", 2),
+        ("rho", "+0 1\n", 1),
+        ("rho", "\u0660 1\n", 1),
+        ("dimacs", "p cnf +1 1\n1 0\n", 1),
+        ("dimacs", "p cnf -1 0\n", 1),
+        ("dimacs", "p cnf 1 1\n+1 0\n", 2),
+        ("dimacs", "p cnf 1 1\n--1 0\n", 2),
+        ("dimacs", "p cnf 1 1\n-\uff11 0\n", 2),
+        ("gadget", "+2\n0001\n", 1),
+        ("closure", "0_0:11\n", 1),
+        ("proof", "rxp 1 1\n\uff10 k=LEAF 0\n", 2),  # a full-width zero
+        ("proof", "rxp 1 1\n0 k=LEAF -0\n", 2),
+        ("proof", "rxp 1 +1\n0 k=LEAF 0\n", 1),
+        ("proof", "rxp 1 1\n0 k=QRY 1 1 2_0\n", 2),
     ],
 )
 def test_a_malformed_line_is_a_parse_error_naming_it(fmt, text, line):
@@ -102,3 +120,18 @@ def test_the_reader_skips_blanks_and_comments_and_checks_fields():
     assert parse_bits("011", 3) == 0b110
     with pytest.raises(ValueError, match="expected a 1-bit string, got '10'"):
         parse_bits("10", 1)
+
+
+def test_parse_int_reads_ascii_decimals_and_a_sign_only_when_signed():
+    assert parse_int("0", False) == 0 and parse_int("007", False) == 7
+    assert parse_int("-12", True) == -12 and parse_int("12", True) == 12
+    for field in ("-1", "+1", "1_0", "", "-", " 1", "\u0663", "\uff11"):
+        with pytest.raises(ValueError, match="expected a nonnegative integer"):
+            parse_int(field, False)
+    for field in ("+1", "--1", "-", "-+1", "1e3", "\u0663"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            parse_int(field, True)
+    # the graph header keeps its sign: Graph itself reports a negative count
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Graph.from_text("v -3\n")
+    assert Cnf.from_dimacs("p cnf 2 1\n-2 1 0\n").clauses == ((-2, 1),)
