@@ -19,6 +19,7 @@ from .blocks import BlockLayout
 from .cnf import Cnf
 from .f2 import FVec
 from .gadget import Gadget, ip_gadget, lift_cnf, walsh_spectrum
+from ._text import parse_int
 
 
 def _read(path) -> str:
@@ -235,15 +236,8 @@ def cmd_hardness_experiment(args) -> int:
         gadget = ip_gadget(2 if args.ip is None else args.ip)
         report = pdt.lifted_hardness_experiment(g, gadget, args.q, args.trials, args.seed, budget)
     else:
-        strategies = None
-        if args.strategy:
-            available = pdt.default_strategies()
-            strategies = {}
-            for name in args.strategy:
-                if name not in available:
-                    print(f"unknown strategy {name!r}; available: {sorted(available)}", file=sys.stderr)
-                    return 2
-                strategies[name] = available[name]
+        available = pdt.default_strategies()
+        strategies = {name: available[name] for name in args.strategy} if args.strategy else None
         report = pdt.hardness_experiment(
             g, q=args.q, trials=args.trials, seed=args.seed, strategies=strategies, budget=budget
         )
@@ -257,9 +251,14 @@ def cmd_hardness_experiment(args) -> int:
     return 0 if ok else 1
 
 
+def integer(text: str) -> int:
+    """An option's integer in ASCII digits, read as the text formats read theirs."""
+    return parse_int(text, True)
+
+
 def nonnegative_int(text: str) -> int:
     # seeds: random.Random(-s) draws the same stream as random.Random(s)
-    value = int(text)
+    value = integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -281,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-graph", help="write a built-in or random regular graph")
     sp.add_argument("--type", choices=list(_GRAPH_TYPES), default="k5")
-    sp.add_argument("--vertices", type=int, default=5)
-    sp.add_argument("--degree", type=int, default=4)
+    sp.add_argument("--vertices", type=integer, default=5)
+    sp.add_argument("--degree", type=integer, default=4)
     sp.add_argument("--seed", type=nonnegative_int)
     sp.add_argument("--graph", help="copy an existing graph file instead")
     sp.add_argument("--out")
@@ -302,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lift", help="substitute a gadget into a CNF")
     sp.add_argument("--cnf", required=True)
-    sp.add_argument("--ip", type=int)
+    sp.add_argument("--ip", type=integer)
     sp.add_argument("--gadget")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_lift)
 
     sp = sub.add_parser("gadget-spectrum", help="exact Walsh spectrum of a gadget")
-    sp.add_argument("--ip", type=int)
+    sp.add_argument("--ip", type=integer)
     sp.add_argument("--gadget")
     sp.add_argument("--format", choices=["csv", "text"], default="text")
     sp.add_argument("--out")
@@ -350,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lemma",
         choices=["exponential-sum", "uniform-coset", "conditional-fooling", "counterexample", "closure-laws"],
     )
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--b", type=int, default=12)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--n", type=integer, default=2)
+    sp.add_argument("--b", type=integer, default=12)
+    sp.add_argument("--k", type=integer, default=1)
     sp.add_argument("--count", type=nonnegative_int, default=3)
     sp.add_argument("--trials", type=nonnegative_int, default=1000)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
@@ -363,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hardness-experiment", help="Monte Carlo decision-tree hardness")
     sp.add_argument("--graph")
     sp.add_argument("--type", choices=list(_GRAPH_TYPES), default="random")
-    sp.add_argument("--vertices", type=int, default=51)
-    sp.add_argument("--degree", type=int, default=6)
+    sp.add_argument("--vertices", type=integer, default=51)
+    sp.add_argument("--degree", type=integer, default=6)
     sp.add_argument("--q", type=nonnegative_int, required=True)
     sp.add_argument("--trials", type=nonnegative_int, required=True)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
-    sp.add_argument("--strategy", action="append")
+    sp.add_argument("--strategy", action="append", choices=sorted(pdt.default_strategies()))
     sp.add_argument("--budget", help="coin budget as a fraction, default |V|/(50d)")
     sp.add_argument("--require-lower-bound", type=float)
     sp.add_argument("--lifted", action="store_true", help="coin game against random parity trees")
-    sp.add_argument("--ip", type=int, help="gadget arity for --lifted (default 2)")
+    sp.add_argument("--ip", type=integer, help="gadget arity for --lifted (default 2)")
     sp.add_argument("--format", choices=["csv", "text"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hardness_experiment)

@@ -13,8 +13,9 @@ lands outside the largest piece the tree wins outright; it loses when a due
 payment exceeds the remaining budget.
 
 Both games drive one accountant, which owns the game state: the revealed
-partial assignment, its free edges and its analysis, made at the start and
-after each reveal.  Unlifted adversaries implement `next_edge(analysis, graph, free, rng)`.
+partial assignment and its analysis, made at the start and after each
+reveal.  Unlifted adversaries implement `next_edge(analysis, graph, free, rng)`,
+where `free` is the mask of the free edges (bit k set when edge k is free).
 """
 from __future__ import annotations
 
@@ -267,7 +268,7 @@ class GameTranscript:
 
 
 class _Accountant:
-    """Owns a game's state against the hidden edge bits z: partial, free, analysis, payments, outcome."""
+    """Owns a game's state against the hidden edge bits z: partial, analysis, payments, outcome."""
 
     def __init__(self, rho: EdgePartialAssignment, z: int, budget: Fraction):
         root = root_of(rho.graph, z)
@@ -278,7 +279,6 @@ class _Accountant:
         self.budget = Fraction(budget)
         self.remaining = Fraction(budget)
         self.partial = rho
-        self.free = set(rho.free_edges())
         self.analysis = analyze_partial(rho.graph, rho)
         if self.analysis.odd_component is None or root not in self.analysis.odd_component:
             raise ValueError(f"root {root} is not in the unique odd component of rho")
@@ -288,12 +288,11 @@ class _Accountant:
         self.outcome: str | None = None
 
     def reveal(self, edges: Iterable[int]) -> None:
-        """Reveal z on the given free edges and settle the step's payment."""
-        edges = sorted(edges)
+        """Reveal z on those of the given edges that are free and settle the step's payment."""
+        edges = [k for k in sorted(edges) if self.partial.free_mask >> k & 1]
         if self.outcome is not None or not edges:
             return
         before = self.odd
-        self.free.difference_update(edges)
         self.partial = self.partial.extend({k: (self.z >> k) & 1 for k in edges})
         self.analysis = analyze_partial(self.partial.graph, self.partial)
         pieces = [c for c in self.analysis.components if c <= before]
@@ -449,7 +448,7 @@ def coin_game(
     for _, space in _walk(tprime, x.bits):
         if space is not last:
             units, fixed = _unit_rows(layout, units, space)
-            acct.reveal(i for i in fixed if i in acct.free)
+            acct.reveal(fixed)
             last = space
         if acct.outcome is not None:
             break
@@ -457,11 +456,14 @@ def coin_game(
 
 
 class EdgeQueryStrategy:
-    """Adaptive ordinary-decision-tree adversary over edge variables; one instance per game."""
+    """Adaptive ordinary-decision-tree adversary over edge variables; one instance per game.
+
+    `next_edge` reads `free`, the mask of the free edges (bit k set when edge k is free).
+    """
 
     name = "base"
 
-    def next_edge(self, analysis: PartialAnalysis, graph: Graph, free: set[int], rng: random.Random) -> int | None:
+    def next_edge(self, analysis: PartialAnalysis, graph: Graph, free: int, rng: random.Random) -> int | None:
         raise NotImplementedError
 
 
@@ -476,26 +478,30 @@ class ScriptedStrategy(EdgeQueryStrategy):
         while self._pos < len(self.edges):
             e = self.edges[self._pos]
             self._pos += 1
-            if e in free:
+            if free >> e & 1:
                 return e
         return None
 
 
 class RandomEdgeStrategy(EdgeQueryStrategy):
+    """Queries a uniformly random free edge: the r-th in ascending order, r drawn by `randrange`."""
+
     name = "random-edge"
 
     def next_edge(self, analysis, graph, free, rng):
         if not free:
             return None
-        return sorted(free)[rng.randrange(len(free))]
+        for _ in range(rng.randrange(free.bit_count())):
+            free &= free - 1  # clears the lowest set bit
+        return (free & -free).bit_length() - 1
 
 
 class GreedyCutStrategy(EdgeQueryStrategy):
     """Carves at the cheapest corner of the odd component.
 
     Repeatedly targets the vertex of the current odd component with the
-    fewest free edges and queries those edges, the greedy way to split
-    something off with the fewest queries.
+    fewest free edges (the least on a tie) and queries its lowest free edge,
+    the greedy way to split something off with the fewest queries.
     """
 
     name = "greedy-cut"
@@ -504,18 +510,10 @@ class GreedyCutStrategy(EdgeQueryStrategy):
         odd = analysis.odd_component
         if odd is None or not free:
             return None
-        free_deg: dict[int, list[int]] = {v: [] for v in odd}
-        for k in free:
-            u, w = graph.edges[k]
-            if u in odd:
-                free_deg[u].append(k)
-            if w in odd:
-                free_deg[w].append(k)
-        candidates = [(len(es), v) for v, es in free_deg.items() if es]
-        if not candidates:
-            return min(free)
-        _, target = min(candidates)
-        return min(free_deg[target])
+        masks = graph._edge_masks
+        best = min(((n, v) for v in odd if (n := (masks[v] & free).bit_count())), default=None)
+        edges = free if best is None else masks[best[1]] & free  # all free edges when no odd vertex has one
+        return (edges & -edges).bit_length() - 1
 
 
 def run_unlifted_game(
@@ -531,10 +529,11 @@ def run_unlifted_game(
     for _ in range(q):
         if acct.outcome is not None:
             break
-        e = strategy.next_edge(acct.analysis, rho.graph, acct.free, rng)
+        free = acct.partial.free_mask
+        e = strategy.next_edge(acct.analysis, rho.graph, free, rng)
         if e is None:
             break
-        if e not in acct.free:
+        if e < 0 or not free >> e & 1:
             raise ValueError(f"strategy queried a fixed edge {e}")
         acct.reveal((e,))
     return acct.transcript(), acct.partial

@@ -70,3 +70,31 @@ def intersect_space(a, b):
     if a.width != b.width:
         raise ValueError("width mismatch")
     return space_from_pairs(a.width, a.rows + b.rows)
+
+
+def greedy_cut_by_sets(analysis, graph, free, rng):
+    """The set-based greedy-cut choice, `free` a set of edges: among the odd
+    component's vertices with a free edge, the least (free-edge count, vertex),
+    then that vertex's least free edge; the least free edge when none has one."""
+    odd = analysis.odd_component
+    if odd is None or not free:
+        return None
+    free_deg = {v: [] for v in odd}
+    for k in free:
+        u, w = graph.edges[k]
+        if u in odd:
+            free_deg[u].append(k)
+        if w in odd:
+            free_deg[w].append(k)
+    candidates = [(len(es), v) for v, es in free_deg.items() if es]
+    if not candidates:
+        return min(free)
+    _, target = min(candidates)
+    return min(free_deg[target])
+
+
+def random_edge_by_sets(analysis, graph, free, rng):
+    """The set-based random-edge choice, `free` a set of edges: one `randrange` draw indexes the sorted edges."""
+    if not free:
+        return None
+    return sorted(free)[rng.randrange(len(free))]

@@ -187,6 +187,18 @@ def test_hardness_experiment_rejects_options_it_would_ignore(capsys, extra, erro
     assert captured.err == error
 
 
+def test_unknown_strategy_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hardness-experiment", "--type", "k5", "--q", "2", "--trials", "2", "--seed", "1", "--strategy", "nope"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line naming the choices; read past, an unknown name printed no `error:` prefix
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: resoplus hardness-experiment: argument --strategy: invalid choice: 'nope'")
+    assert "greedy-cut" in captured.err and "random-edge" in captured.err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -180,7 +180,7 @@ def _root_by_incidence(g, z):
 
 def test_root_of_matches_incidence_parity():
     graphs = [cycle_graph(n) for n in (3, 4, 7)] + [complete_graph(n) for n in (4, 5, 6)]
-    graphs += [random_regular_graph(n, d, seed=s) for n, d, s in ((7, 4, 1), (8, 3, 2), (11, 6, 3))]
+    graphs += [random_regular_graph(n, d, seed=s) for n, d, s in ((7, 4, 1), (8, 3, 2), (11, 6, 3), (51, 6, 2026))]
     rng = random.Random(17)
     kinds = Counter()
     for g in graphs:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import greedy_cut_by_sets, random_edge_by_sets
 from resoplus import dtfooling, pdt
-from resoplus._bits import parity
+from resoplus._bits import parity, set_bits
 from resoplus.blocks import BlockLayout, ClosureAssignment, ClosureTable, closure, fixed_blocks, is_safe
 from resoplus.f2 import (
     EMPTY,
@@ -310,7 +311,7 @@ class _SeesCurrentState(EdgeQueryStrategy):
         self.inner = inner
 
     def next_edge(self, analysis, graph, free, rng):
-        assert analysis.components == tuple(graph.components(free))
+        assert analysis.components == tuple(graph.components(set_bits(free)))
         return self.inner.next_edge(analysis, graph, free, rng)
 
 
@@ -340,6 +341,69 @@ def test_unlifted_games_are_pinned():
     ]
     assert {outcome for _, outcome, _, _ in rows} == {"WIN", "LOSE", "EXHAUSTED_QUERIES"}
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "c60a241869c893cb"
+
+
+def test_unlifted_hardness_output_is_pinned():
+    # criterion 8's graph, both default strategies; the digest was taken from the set-based strategies
+    report = hardness_experiment(random_regular_graph(51, 6, seed=2026), q=7, trials=500, seed=8128)
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest()[:16] == "e40df94ccc1d0d61"
+
+
+class _AgreesWithSetOracle(EdgeQueryStrategy):
+    """Plays the wrapped mask strategy after checking that its set-based oracle,
+    handed the free edges as a set and a copy of the rng, picks the same edge
+    and leaves the rng in the same state."""
+
+    def __init__(self, inner: EdgeQueryStrategy, oracle):
+        self.inner, self.oracle, self.calls = inner, oracle, 0
+
+    def next_edge(self, analysis, graph, free, rng):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        want = self.oracle(analysis, graph, set(set_bits(free)), twin)
+        got = self.inner.next_edge(analysis, graph, free, rng)
+        assert got == want and rng.getstate() == twin.getstate()
+        self.calls += 1
+        return got
+
+
+@st.composite
+def valid_games(draw):
+    """A random regular graph of odd order, a valid rho that fixes some edges
+    to the bits of a hard-distribution sample, a trial seed, q and a budget."""
+    n = draw(st.integers(3, 12)) * 2 + 1
+    d = draw(st.sampled_from([2, 4, 6]))
+    try:
+        g = random_regular_graph(n, d, seed=draw(st.integers(0, 1000)))
+    except RuntimeError:
+        assume(False)
+    z = dtfooling.sample(EdgePartialAssignment.empty(g), random.Random(draw(st.integers(0, 1000)))).assignment
+    fixed = draw(st.sets(st.integers(0, g.num_edges - 1), max_size=g.num_edges // 3))
+    rho = EdgePartialAssignment.from_dict(g, {k: z.get(k) for k in fixed})
+    assume(rho.analysis.valid)
+    return rho, draw(st.integers(0, 2**32)), draw(st.integers(1, g.num_edges)), Fraction(draw(st.integers(0, n)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(valid_games())
+def test_mask_strategies_match_the_set_based_ones(game):
+    rho, seed, q, budget = game
+    for make, oracle in ((GreedyCutStrategy, greedy_cut_by_sets), (RandomEdgeStrategy, random_edge_by_sets)):
+        rng = random.Random(seed)
+        drawn = dtfooling.sample(rho, rng)
+        strategy = _AgreesWithSetOracle(make(), oracle)
+        transcript, _ = run_unlifted_game(rho, strategy, drawn.assignment, q, budget, rng)
+        assert strategy.calls >= len(transcript.steps) >= 1
+
+
+def test_greedy_cut_without_a_free_odd_edge_takes_the_lowest_free_edge():
+    # every edge at vertex 0 of K5 fixed to 0: {0} is the odd component and has no free edge
+    g = complete_graph(5)
+    rho = EdgePartialAssignment.from_dict(g, {k: 0 for k, _ in g.incident(0)})
+    assert rho.analysis.odd_component == frozenset({0})
+    free = rho.free_mask
+    assert GreedyCutStrategy().next_edge(rho.analysis, g, free, None) == 4
+    assert greedy_cut_by_sets(rho.analysis, g, set(set_bits(free)), None) == 4
 
 
 def _lazy_local_tree(lay, depth, seed):
@@ -434,6 +498,19 @@ def test_each_game_analyses_once_per_reveal(monkeypatch):
         steps += len(transcript.steps)
         calls.clear()
     assert steps > 30
+
+
+def test_coin_game_reveals_only_free_edges():
+    # the tree first fills the block of edge 0, which rho fixes: no step reveals it
+    g, gad = cycle_graph(5), ip_gadget(2)
+    lay = BlockLayout(5, 2)
+    rho = EdgePartialAssignment.from_dict(g, {0: 1})
+    dist = lifted_dtfooling_distribution(lay, gad, rho)
+    tree = coordinate_tree(lay.width, [0, 1, 2, 3])
+    for trial in range(20):
+        transcript = coin_game(tree, lay, gad, rho, lambda r: sample_lifted(dist, None, r), Fraction(2),
+                               random.Random(trial))
+        assert transcript.steps[0].revealed == (1,)
 
 
 def test_coin_game_sees_indirectly_determined_blocks():
@@ -734,6 +811,24 @@ def test_empty_tree_success_probability_one():
     transcript, final = run_unlifted_game(rho, ScriptedStrategy([]), s.assignment, 5, Fraction(1), rng)
     assert analyze_partial(g, final).valid
     assert transcript.outcome == "EXHAUSTED_QUERIES" and transcript.steps == ()
+
+
+class _Always(EdgeQueryStrategy):
+    def __init__(self, edge: int):
+        self.edge = edge
+
+    def next_edge(self, analysis, graph, free, rng):
+        return self.edge
+
+
+def test_a_strategy_that_queries_a_fixed_edge_is_refused():
+    g = complete_graph(5)
+    rho = EdgePartialAssignment.from_dict(g, {3: 1})
+    rng = random.Random(0)
+    z = dtfooling.sample(rho, rng).assignment
+    for edge in (3, -1):
+        with pytest.raises(ValueError, match=f"^strategy queried a fixed edge {edge}$"):
+            run_unlifted_game(rho, _Always(edge), z, 3, Fraction(1), rng)
 
 
 def test_wilson_interval_basics():

@@ -13,6 +13,7 @@ import pytest
 import resoplus
 from resoplus.cli import main
 from resoplus.cnf import Cnf
+from resoplus.tseitin import complete_graph
 
 NOT_USAGE_ERRORS = {"resoplus.resproof.SatisfiableError"}
 
@@ -42,3 +43,24 @@ def test_a_negative_variable_count_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out.rxp").exists()
     with pytest.raises(ValueError, match="^variable count must be nonnegative$"):
         Cnf(-1, ())
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gen-graph", "--type", "complete", "--vertices", "٥"], "--vertices"),
+        (["sample-dtfooling", "--graph", "{graph}", "--samples", "+2", "--seed", "١"], "--samples"),
+    ],
+)
+def test_a_numeric_option_outside_ascii_decimals_is_usage_error(tmp_path, capsys, argv, option):
+    # read with Python's int, these wrote K5 and drew two samples at seed 1
+    graph = tmp_path / "k5.graph"
+    graph.write_text(complete_graph(5).to_text())
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(graph=graph) for a in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: resoplus {argv[0]}: argument {option}: ")
+    assert not out.exists()
