@@ -201,6 +201,9 @@ def _verify_conditional_fooling(args) -> list[lemmalab.LemmaReport]:
 
 
 def cmd_verify_lemma(args) -> int:
+    if args.format == "csv" and args.lemma in ("closure-laws", "counterexample"):
+        print(f"error: {args.lemma} has no csv format", file=sys.stderr)
+        return 2
     if args.lemma == "closure-laws":
         report = lemmalab.closure_law_suite(args.trials, args.seed)
         _emit(report.to_text(), args.out)
@@ -225,7 +228,6 @@ def cmd_verify_lemma(args) -> int:
 
 def cmd_hardness_experiment(args) -> int:
     g = _graph_from_args(args)
-    budget = Fraction(args.budget) if args.budget else None
     if args.ip is not None and not args.lifted:
         print("error: --ip applies only with --lifted", file=sys.stderr)
         return 2
@@ -234,12 +236,12 @@ def cmd_hardness_experiment(args) -> int:
         return 2
     if args.lifted:
         gadget = ip_gadget(2 if args.ip is None else args.ip)
-        report = pdt.lifted_hardness_experiment(g, gadget, args.q, args.trials, args.seed, budget)
+        report = pdt.lifted_hardness_experiment(g, gadget, args.q, args.trials, args.seed, args.budget)
     else:
         available = pdt.default_strategies()
         strategies = {name: available[name] for name in args.strategy} if args.strategy else None
         report = pdt.hardness_experiment(
-            g, q=args.q, trials=args.trials, seed=args.seed, strategies=strategies, budget=budget
+            g, q=args.q, trials=args.trials, seed=args.seed, strategies=strategies, budget=args.budget
         )
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
@@ -261,6 +263,23 @@ def nonnegative_int(text: str) -> int:
     value = integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def budget(text: str) -> Fraction:
+    """A nonnegative fraction `p` or `p/q`, each part in ASCII digits (`parse_int`)."""
+    p, *q = text.split("/", 1)
+    num, den = parse_int(p, True), parse_int(q[0], False) if q else 1
+    if num < 0 or den == 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative fraction, got {text}")
+    return Fraction(num, den)
+
+
+def probability(text: str) -> float:
+    """A number in [0, 1] in ASCII characters, read by Python's `float`."""
+    value = float(text if text.isascii() else "nan")
+    if not 0 <= value <= 1:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
     return value
 
 
@@ -368,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=nonnegative_int, required=True)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
     sp.add_argument("--strategy", action="append", choices=sorted(pdt.default_strategies()))
-    sp.add_argument("--budget", help="coin budget as a fraction, default |V|/(50d)")
-    sp.add_argument("--require-lower-bound", type=float)
+    sp.add_argument("--budget", type=budget, help="coin budget p or p/q, default |V|/(50d)")
+    sp.add_argument("--require-lower-bound", type=probability)
     sp.add_argument("--lifted", action="store_true", help="coin game against random parity trees")
     sp.add_argument("--ip", type=integer, help="gadget arity for --lifted (default 2)")
     sp.add_argument("--format", choices=["csv", "text"], default="text")

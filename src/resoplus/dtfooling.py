@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import f2
+from ._bits import set_bits
 from .f2 import AffineSpace, FVec, space_from_pairs
 from .tseitin import EdgePartialAssignment, Graph, PartialAnalysis, analyze_partial
 
@@ -134,21 +135,6 @@ def valid_analysis(rho: EdgePartialAssignment) -> PartialAnalysis:
     return analysis
 
 
-def _vertex_forms(rho: EdgePartialAssignment) -> tuple[dict[int, int], list[int]]:
-    """(pos, forms): pos maps each free edge, in ascending order, to its
-    coordinate; forms[u] has the coordinates of vertex u's free edges set."""
-    g = rho.graph
-    pos = {k: i for i, k in enumerate(rho.free_edges())}
-    forms = []
-    for u in range(g.num_vertices):
-        form = 0
-        for k, _ in g.incident(u):
-            if k in pos:
-                form |= 1 << pos[k]
-        forms.append(form)
-    return pos, forms
-
-
 class _Forest:
     """What sampling needs of a valid rho's free-edge components, built once
     per rho and kept in its `memo` (`_forest`): one per rho.
@@ -169,7 +155,7 @@ class _Forest:
         self.roots = sorted(odd)
         comp_of = {v: i for i, comp in enumerate(analysis.components) for v in comp}
         comp_edges: list[list[int]] = [[] for _ in analysis.components]
-        for k in rho.free_edges():
+        for k in set_bits(rho.free_mask):
             comp_edges[comp_of[g.edges[k][0]]].append(k)
         self.parts = [
             (None if comp == odd else min(comp), edges, set(edges), _adjacency(g, edges))
@@ -212,32 +198,28 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
 def root_of(g: Graph, z: int) -> int | Many:
     """The unique vertex whose odd-charge parity constraint z violates, or Many.
 
-    z holds one bit per edge.  Each set edge flips the parity at both of its
-    endpoints; a vertex is violated when its parity stays even.
+    z holds one bit per edge.  A vertex is violated when z sets an even
+    number of its edges (`Graph._edge_masks`).
     """
-    even = [1] * g.num_vertices
-    for k, (u, v) in enumerate(g.edges):
-        if (z >> k) & 1:
-            even[u] ^= 1
-            even[v] ^= 1
-    violated = [v for v, e in enumerate(even) if e]
+    violated = [v for v, edges in enumerate(g._edge_masks) if not (z & edges).bit_count() & 1]
     if len(violated) == 1:
         return violated[0]
     return Many(frozenset(violated))
 
 
-def root_space(rho: EdgePartialAssignment, v: int) -> tuple[AffineSpace, list[int]]:
-    """Completions of rho violating exactly v, over the free-edge coordinates.
+def root_space(rho: EdgePartialAssignment, v: int) -> AffineSpace:
+    """The completions of rho violating exactly v, in edge coordinates (width num_edges).
 
-    Returns the space together with the free-edge order defining coordinates.
+    Its rows are rho's fixed edges as unit rows, and per vertex u the
+    parity of u's edges: odd, except at v.
     """
-    pos, forms = _vertex_forms(rho)
-    f = rho.analysis.f_rho
-    pairs = [(form, f[u] ^ (u == v)) for u, form in enumerate(forms)]
-    space = space_from_pairs(len(pos), pairs)
+    g = rho.graph
+    pairs = [(1 << k, rho.bits >> k & 1) for k in set_bits(rho.mask)]
+    pairs += [(edges, 1 ^ (u == v)) for u, edges in enumerate(g._edge_masks)]
+    space = space_from_pairs(g.num_edges, pairs)
     if space is f2.EMPTY:
         raise InvalidAssignmentError(f"no completion violates exactly vertex {v}")
-    return space, list(pos)
+    return space
 
 
 @dataclass(frozen=True)
@@ -273,16 +255,15 @@ def exact_root_distribution(
     component of the combined partial assignment.  Each root's count is the
     size of its root space cut by the condition: 2^dim, or 0 when EMPTY.
 
-    Root v's system is the vertex rows of `root_space` with bit v of the
-    right-hand side flipped, plus the condition's unit rows.  The rows are
-    written over the edge coordinates: vertex row u is the mask of u's free
-    edges, and the rank is that of `root_space`'s rows, which number the
-    free edges in ascending order instead.  One tagged elimination serves
-    every root.  A row's tag holds its right-hand side at bit 0 and, at bit
-    u + 1, whether it sums vertex row u.  The rank does not depend on v, and
-    v's system is consistent exactly when each row that reduces to zero has
-    tag bit 0 equal to tag bit v + 1: so one OR over those rows of the tag's
-    vertex bits, all flipped when bit 0 is set, marks every inconsistent root.
+    Root v's system is `root_space`'s with rho's unit rows already
+    applied, plus the condition's unit rows: vertex row u is the mask of
+    u's free edges, with right-hand side f_rho[u] flipped at v.  One tagged
+    elimination serves every root.  A row's tag holds its right-hand side
+    at bit 0 and, at bit u + 1, whether it sums vertex row u.  The rank does
+    not depend on v, and v's system is consistent exactly when each row that
+    reduces to zero has tag bit 0 equal to tag bit v + 1: so one OR over
+    those rows of the tag's vertex bits, all flipped when bit 0 is set,
+    marks every inconsistent root.
     """
     g = rho.graph
     analysis = valid_analysis(rho)

@@ -294,19 +294,17 @@ def enumerate_points(a: AffineSpace | _EmptySpace) -> Iterator[FVec]:
         yield FVec(a.width, _solve_pivots(a, bits))
 
 
-def points_array(a: AffineSpace | _EmptySpace) -> np.ndarray:
-    """All members as a uint64 array of bitmasks (width <= 63 only)."""
+def points_array(a: AffineSpace | _EmptySpace) -> list[int]:
+    """All members as int bitmasks at any width, in `enumerate_points`' counter order."""
     if a is EMPTY:
-        return np.zeros(0, dtype=np.uint64)
-    if a.width > 63:
-        raise ValueError("points_array supports width <= 63")
+        return []
     free = a.free_coords()
     _check_cap(len(free), "free dimension")
     base = _solve_pivots(a, 0)
-    pts = np.array([base], dtype=np.uint64)
+    pts = [base]
     for i in free:
         shifted = _solve_pivots(a, 1 << i) ^ base
-        pts = np.concatenate([pts, pts ^ np.uint64(shifted)])
+        pts += [p ^ shifted for p in pts]
     return pts
 
 

@@ -19,7 +19,7 @@ where `free` is the mask of the free edges (bit k set when edge k is free).
 """
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 import json
 import math
 import random
@@ -287,20 +287,21 @@ class _Accountant:
         self.steps: list[GameStep] = []
         self.outcome: str | None = None
 
-    def reveal(self, edges: Iterable[int]) -> None:
-        """Reveal z on those of the given edges that are free and settle the step's payment."""
-        edges = [k for k in sorted(edges) if self.partial.free_mask >> k & 1]
+    def reveal(self, edges: int) -> None:
+        """Reveal z on the free edges of the mask and settle the step's payment."""
+        p = self.partial
+        edges &= p.free_mask
         if self.outcome is not None or not edges:
             return
         before = self.odd
-        self.partial = self.partial.extend({k: (self.z >> k) & 1 for k in edges})
+        self.partial = EdgePartialAssignment(p.graph, p.mask | edges, p.bits | (self.z & edges))
         self.analysis = analyze_partial(self.partial.graph, self.partial)
         pieces = [c for c in self.analysis.components if c <= before]
         after = next(c for c in pieces if self.root in c)
         largest = max(pieces, key=lambda c: (len(c), -min(c)))
         won = after != largest
         paid = 0 if won else len(before) - len(largest)
-        self.steps.append(GameStep(tuple(edges), len(before), len(after), paid, won))
+        self.steps.append(GameStep(tuple(set_bits(edges)), len(before), len(after), paid, won))
         self.odd = after
         if won:
             self.outcome = "WIN"
@@ -323,28 +324,15 @@ class _Accountant:
 def _rooted_support(rho: EdgePartialAssignment) -> Iterator[tuple[int, int]]:
     """(root, z) for every point z of the hard distribution's support, root by root.
 
-    z is rho's fixed bits plus one completion from the root's space, so its
-    root is known by construction.
+    z is a point of the root's space (`root_space`), so its root is known
+    by construction.
     """
     analysis = valid_analysis(rho)
-    free = rho.free_edges()
-    if len(free) > LIFTED_SUPPORT_CAP:
-        raise f2.EnumerationCapError(f"{len(free)} free edges exceed support cap {LIFTED_SUPPORT_CAP}")
-    # spread[j][byte]: the edge bits of the free coordinates 8j..8j+7 set in byte
-    spread = []
-    for j in range(0, len(free), 8):
-        table = [0]
-        for k in free[j:j + 8]:
-            table += [t | 1 << k for t in table]
-        spread.append(table)
+    free = rho.free_mask.bit_count()
+    if free > LIFTED_SUPPORT_CAP:
+        raise f2.EnumerationCapError(f"{free} free edges exceed support cap {LIFTED_SUPPORT_CAP}")
     for v in sorted(analysis.odd_component):
-        space, order = root_space(rho, v)
-        if order != free:
-            raise RuntimeError("a root space is not over the free edges in ascending order")
-        for pt in points_array(space).tolist():
-            z = rho.bits
-            for j, table in enumerate(spread):
-                z |= table[(pt >> (8 * j)) & 0xFF]
+        for z in points_array(root_space(rho, v)):
             yield v, z
 
 
@@ -409,8 +397,8 @@ def exact_lifted_root_law(
     return tuple(sorted((v, p / total) for v, p in weights.items()))
 
 
-def _unit_rows(layout: BlockLayout, units: int, space: AffineSpace) -> tuple[int, list[int]]:
-    """The mask of the space's unit rows, and the blocks fixed by those not in `units`.
+def _unit_rows(layout: BlockLayout, units: int, space: AffineSpace) -> tuple[int, int]:
+    """The mask of the space's unit rows, and the mask of the blocks fixed by those not in `units`.
 
     A coordinate the space determines is a unit row of its reduced echelon
     form, so a path's unit rows only grow.  A new equation can complete
@@ -419,10 +407,10 @@ def _unit_rows(layout: BlockLayout, units: int, space: AffineSpace) -> tuple[int
     """
     new = sum(f for f, _ in space.rows if f & (f - 1) == 0) & ~units  # pivots are distinct
     if not new:
-        return units, []
+        return units, 0
     units |= new
     b, whole = layout.b, mask_bits(layout.b)
-    return units, [i for i in {c // b for c in set_bits(new)} if units >> (i * b) & whole == whole]
+    return units, sum(1 << i for i in {c // b for c in set_bits(new)} if units >> (i * b) & whole == whole)
 
 
 def coin_game(
@@ -535,7 +523,7 @@ def run_unlifted_game(
             break
         if e < 0 or not free >> e & 1:
             raise ValueError(f"strategy queried a fixed edge {e}")
-        acct.reveal((e,))
+        acct.reveal(1 << e)
     return acct.transcript(), acct.partial
 
 
@@ -617,7 +605,7 @@ def default_strategies() -> dict[str, Callable[[], EdgeQueryStrategy]]:
 def _trial_seed(seed: int, name: str, trial: int) -> int:
     """A 64-bit seed hashed from (seed, name, trial): distinct triples get unrelated streams."""
     text = json.dumps([str(seed), name, str(trial)])
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 def _experiment(

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._bits import set_bits
 from ._text import Lines, expect, parse_bits, parse_int
 from .cnf import Cnf, find_model
 
@@ -51,16 +52,9 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def degree_if_regular(self) -> int | None:
-        deg = self.degrees()
-        return deg[0] if deg and len(set(deg)) == 1 else None
+        degrees = {edges.bit_count() for edges in self._edge_masks}
+        return degrees.pop() if len(degrees) == 1 else None
 
     @cached_property
     def _incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -93,15 +87,8 @@ class Graph:
             m[v, u] = 1.0
         return m
 
-    def components(self, free_edges: Iterable[int]) -> list[frozenset[int]]:
-        """Connected components of (V, given edge subset), sorted by least vertex."""
-        free = 0
-        for k in free_edges:
-            free |= 1 << k
-        return self._flood(free)
-
-    def _flood(self, free: int) -> list[frozenset[int]]:
-        """Connected components of (V, the edges whose bits are set in free), sorted by least vertex."""
+    def components(self, free: int) -> list[frozenset[int]]:
+        """Connected components of (V, the edges whose bits are set in the mask free), sorted by least vertex."""
         seen = [False] * self.num_vertices
         out = []
         for start in range(self.num_vertices):
@@ -193,7 +180,7 @@ def random_regular_graph(num_vertices: int, degree: int, seed: int) -> Graph:
         if pairs is None:
             continue
         g = Graph(num_vertices, tuple(sorted(pairs)))
-        if len(g.components(range(g.num_edges))) != 1:
+        if len(g.components((1 << g.num_edges) - 1)) != 1:
             continue
         return g
     raise RuntimeError("failed to generate a random regular graph; try another seed")
@@ -326,9 +313,6 @@ class EdgePartialAssignment:
         """The mask of the free edges: bit k set when edge k is not fixed."""
         return ((1 << self.graph.num_edges) - 1) ^ self.mask
 
-    def free_edges(self) -> list[int]:
-        return [k for k in range(self.graph.num_edges) if not self.mask >> k & 1]
-
     def extend(self, values: Mapping[int, int]) -> "EdgePartialAssignment":
         new = EdgePartialAssignment.from_dict(self.graph, values)
         clash = self.mask & new.mask & (self.bits ^ new.bits)
@@ -351,14 +335,11 @@ class EdgePartialAssignment:
         """
         g = self.graph
         f = [1] * g.num_vertices  # f(v) = 1 + sum of fixed incident edge values, mod 2
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            u, v = g.edges[low.bit_length() - 1]
+        for k in set_bits(self.bits):
+            u, v = g.edges[k]
             f[u] ^= 1
             f[v] ^= 1
-            bits ^= low
-        comps = g._flood(self.free_mask)
+        comps = g.components(self.free_mask)
         odd = tuple(c for c in comps if sum(f[v] for v in c) & 1)
         valid = len(odd) == 1 and 2 * len(odd[0]) > g.num_vertices
         return PartialAnalysis(tuple(comps), tuple(f), odd, valid)

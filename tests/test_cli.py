@@ -187,6 +187,22 @@ def test_hardness_experiment_rejects_options_it_would_ignore(capsys, extra, erro
     assert captured.err == error
 
 
+@pytest.mark.parametrize(
+    "extra, shown, want",
+    [
+        (["--budget", "3/2"], "budget=3/2", 0),
+        (["--budget", "0"], "budget=0", 0),  # a zero budget, not the default
+        (["--budget", "4/6", "--require-lower-bound", "0"], "budget=2/3", 0),
+        (["--require-lower-bound", "1"], "budget=1/40", 1),  # the default |V|/(50d); wilson_low < 1
+        (["--lifted", "--budget", "0"], "budget=0", 0),
+    ],
+)
+def test_hardness_experiment_budget_and_bound(capsys, extra, shown, want):
+    code, out = run(capsys, "hardness-experiment", "--type", "k5", "--q", "2", "--trials", "4", "--seed", "1", *extra)
+    assert code == want
+    assert f" {shown}\n" in out
+
+
 def test_unknown_strategy_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hardness-experiment", "--type", "k5", "--q", "2", "--trials", "2", "--seed", "1", "--strategy", "nope"])

@@ -5,12 +5,12 @@ import random
 from collections import Counter, deque
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resoplus import dtfooling, f2
+from resoplus._bits import set_bits
 from resoplus.dtfooling import (
     InconsistentConditionError,
     InvalidAssignmentError,
@@ -75,7 +75,7 @@ def _sample_by_tree_complete(rho, rng):
     odd = analysis.odd_component
     root = sorted(odd)[rng.randrange(len(odd))]
     values = rho.as_dict()
-    free = rho.free_edges()  # ascending edge order
+    free = list(set_bits(rho.free_mask))  # ascending edge order
     for comp in analysis.components:
         comp_edges = [k for k in free if g.edges[k][0] in comp and g.edges[k][1] in comp]
         if not comp_edges:
@@ -126,7 +126,7 @@ def test_sample_draws_in_edge_order_past_the_set_table():
     rho = EdgePartialAssignment.from_dict(g, values)
     analysis = analyze_partial(g, rho)
     assert analysis.valid and analysis.odd_component == frozenset(ball)
-    free = rho.free_edges()
+    free = list(set_bits(rho.free_mask))
     # a set of these edges does not iterate in ascending order
     assert list(set(free)) != free
     rng1, rng2 = random.Random(0), random.Random(0)
@@ -262,8 +262,7 @@ def test_assignment_uniform_within_each_root():
         s = sample(rho, rng)
         per_root[s.root][s.assignment.bits] += 1
     for v, counts in per_root.items():
-        space, _ = root_space(rho, v)
-        members = {int(p) for p in points_array(space)}
+        members = set(points_array(root_space(rho, v)))
         assert set(counts) == members and len(members) == 2
         a, b = sorted(counts.values())
         total = a + b
@@ -271,13 +270,52 @@ def test_assignment_uniform_within_each_root():
         assert abs(a - total / 2) <= 4 * (total * 0.25) ** 0.5
 
 
+@st.composite
+def partial_assignments(draw):
+    """A random graph of at most 16 edges, listed in drawn order, a partial
+    assignment to it, valid or not, and a vertex.  At times the graph is
+    connected by a random spanning tree and, when its vertex count is odd,
+    the fixed values are those of a sample, so that many root spaces are
+    not empty."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if draw(st.booleans()) else []
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16 - len(tree))) if pairs else []
+    g = Graph(n, tuple(draw(st.permutations(list(dict.fromkeys(tree + chords))))))
+    mask = draw(st.integers(0, (1 << g.num_edges) - 1))
+    z = draw(st.integers(0, (1 << g.num_edges) - 1))
+    if tree and n % 2:
+        z = sample(EdgePartialAssignment.empty(g), random.Random(z)).assignment.bits
+    return EdgePartialAssignment(g, mask, z & mask), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(partial_assignments())
+def test_root_space_is_the_extensions_with_that_root(case):
+    # every extension of rho, enumerated, against the space in edge coordinates
+    rho, v = case
+    g = rho.graph
+    free = list(set_bits(rho.free_mask))
+    want = []
+    for counter in range(1 << len(free)):
+        z = rho.bits | sum(1 << k for j, k in enumerate(free) if counter >> j & 1)
+        if _root_by_incidence(g, z) == v:
+            want.append(z)
+    if not want:
+        with pytest.raises(InvalidAssignmentError):
+            root_space(rho, v)
+        return
+    space = root_space(rho, v)
+    assert space.width == g.num_edges
+    assert sorted(points_array(space)) == want
+
+
 def test_root_spaces_disjoint_equicardinal():
     g = complete_graph(5)
     rho = EdgePartialAssignment.empty(g)
     point_sets = []
     for v in range(5):
-        space, _ = root_space(rho, v)
-        point_sets.append(set(map(int, points_array(space))))
+        point_sets.append(set(points_array(root_space(rho, v))))
     assert {len(s) for s in point_sets} == {64}
     for i in range(5):
         for j in range(i + 1, 5):
@@ -335,9 +373,8 @@ def test_exact_root_distribution_counts_match_point_enumeration(fixed):
     # conditioning of at most two free edges of K5
     g = complete_graph(5)
     rho = EdgePartialAssignment.empty(g).extend(fixed)
-    free = rho.free_edges()
-    pos = {k: i for i, k in enumerate(free)}
-    points = {v: points_array(root_space(rho, v)[0]) for v in range(5)}
+    free = list(set_bits(rho.free_mask))
+    points = {v: points_array(root_space(rho, v)) for v in range(5)}
     compared = 0
     for size in range(3):
         for subset in itertools.combinations(free, size):
@@ -347,9 +384,9 @@ def test_exact_root_distribution_counts_match_point_enumeration(fixed):
                     rep = exact_root_distribution(rho, cond)
                 except InconsistentConditionError:
                     continue
-                cmask = np.uint64(sum(1 << pos[k] for k in cond))
-                cval = np.uint64(sum(bit << pos[k] for k, bit in cond.items()))
-                want = [(v, int(np.count_nonzero((points[v] & cmask) == cval))) for v in range(5)]
+                cmask = sum(1 << k for k in cond)
+                cval = sum(bit << k for k, bit in cond.items())
+                want = [(v, sum(z & cmask == cval for z in points[v])) for v in range(5)]
                 assert list(rep.counts) == want
                 compared += 1
     assert compared > 100
@@ -379,7 +416,7 @@ def rooted_conditions(draw):
             break
         values = trial.as_dict()
     rho = EdgePartialAssignment.from_dict(g, values)
-    free = rho.free_edges()
+    free = list(set_bits(rho.free_mask))
     cond = draw(st.lists(st.sampled_from(free), unique=True, max_size=len(free))) if free else []
     return rho, {k: draw(st.integers(0, 1)) for k in cond}
 
@@ -389,12 +426,11 @@ def rooted_conditions(draw):
 def test_exact_root_distribution_counts_match_root_spaces(case):
     # one tagged elimination for every root against a root space per root cut by the condition
     rho, cond = case
-    pos = {k: i for i, k in enumerate(rho.free_edges())}
     want = []
     for v in sorted(analyze_partial(rho.graph, rho).odd_component):
-        space = root_space(rho, v)[0]
+        space = root_space(rho, v)
         for k, bit in cond.items():
-            space = space.with_equation(1 << pos[k], bit)
+            space = space.with_equation(1 << k, bit)
         want.append((v, 0 if space is EMPTY else space.size()))
     try:
         rep = exact_root_distribution(rho, cond)
@@ -412,7 +448,7 @@ def _root_law_by_free_edge_positions(rho, condition=None):
     each compared with 1/|c1|.  Kept as the reference for the mask version."""
     g = rho.graph
     odd = valid_analysis(rho).odd_component
-    pos = {k: i for i, k in enumerate(rho.free_edges())}
+    pos = {k: i for i, k in enumerate(set_bits(rho.free_mask))}
     forms = [sum(1 << pos[k] for k, _ in g.incident(u) if k in pos) for u in range(g.num_vertices)]
     condition = dict(condition or {})
     for k in condition:
@@ -450,13 +486,13 @@ def root_law_inputs(draw):
     fixed in rho, an edge index out of range, or a value other than a bit."""
     rho, cond = draw(rooted_conditions())
     extra = draw(st.sampled_from(["none", "fixed", "range", "value"]))
-    fixed = [k for k in range(rho.graph.num_edges) if rho.mask >> k & 1]
+    fixed, free = list(set_bits(rho.mask)), list(set_bits(rho.free_mask))
     if extra == "fixed" and fixed:
         key, value = draw(st.sampled_from(fixed)), draw(st.integers(0, 1))
     elif extra == "range":
         key, value = draw(st.sampled_from([-1, rho.graph.num_edges, rho.graph.num_edges + 5])), draw(st.integers(0, 1))
-    elif extra == "value" and rho.free_edges():
-        key, value = draw(st.sampled_from(rho.free_edges())), 2
+    elif extra == "value" and free:
+        key, value = draw(st.sampled_from(free)), 2
     else:
         return rho, cond
     items = list(cond.items())

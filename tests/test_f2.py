@@ -148,15 +148,25 @@ def test_sample_point_uniform_and_member():
 
 
 def test_points_array_matches_generator():
+    # the generator's points in its order, at widths past a machine word too
     rng = random.Random(5)
+    wide = 0
     for _ in range(100):
         w = rng.randint(1, 10)
         sp = random_space(w, rng.randint(0, 4), rng)
         if sp is EMPTY:
             continue
-        arr = sorted(int(v) for v in points_array(sp))
-        gen = sorted(p.bits for p in enumerate_points(sp))
-        assert arr == gen
+        assert points_array(sp) == [p.bits for p in enumerate_points(sp)]
+    for w in (63, 64, 65, 100, 200):
+        for _ in range(10):
+            sp = random_space(w, w - rng.randint(1, 8), rng)
+            if sp is EMPTY:
+                continue
+            pts = points_array(sp)
+            assert pts == [p.bits for p in enumerate_points(sp)]
+            assert len(set(pts)) == sp.size() and all(sp.contains(p) for p in pts)
+            wide += (max(pts) >> 63) > 0
+    assert wide > 30
 
 
 def test_space_equality_is_presentation_independent():

@@ -311,7 +311,7 @@ class _SeesCurrentState(EdgeQueryStrategy):
         self.inner = inner
 
     def next_edge(self, analysis, graph, free, rng):
-        assert analysis.components == tuple(graph.components(set_bits(free)))
+        assert analysis.components == tuple(graph.components(free))
         return self.inner.next_edge(analysis, graph, free, rng)
 
 
@@ -567,8 +567,8 @@ def test_game_path_reveals_the_fixed_blocks(case):
     for form in forms:
         space = space.with_equation(form, parity(form & x))
         units, fixed = pdt._unit_rows(lay, units, space)
-        assert not set(fixed) & revealed
-        revealed |= set(fixed)
+        assert not set(set_bits(fixed)) & revealed
+        revealed |= set(set_bits(fixed))
         assert units == sum(f for f in space.forms() if f & (f - 1) == 0)
         assert revealed == fixed_blocks(space, lay)
 
@@ -744,6 +744,22 @@ def test_cached_lifted_root_law_matches_the_per_call_law(instance):
         assert exact_lifted_root_law(lay, g, r, cond) == want
     with pytest.raises(ValueError):  # a layout of another block count, after rho's support is kept
         exact_lifted_root_law(BlockLayout(lay.n + 1, lay.b), g, rho)
+
+
+def test_rooted_support_past_a_machine_word():
+    # K13 has 78 edges; with a free spanning path each root has one
+    # completion, a point of a root space of width 78
+    g = complete_graph(13)
+    path = {g.edges.index((v, v + 1)) for v in range(12)}
+    rng = random.Random(13)
+    rho = EdgePartialAssignment.from_dict(g, {k: rng.getrandbits(1) for k in range(g.num_edges) if k not in path})
+    support = list(pdt._rooted_support(rho))
+    assert [v for v, _ in support] == list(range(13))
+    for v, z in support:
+        assert z & rho.mask == rho.bits
+        assert [sum(z >> k & 1 for k, _ in g.incident(u)) % 2 for u in range(13)] == [int(u != v) for u in range(13)]
+    assert max(z for _, z in support) >> 63
+    assert hashlib.sha256(repr(support).encode()).hexdigest()[:16] == "2b585f03c579b79f"
 
 
 def test_lifted_support_is_built_once_per_rho(monkeypatch):

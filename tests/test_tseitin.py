@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resoplus import dtfooling
+from resoplus._bits import set_bits
 from resoplus._text import ParseError
 from resoplus.cnf import Cnf, find_model, satisfying_chunks
 from resoplus.gadget import ip_gadget, lift_cnf
@@ -33,9 +34,12 @@ def random_graphs(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(random_graphs())
 def test_cached_incidence_matches_edge_scan(g):
+    degrees = []
     for v in range(g.num_vertices):
         scan = [(k, b if a == v else a) for k, (a, b) in enumerate(g.edges) if v in (a, b)]
         assert list(g.incident(v)) == scan
+        degrees.append(len(scan))
+    assert g.degree_if_regular() == (degrees[0] if degrees.count(degrees[0]) == len(degrees) else None)
     with pytest.raises(ValueError):
         g.incident(g.num_vertices)
     with pytest.raises(ValueError):
@@ -212,7 +216,7 @@ def test_analysis_matches_networkx_and_residue_parity(case):
     free_graph.add_nodes_from(range(n))
     free_graph.add_edges_from(g.edges[k] for k in free)
     want = sorted((frozenset(c) for c in nx.connected_components(free_graph)), key=min)
-    assert g.components(free) == want
+    assert g.components(sum(1 << k for k in free)) == want
     residue = [(1 + sum(bit for k, bit in values.items() if v in g.edges[k])) % 2 for v in range(n)]
     odd = tuple(c for c in want if sum(residue[v] for v in c) % 2)
     pa = analyze_partial(g, EdgePartialAssignment.from_dict(g, values))
@@ -239,7 +243,7 @@ def test_partial_assignment_follows_dict_semantics(case):
     rho = EdgePartialAssignment.from_dict(g, base)
     assert rho.as_dict() == base
     assert rho.entries == tuple(sorted(base.items()))
-    assert rho.free_edges() == [k for k in range(g.num_edges) if k not in base]
+    assert rho.free_mask == sum(1 << k for k in range(g.num_edges) if k not in base)
     assert EdgePartialAssignment.from_text(g, rho.to_text()) == rho
     parent_analysis = rho.analysis
     try:
@@ -254,7 +258,7 @@ def test_partial_assignment_follows_dict_semantics(case):
     assert rho.analysis is parent_analysis
     for k in base:
         assert rho.unfix(k).as_dict() == {e: bit for e, bit in base.items() if e != k}
-    for k in rho.free_edges():
+    for k in set_bits(rho.free_mask):
         with pytest.raises(KeyError):
             rho.unfix(k)
 

@@ -16,6 +16,7 @@ from resoplus.cnf import Cnf
 from resoplus.tseitin import complete_graph
 
 NOT_USAGE_ERRORS = {"resoplus.resproof.SatisfiableError"}
+HARDNESS = ["hardness-experiment", "--type", "k5", "--q", "1", "--trials", "1", "--seed", "1"]
 
 
 def test_library_exceptions_are_value_errors():
@@ -50,10 +51,13 @@ def test_a_negative_variable_count_is_usage_error(tmp_path, capsys):
     [
         (["gen-graph", "--type", "complete", "--vertices", "٥"], "--vertices"),
         (["sample-dtfooling", "--graph", "{graph}", "--samples", "+2", "--seed", "١"], "--samples"),
+        (HARDNESS + ["--budget=١/٢"], "--budget"),
+        (HARDNESS + ["--require-lower-bound", "٠"], "--require-lower-bound"),
     ],
 )
 def test_a_numeric_option_outside_ascii_decimals_is_usage_error(tmp_path, capsys, argv, option):
-    # read with Python's int, these wrote K5 and drew two samples at seed 1
+    # read with Python's int, Fraction and float, these wrote K5, drew two
+    # samples at seed 1, and played with a budget of 1/2 and a bound of 0
     graph = tmp_path / "k5.graph"
     graph.write_text(complete_graph(5).to_text())
     out = tmp_path / "out.txt"
@@ -64,3 +68,36 @@ def test_a_numeric_option_outside_ascii_decimals_is_usage_error(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: resoplus {argv[0]}: argument {option}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, option",
+    [
+        (["--budget=-1/2"], "--budget"),
+        (["--budget", "1/0"], "--budget"),
+        (["--require-lower-bound", "nan"], "--require-lower-bound"),
+        (["--require-lower-bound", "inf"], "--require-lower-bound"),
+        (["--require-lower-bound", "1.5"], "--require-lower-bound"),
+        (["--require-lower-bound=-0.25"], "--require-lower-bound"),
+    ],
+)
+def test_a_budget_or_bound_out_of_range_is_usage_error(capsys, extra, option):
+    # read past, a negative budget was played, 1/0 raised ZeroDivisionError,
+    # and a bound of nan failed every run with exit 1, a failed verification
+    with pytest.raises(SystemExit) as exc:
+        main(HARDNESS + extra)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: resoplus hardness-experiment: argument {option}: must be ")
+
+
+@pytest.mark.parametrize("lemma", ["counterexample", "closure-laws"])
+def test_csv_format_of_a_text_only_lemma_is_usage_error(capsys, lemma):
+    # read past, --format csv printed the text report with exit 0
+    code = main(["verify-lemma", lemma, "--trials", "1", "--seed", "1", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {lemma} has no csv format\n"
