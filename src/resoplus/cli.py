@@ -6,6 +6,7 @@ on unreadable or malformed input files and on library errors for
 out-of-scope input (a cap exceeded, an empty space or preimage, an unsafe
 space), reported in one line on stderr.
 Stochastic commands require an explicit --seed so reruns are byte-identical.
+Each command, and each lemma, accepts only the options its handler reads.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .blocks import BlockLayout
 from .cnf import Cnf
 from .f2 import FVec
 from .gadget import Gadget, ip_gadget, lift_cnf, walsh_spectrum
-from ._text import parse_int
+from ._text import parse_bits, parse_int
 
 
 def _read(path) -> str:
@@ -38,31 +39,42 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+# each --type: the options it reads besides --type, and the graph it builds
 _GRAPH_TYPES = {
-    "k5": lambda args: tseitin.complete_graph(5),
-    "k7": lambda args: tseitin.complete_graph(7),
-    "complete": lambda args: tseitin.complete_graph(args.vertices),
-    "cycle": lambda args: tseitin.cycle_graph(args.vertices),
-    "random": lambda args: tseitin.random_regular_graph(args.vertices, args.degree, args.seed),
+    "k5": ((), lambda args: tseitin.complete_graph(5)),
+    "k7": ((), lambda args: tseitin.complete_graph(7)),
+    "complete": (("vertices",), lambda args: tseitin.complete_graph(args.vertices)),
+    "cycle": (("vertices",), lambda args: tseitin.cycle_graph(args.vertices)),
+    "random": (
+        ("vertices", "degree", "seed"), lambda args: tseitin.random_regular_graph(args.vertices, args.degree, args.seed)
+    ),
 }
 
 
 def _graph_from_args(args) -> tseitin.Graph:
-    if args.graph:
+    if args.graph is not None:
         return tseitin.Graph.from_text(_read(args.graph))
-    if args.type == "random" and args.seed is None:
-        print("error: --type random needs --seed", file=sys.stderr)
-        raise SystemExit(2)
-    return _GRAPH_TYPES[args.type](args)
+    return _GRAPH_TYPES[args.type][1](args)
+
+
+def _unread_graph_options(args) -> str | None:
+    """Why the graph source rejects the line, or None; fills in the defaults of what was left out."""
+    kind, defaults = args.graph_defaults
+    if args.graph is None:
+        args.type = args.type or kind
+    source, reads = (f"--type {args.type}", _GRAPH_TYPES[args.type][0]) if args.type else ("--graph", ())
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            if default is None and name in reads:
+                return f"{source} needs --{name}"
+            setattr(args, name, default)
+        elif name not in reads:
+            return f"argument --{name}: not read by {source}"
+    return None
 
 
 def _gadget_from_args(args) -> Gadget:
-    if getattr(args, "ip", None) is not None:
-        return ip_gadget(args.ip)
-    if getattr(args, "gadget", None):
-        return Gadget.from_text(_read(args.gadget))
-    print("error: need --ip B or --gadget FILE", file=sys.stderr)
-    raise SystemExit(2)
+    return ip_gadget(args.ip) if args.ip is not None else Gadget.from_text(_read(args.gadget))
 
 
 def cmd_gen_graph(args) -> int:
@@ -89,7 +101,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_gen_tseitin(args) -> int:
     g = tseitin.Graph.from_text(_read(args.graph))
-    charge = tuple(map(int, args.charge)) if args.charge else None
+    charge = tuple(parse_bits(bit, 1) for bit in args.charge) if args.charge else None
     t = tseitin.tseitin_cnf(g, charge=charge, contradiction=not args.no_contradiction)
     _emit(t.cnf.to_dimacs(), args.out)
     return 0
@@ -171,53 +183,12 @@ def cmd_pdt_refute(args) -> int:
     return 0 if result.ok else 1
 
 
-def _verify_safe_space_lemma(args, check) -> list[lemmalab.LemmaReport]:
-    """Run check(space, layout, gadget, z) on --count random safe spaces."""
+def _sampled_lemma(args, draw) -> int:
+    """Report draw(i, layout, gadget, rng), the lemma's check of its i-th draw, for i < --count."""
     layout = BlockLayout(args.n, args.b)
     g = ip_gadget(args.b)
     rng = random.Random(args.seed)
-    reports = []
-    for _ in range(args.count):
-        codim = rng.randint(0, min(3, layout.n))
-        space = lemmalab.random_safe_space(layout, codim, rng)
-        z = FVec(layout.n, rng.getrandbits(layout.n))
-        reports.append(check(space, layout, g, z))
-    return reports
-
-
-def _verify_conditional_fooling(args) -> list[lemmalab.LemmaReport]:
-    layout = BlockLayout(args.n, args.b)
-    g = ip_gadget(args.b)
-    rng = random.Random(args.seed)
-    reports = []
-    # the amortized closure of A plus the gap cannot exceed the block count
-    slack = layout.n - args.k
-    for i in range(args.count):
-        concentrate = 0 if (args.k == 1 and i % 3 == 2 and slack >= 1) else None
-        base_codim = rng.randint(0, min(1, slack)) if concentrate is None else 3
-        a, b_sp, y, z = lemmalab.nested_pair_with_gap(layout, g, args.k, base_codim, rng, concentrate)
-        reports.append(lemmalab.check_conditional_fooling(b_sp, a, layout, g, y, z, args.k))
-    return reports
-
-
-def cmd_verify_lemma(args) -> int:
-    if args.format == "csv" and args.lemma in ("closure-laws", "counterexample"):
-        print(f"error: {args.lemma} has no csv format", file=sys.stderr)
-        return 2
-    if args.lemma == "closure-laws":
-        report = lemmalab.closure_law_suite(args.trials, args.seed)
-        _emit(report.to_text(), args.out)
-        return 0 if report.ok else 1
-    if args.lemma == "counterexample":
-        rep = lemmalab.counterexample_demo(args.n, ip_gadget(args.b))
-        _emit(rep.to_text(), args.out)
-        return 0 if rep.ok else 1
-    if args.lemma == "exponential-sum":
-        reports = _verify_safe_space_lemma(args, lemmalab.check_exponential_sum)
-    elif args.lemma == "uniform-coset":
-        reports = _verify_safe_space_lemma(args, lemmalab.check_uniform_coset)
-    else:
-        reports = _verify_conditional_fooling(args)
+    reports = [draw(i, layout, g, rng) for i in range(args.count)]
     if args.format == "csv":
         rows = [rep.to_csv().splitlines()[1] for rep in reports]
         _emit("\n".join([lemmalab.LEMMA_CSV_HEADER] + rows) + "\n", args.out)
@@ -226,13 +197,43 @@ def cmd_verify_lemma(args) -> int:
     return 0 if all(rep.ok for rep in reports) else 1
 
 
+def cmd_safe_space_lemma(args) -> int:
+    """Run the lemma's check(space, layout, gadget, z) on random safe spaces."""
+    def draw(i, layout, g, rng):
+        codim = rng.randint(0, min(3, layout.n))
+        space = lemmalab.random_safe_space(layout, codim, rng)
+        z = FVec(layout.n, rng.getrandbits(layout.n))
+        return args.check(space, layout, g, z)
+    return _sampled_lemma(args, draw)
+
+
+def cmd_conditional_fooling(args) -> int:
+    def draw(i, layout, g, rng):
+        # the amortized closure of A plus the gap cannot exceed the block count
+        slack = layout.n - args.k
+        concentrate = 0 if (args.k == 1 and i % 3 == 2 and slack >= 1) else None
+        base_codim = rng.randint(0, min(1, slack)) if concentrate is None else 3
+        a, b_sp, y, z = lemmalab.nested_pair_with_gap(layout, g, args.k, base_codim, rng, concentrate)
+        return lemmalab.check_conditional_fooling(b_sp, a, layout, g, y, z, args.k)
+    return _sampled_lemma(args, draw)
+
+
+def cmd_counterexample(args) -> int:
+    report = lemmalab.counterexample_demo(args.n, ip_gadget(args.b))
+    _emit(report.to_text(), args.out)
+    return 0 if report.ok else 1
+
+
+def cmd_closure_laws(args) -> int:
+    report = lemmalab.closure_law_suite(args.trials, args.seed)
+    _emit(report.to_text(), args.out)
+    return 0 if report.ok else 1
+
+
 def cmd_hardness_experiment(args) -> int:
     g = _graph_from_args(args)
     if args.ip is not None and not args.lifted:
         print("error: --ip applies only with --lifted", file=sys.stderr)
-        return 2
-    if args.lifted and args.strategy:
-        print("error: --strategy does not apply with --lifted, which plays random linear trees", file=sys.stderr)
         return 2
     if args.lifted:
         gadget = ip_gadget(2 if args.ip is None else args.ip)
@@ -286,115 +287,114 @@ def probability(text: str) -> float:
 class OneLineErrorParser(argparse.ArgumentParser):
     """Reports a rejected command line in one stderr line, without the usage block.
 
-    Subparsers are built from the same class, so they report the same way.
+    Subparsers are built from the same class, so they report the same way.  A parser
+    runs `func(args)`; `reject(args)` says why it rejects a line whose options each parse.
     """
+
+    def __init__(self, *args, func=None, reject=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reject = reject
+        self.set_defaults(func=func)
 
     def error(self, message: str):
         self.exit(2, f"error: {self.prog}: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = self.reject and self.reject(namespace)
+        if problem:
+            self.error(problem)
+        return namespace, extras
+
+
+def _shared(exclusive: bool = False, **options) -> argparse.ArgumentParser:
+    """Options declared once, for the parsers that list them in `parents=`;
+    with `exclusive`, exactly one of them must be given."""
+    p = argparse.ArgumentParser(add_help=False)
+    group = p.add_mutually_exclusive_group(required=True) if exclusive else p
+    for name, kwargs in options.items():
+        group.add_argument(f"--{name}", **kwargs)
+    return p
+
+
+def _graph_options(kind: str, **defaults) -> argparse.ArgumentParser:
+    """--graph FILE or --type (default `kind`); what a type reads and is left out defaults to `defaults`."""
+    p = _shared(vertices=dict(type=integer), degree=dict(type=integer))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph", help="read the graph from a file")
+    source.add_argument("--type", choices=list(_GRAPH_TYPES), help=f"default {kind}")
+    p.set_defaults(graph_defaults=(kind, defaults))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = OneLineErrorParser(prog="resoplus", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gen-graph", help="write a built-in or random regular graph")
-    sp.add_argument("--type", choices=list(_GRAPH_TYPES), default="k5")
-    sp.add_argument("--vertices", type=integer, default=5)
-    sp.add_argument("--degree", type=integer, default=4)
-    sp.add_argument("--seed", type=nonnegative_int)
-    sp.add_argument("--graph", help="copy an existing graph file instead")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_gen_graph)
-
-    sp = sub.add_parser("metrics", help="spectral and Cheeger expansion metrics")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_metrics)
-
-    sp = sub.add_parser("gen-tseitin", help="Tseitin CNF of a graph, DIMACS out")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--charge", help="bit string, one bit per vertex (default all ones)")
-    sp.add_argument("--no-contradiction", action="store_true")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_gen_tseitin)
-
-    sp = sub.add_parser("lift", help="substitute a gadget into a CNF")
-    sp.add_argument("--cnf", required=True)
-    sp.add_argument("--ip", type=integer)
-    sp.add_argument("--gadget")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_lift)
-
-    sp = sub.add_parser("gadget-spectrum", help="exact Walsh spectrum of a gadget")
-    sp.add_argument("--ip", type=integer)
-    sp.add_argument("--gadget")
-    sp.add_argument("--format", choices=["csv", "text"], default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_gadget_spectrum)
-
-    sp = sub.add_parser("sample-dtfooling", help="draw hard-distribution samples")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--rho")
-    sp.add_argument("--samples", type=nonnegative_int, default=10)
-    sp.add_argument("--seed", type=nonnegative_int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_sample_dtfooling)
-
-    sp = sub.add_parser("root-dist", help="exact conditional root law")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--rho")
-    sp.add_argument("--condition")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_root_dist)
-
-    sp = sub.add_parser("check-proof", help="verify a Res(+) refutation")
-    sp.add_argument("proof")
-    sp.add_argument("cnf")
-    sp.set_defaults(func=cmd_check_proof)
-
-    sp = sub.add_parser("proof-metrics", help="size and depth of a refutation")
-    sp.add_argument("proof")
-    sp.set_defaults(func=cmd_proof_metrics)
-
-    sp = sub.add_parser("pdt-refute", help="generate a tree-like refutation")
-    sp.add_argument("--cnf", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_pdt_refute)
+    out = _shared(out={})
+    fmt = _shared(format=dict(choices=["csv", "text"], default="text"))
+    seed = _shared(seed=dict(type=nonnegative_int, required=True))
+    graph = _shared(graph=dict(required=True))
+    cnf = _shared(cnf=dict(required=True))
+    gadget = _shared(True, ip=dict(type=integer, help="the inner-product gadget of this arity"), gadget={})
+    blocks = _shared(n=dict(type=integer, default=2), b=dict(type=integer, default=12))
 
     sp = sub.add_parser(
-        "verify-lemma", help="exact lemma verification (syndrome counting, cube sweep as oracle)"
+        "gen-graph", help="write a built-in or random regular graph", func=cmd_gen_graph,
+        parents=[_graph_options("k5", vertices=5, degree=4, seed=None), out], reject=_unread_graph_options,
     )
-    sp.add_argument(
-        "lemma",
-        choices=["exponential-sum", "uniform-coset", "conditional-fooling", "counterexample", "closure-laws"],
+    sp.add_argument("--seed", type=nonnegative_int, help="read only by --type random")
+    sub.add_parser("metrics", help="spectral and Cheeger expansion metrics", func=cmd_metrics, parents=[graph, out])
+    sp = sub.add_parser(
+        "gen-tseitin", help="Tseitin CNF of a graph, DIMACS out", func=cmd_gen_tseitin, parents=[graph, out]
     )
-    sp.add_argument("--n", type=integer, default=2)
-    sp.add_argument("--b", type=integer, default=12)
-    sp.add_argument("--k", type=integer, default=1)
-    sp.add_argument("--count", type=nonnegative_int, default=3)
-    sp.add_argument("--trials", type=nonnegative_int, default=1000)
-    sp.add_argument("--seed", type=nonnegative_int, required=True)
-    sp.add_argument("--format", choices=["csv", "text"], default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify_lemma)
+    sp.add_argument("--charge", help="bits 0 or 1, one per vertex (default all ones)")
+    sp.add_argument("--no-contradiction", action="store_true")
+    sub.add_parser("lift", help="substitute a gadget into a CNF", func=cmd_lift, parents=[cnf, gadget, out])
+    sub.add_parser(
+        "gadget-spectrum", help="exact Walsh spectrum of a gadget", func=cmd_gadget_spectrum, parents=[gadget, fmt, out]
+    )
+    sp = sub.add_parser(
+        "sample-dtfooling", help="draw hard-distribution samples", func=cmd_sample_dtfooling, parents=[graph, seed, out]
+    )
+    sp.add_argument("--rho")
+    sp.add_argument("--samples", type=nonnegative_int, default=10)
+    sp = sub.add_parser("root-dist", help="exact conditional root law", func=cmd_root_dist, parents=[graph, out])
+    sp.add_argument("--rho")
+    sp.add_argument("--condition")
+    sp = sub.add_parser("check-proof", help="verify a Res(+) refutation", func=cmd_check_proof)
+    sp.add_argument("proof")
+    sp.add_argument("cnf")
+    sp = sub.add_parser("proof-metrics", help="size and depth of a refutation", func=cmd_proof_metrics)
+    sp.add_argument("proof")
+    sp = sub.add_parser("pdt-refute", help="generate a tree-like refutation", func=cmd_pdt_refute, parents=[cnf])
+    sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("hardness-experiment", help="Monte Carlo decision-tree hardness")
-    sp.add_argument("--graph")
-    sp.add_argument("--type", choices=list(_GRAPH_TYPES), default="random")
-    sp.add_argument("--vertices", type=integer, default=51)
-    sp.add_argument("--degree", type=integer, default=6)
+    sp = sub.add_parser("verify-lemma", help="exact lemma verification (syndrome counting, cube sweep as oracle)")
+    lemmas = sp.add_subparsers(dest="lemma", required=True)
+    sampled = [blocks, _shared(count=dict(type=nonnegative_int, default=3)), fmt, seed, out]
+    for name, check in (
+        ("exponential-sum", lemmalab.check_exponential_sum), ("uniform-coset", lemmalab.check_uniform_coset)
+    ):
+        lemmas.add_parser(name, prog=sp.prog, func=cmd_safe_space_lemma, parents=sampled).set_defaults(check=check)
+    lp = lemmas.add_parser("conditional-fooling", prog=sp.prog, func=cmd_conditional_fooling, parents=sampled)
+    lp.add_argument("--k", type=nonnegative_int, default=1)
+    lemmas.add_parser("counterexample", prog=sp.prog, func=cmd_counterexample, parents=[blocks, out])
+    lp = lemmas.add_parser("closure-laws", prog=sp.prog, func=cmd_closure_laws, parents=[seed, out])
+    lp.add_argument("--trials", type=nonnegative_int, default=1000)
+
+    sp = sub.add_parser(
+        "hardness-experiment", help="Monte Carlo decision-tree hardness", func=cmd_hardness_experiment,
+        parents=[_graph_options("random", vertices=51, degree=6), fmt, out], reject=_unread_graph_options,
+    )
     sp.add_argument("--q", type=nonnegative_int, required=True)
     sp.add_argument("--trials", type=nonnegative_int, required=True)
     sp.add_argument("--seed", type=nonnegative_int, required=True)
-    sp.add_argument("--strategy", action="append", choices=sorted(pdt.default_strategies()))
     sp.add_argument("--budget", type=budget, help="coin budget p or p/q, default |V|/(50d)")
     sp.add_argument("--require-lower-bound", type=probability)
-    sp.add_argument("--lifted", action="store_true", help="coin game against random parity trees")
+    kind = sp.add_mutually_exclusive_group()
+    kind.add_argument("--strategy", action="append", choices=sorted(pdt.default_strategies()))
+    kind.add_argument("--lifted", action="store_true", help="coin game against random parity trees")
     sp.add_argument("--ip", type=integer, help="gadget arity for --lifted (default 2)")
-    sp.add_argument("--format", choices=["csv", "text"], default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_hardness_experiment)
-
     return p
 
 

@@ -493,7 +493,7 @@ def nested_pair_with_gap(
     all of A's equations live inside that block, which forces it into the
     closure of A while leaving the other blocks free to absorb the gap.
     """
-    if k > layout.n:
+    if not 0 <= k <= layout.n:
         raise ValueError(f"an amortized gap of {k} cannot fit in {layout.n} blocks")
     for _ in range(_NESTED_PAIR_TRIES):
         x0 = rng.getrandbits(layout.width)

@@ -149,6 +149,8 @@ def random_regular_graph(num_vertices: int, degree: int, seed: int) -> Graph:
         raise ValueError("num_vertices * degree must be even")
     if degree >= num_vertices:
         raise ValueError("degree must be below the vertex count")
+    if degree < 2 and num_vertices > degree + 1:
+        raise ValueError(f"no connected graph has degree {degree} and {num_vertices} vertices")
     rng = random.Random(seed)
 
     def try_once() -> set[tuple[int, int]] | None:
@@ -183,7 +185,7 @@ def random_regular_graph(num_vertices: int, degree: int, seed: int) -> Graph:
         if len(g.components((1 << g.num_edges) - 1)) != 1:
             continue
         return g
-    raise RuntimeError("failed to generate a random regular graph; try another seed")
+    raise ValueError("failed to generate a random regular graph; try another seed")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def test_pdt_refute_satisfiable_exit_code(tmp_path, capsys):
 
 
 def test_verify_lemma_counterexample(capsys):
-    code, out = run(capsys, "verify-lemma", "counterexample", "--n", "2", "--b", "4", "--seed", "1")
+    code, out = run(capsys, "verify-lemma", "counterexample", "--n", "2", "--b", "4")
     assert code == 0
     assert "verdict: OK" in out
 
@@ -99,7 +99,7 @@ def test_verify_lemma_past_the_cube_cap(capsys):
     code, out = run(capsys, "verify-lemma", "exponential-sum", "--n", "3", "--b", "12", "--seed", "5")
     assert code == 0
     assert out.count("verdict: OK") == 3
-    code, out = run(capsys, "verify-lemma", "counterexample", "--n", "3", "--b", "12", "--seed", "1")
+    code, out = run(capsys, "verify-lemma", "counterexample", "--n", "3", "--b", "12")
     assert code == 0
     assert "verdict: OK" in out
 
@@ -175,16 +175,84 @@ def test_hardness_experiment_and_determinism(tmp_path, capsys):
     [
         (["--ip", "4"], "error: --ip applies only with --lifted\n"),
         (["--lifted", "--strategy", "greedy-cut"],
-         "error: --strategy does not apply with --lifted, which plays random linear trees\n"),
+         "error: resoplus hardness-experiment: argument --strategy: not allowed with argument --lifted\n"),
     ],
 )
 def test_hardness_experiment_rejects_options_it_would_ignore(capsys, extra, error):
     argv = ["hardness-experiment", "--type", "cycle", "--vertices", "3", "--q", "2", "--trials", "2", "--seed", "1"]
-    code = main(argv + extra)
+    try:
+        code = main(argv + extra)
+    except SystemExit as exc:  # argparse rejects the pair; the --ip check runs in the handler
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == error
+
+
+HARDNESS = ["hardness-experiment", "--q", "2", "--trials", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each of these ran with exit 0 and ignored an option, or a second source
+        HARDNESS + ["--type", "k5", "--vertices", "9", "--degree", "3"],
+        ["verify-lemma", "counterexample", "--count", "7", "--k", "3", "--trials", "5", "--seed", "1"],
+        ["lift", "--cnf", "{cnf}", "--ip", "2", "--gadget", "/nonexistent"],
+        ["gadget-spectrum", "--ip", "2", "--gadget", "{gadget}"],
+        ["verify-lemma", "counterexample", "--n", "2", "--b", "4", "--seed", "1"],
+        ["verify-lemma", "closure-laws", "--trials", "5", "--seed", "1", "--n", "2"],
+        ["verify-lemma", "closure-laws", "--trials", "5", "--seed", "1", "--count", "2"],
+        ["verify-lemma", "exponential-sum", "--b", "4", "--seed", "1", "--k", "1"],
+        ["verify-lemma", "uniform-coset", "--b", "4", "--seed", "1", "--trials", "5"],
+        ["verify-lemma", "conditional-fooling", "--b", "4", "--seed", "1", "--trials", "5"],
+        ["gen-graph", "--type", "k7", "--vertices", "9"],
+        ["gen-graph", "--type", "cycle", "--vertices", "4", "--degree", "2"],
+        ["gen-graph", "--type", "complete", "--vertices", "4", "--seed", "1"],
+        ["gen-graph", "--graph", "{graph}", "--type", "k5"],
+        ["gen-graph", "--graph", "{graph}", "--vertices", "5"],
+        ["gen-graph", "--graph", "{graph}", "--seed", "1"],
+        HARDNESS + ["--graph", "{graph}", "--type", "random"],
+        HARDNESS + ["--graph", "{graph}", "--degree", "4"],
+        HARDNESS + ["--type", "cycle", "--vertices", "5", "--degree", "2"],
+        HARDNESS + ["--type", "k5", "--vertices", "5"],
+    ],
+)
+def test_an_option_the_run_would_not_read_is_usage_error(tmp_path, capsys, argv):
+    graph = tmp_path / "k5.graph"
+    graph.write_text(complete_graph(5).to_text())
+    cnf = tmp_path / "unit.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    gadget = tmp_path / "xor.gadget"
+    gadget.write_text("2\n0110\n")
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(graph=graph, cnf=cnf, gadget=gadget) for a in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: resoplus")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["lift", "--cnf", "unit.cnf"], ["gadget-spectrum"]])
+def test_a_gadget_source_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: resoplus {command[0]}: one of the arguments --ip --gadget is required\n"
+
+
+@pytest.mark.parametrize("vertices, degree", [("6", "0"), ("4", "1")])
+def test_random_graph_with_no_connected_graph_is_usage_error(tmp_path, capsys, vertices, degree):
+    # read past, each died with a RuntimeError traceback and exit 1 after 200 draws
+    code = main(["gen-graph", "--type", "random", "--vertices", vertices, "--degree", degree, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: no connected graph has degree {degree} and {vertices} vertices\n"
 
 
 @pytest.mark.parametrize(
@@ -384,7 +452,7 @@ def test_a_charge_entry_other_than_a_bit_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: ValueError: charge must be 5 bits 0 or 1, got (3, 1, 1, 1, 1)\n"
+    assert captured.err == "error: ValueError: invalid bit character '3'\n"
 
 
 def test_metrics_of_an_edgeless_graph_is_usage_error(tmp_path, capsys):
@@ -427,6 +495,7 @@ def test_random_graph_without_seed_says_why(capsys):
         ["sample-dtfooling", "--graph", "x.graph", "--samples", "-2", "--seed", "1"],
         ["verify-lemma", "exponential-sum", "--count", "-1", "--seed", "1"],
         ["verify-lemma", "closure-laws", "--trials", "-1", "--seed", "1"],
+        ["verify-lemma", "conditional-fooling", "--k", "-1", "--seed", "1"],
     ],
 )
 def test_negative_seed_or_count_is_usage_error(capsys, argv):

@@ -255,6 +255,21 @@ def test_conditional_fooling_validates_gap():
         check_conditional_fooling(b_sp, a, lay, g, y, z, 2)
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_nested_pair_rejects_a_gap_outside_the_blocks(k):
+    # read past, k = -1 drew 2,000 witnesses and then raised a RuntimeError
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match=f"^an amortized gap of {k} cannot fit in 2 blocks$"):
+        nested_pair_with_gap(BlockLayout(2, 8), ip_gadget(8), k, 0, rng)
+    assert rng.getstate() == random.Random(5).getstate()  # rejected before any draw
+
+
+def test_nested_pair_with_gap_zero():
+    lay, g = BlockLayout(2, 8), ip_gadget(8)
+    a, b_sp, y, z = nested_pair_with_gap(lay, g, 0, 1, random.Random(5))
+    assert check_conditional_fooling(b_sp, a, lay, g, y, z, 0).verdict == OK
+
+
 def test_counterexample_demo():
     rep = counterexample_demo(2, ip_gadget(4))
     assert rep.ok

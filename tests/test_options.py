@@ -1,27 +1,37 @@
-"""Every option is a configuration to cover: a defaulted parameter must have a caller that sets it.
+"""Every option is a configuration to cover: a defaulted parameter must have a caller that sets it,
+and a CLI option a handler that reads it.
 
 Each entry of OPTIONS names a defaulted parameter of the library and one
 caller (library, CLI, demo, benchmark or a test of that value) that passes
 it a value other than its default.  A parameter that nothing sets is a
 configuration no one runs: remove it, or add its entry with its caller.
+A CLI option that its command's handler never reads is one the command
+would accept and ignore: declare it only where it is read.
 """
+import argparse
 import ast
 from pathlib import Path
 
 import resoplus
+from resoplus.cli import build_parser
 
 SRC = Path(resoplus.__file__).parent
 
 OPTIONS = {
     "blocks._augment(usable)": "blocks.amortized_closure, which limits each search to the chosen blocks' columns",
     "cli.main(argv)": "tests/test_cli.py, which passes each command line",
+    "cli.OneLineErrorParser.__init__(func)": "cli.build_parser, which gives each command its handler",
+    "cli.OneLineErrorParser.__init__(reject)": "cli.build_parser (the graph source of gen-graph, hardness-experiment)",
+    "cli._shared(exclusive)": "cli.build_parser (--ip or --gadget)",
+    "cli.OneLineErrorParser.parse_known_args(args)": "argparse's parse_args and subparser action, which pass both",
+    "cli.OneLineErrorParser.parse_known_args(namespace)": "argparse's parse_args and subparser action, which pass both",
     "cnf.satisfying_chunks(chunk_bits)": "tests/test_tseitin.py::test_sweep_is_independent_of_chunk_size",
     "dtfooling.exact_root_distribution(condition)": "cli.cmd_root_dist (--condition)",
     "f2._tagged_reduce(tag)": "f2._tagged_insert",
     "f2.AffineSpace.reduce(bit)": "f2.AffineSpace.with_equation",
     "gadget.walsh_spectrum(convention)": "demos/03_gadget_fourier.py (ZERO_ONE)",
     "gadget.walsh_spectrum_direct(convention)": "tests/test_gadget.py, which compares both conventions",
-    "lemmalab.nested_pair_with_gap(concentrate_block)": "cli._verify_conditional_fooling",
+    "lemmalab.nested_pair_with_gap(concentrate_block)": "cli.cmd_conditional_fooling",
     "pdt.Query.__init__(note)": "pdt._Stage.fill",
     "pdt.Query.__init__(space)": "pdt._Stage.fill",
     "pdt.run_pdt(steps)": "tests/test_pdt.py, which stops the walk after each step count",
@@ -57,3 +67,45 @@ def test_every_option_names_a_caller_that_sets_it():
     gone = sorted(OPTIONS.keys() - found)
     assert not extra, "options with no caller that sets them: " + ", ".join(extra)
     assert not gone, "entries for options that no longer exist: " + ", ".join(gone)
+
+
+def _handler_parsers(parser, path: str):
+    """(command path, parser) for every parser that runs a handler: each command and each lemma."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _handler_parsers(sub, f"{path} {name}")
+    if parser.get_default("func") is not None:
+        yield path, parser
+
+
+def _args_read(name: str, defs: dict, seen: set) -> set:
+    """The `args.<dest>` that the top-level definition `name` of cli.py reads, itself or
+    through the top-level definitions it names (helpers, and tables such as _GRAPH_TYPES)."""
+    seen.add(name)
+    found = set()
+    for node in ast.walk(defs[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            if isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
+            found |= _args_read(node.id, defs, seen)
+    return found
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    parsers = list(_handler_parsers(build_parser(), "resoplus"))
+    assert len(parsers) == 16  # eleven commands besides verify-lemma, and its five lemmas
+    unread = []
+    for path, parser in parsers:
+        read = _args_read(parser.get_default("func").__name__, defs, set())
+        declared = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        unread += [f"{path} {(a.option_strings or [a.dest])[0]}" for a in declared if a.dest not in read]
+    assert not unread, "options that no handler reads: " + ", ".join(unread)

@@ -375,7 +375,7 @@ def valid_games(draw):
     d = draw(st.sampled_from([2, 4, 6]))
     try:
         g = random_regular_graph(n, d, seed=draw(st.integers(0, 1000)))
-    except RuntimeError:
+    except ValueError:
         assume(False)
     z = dtfooling.sample(EdgePartialAssignment.empty(g), random.Random(draw(st.integers(0, 1000)))).assignment
     fixed = draw(st.sets(st.integers(0, g.num_edges - 1), max_size=g.num_edges // 3))

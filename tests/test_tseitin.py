@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resoplus import dtfooling
+from resoplus import dtfooling, tseitin
 from resoplus._bits import set_bits
 from resoplus._text import ParseError
 from resoplus.cnf import Cnf, find_model, satisfying_chunks
@@ -321,3 +321,22 @@ def test_random_regular_reproducible():
     g2 = random_regular_graph(10, 3, seed=4)
     assert g1 == g2
     assert g1.degree_if_regular() == 3
+
+
+@pytest.mark.parametrize("vertices, degree", [(6, 0), (4, 1), (2, 0), (4, -2)])
+def test_random_regular_without_a_connected_graph_is_rejected(vertices, degree):
+    # read past, each made 200 draws and then raised a RuntimeError
+    with pytest.raises(ValueError, match=f"^no connected graph has degree {degree} and {vertices} vertices$"):
+        random_regular_graph(vertices, degree, seed=1)
+
+
+def test_random_regular_smallest_connected_graphs():
+    assert random_regular_graph(1, 0, seed=1) == Graph(1, ())
+    assert random_regular_graph(2, 1, seed=1) == Graph(2, ((0, 1),))
+
+
+def test_random_regular_gives_up_with_a_value_error(monkeypatch):
+    # a seed that finds no connected graph is out-of-scope input, exit 2 at the CLI
+    monkeypatch.setattr(tseitin, "_REGULAR_GRAPH_TRIES", 0)
+    with pytest.raises(ValueError, match="^failed to generate a random regular graph; try another seed$"):
+        random_regular_graph(10, 3, seed=4)

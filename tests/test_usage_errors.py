@@ -70,6 +70,20 @@ def test_a_numeric_option_outside_ascii_decimals_is_usage_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("charge, bad", [("\u0661" * 5, "\u0661"), ("1_111", "_")])
+def test_a_charge_outside_ascii_bits_is_usage_error(tmp_path, capsys, charge, bad):
+    # read with Python's int, the Arabic-Indic ones wrote K5's CNF and 1_111 failed inside int()
+    graph = tmp_path / "k5.graph"
+    graph.write_text(complete_graph(5).to_text())
+    out = tmp_path / "k5.cnf"
+    code = main(["gen-tseitin", "--graph", str(graph), "--charge", charge, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: invalid bit character {bad!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "extra, option",
     [
@@ -95,9 +109,11 @@ def test_a_budget_or_bound_out_of_range_is_usage_error(capsys, extra, option):
 
 @pytest.mark.parametrize("lemma", ["counterexample", "closure-laws"])
 def test_csv_format_of_a_text_only_lemma_is_usage_error(capsys, lemma):
-    # read past, --format csv printed the text report with exit 0
-    code = main(["verify-lemma", lemma, "--trials", "1", "--seed", "1", "--format", "csv"])
+    # read past, --format csv printed the text report with exit 0; a text-only lemma has no --format
+    options = {"counterexample": ["--n", "2"], "closure-laws": ["--trials", "1", "--seed", "1"]}[lemma]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma", lemma, *options, "--format", "csv"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {lemma} has no csv format\n"
+    assert captured.err == "error: resoplus: unrecognized arguments: --format csv\n"
