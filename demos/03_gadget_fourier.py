@@ -4,17 +4,15 @@ The inner-product gadget is bent: every coefficient of its (-1)^g transform
 has magnitude exactly 2^(-b/2), which is what drives all the fooling bounds.
 Coefficients are dyadic rationals, never floats.
 """
-from fractions import Fraction
-
 from resoplus import ip_gadget, max_fourier, walsh_spectrum
-from resoplus.gadget import PM_ONE, ZERO_ONE, constant_gadget, parity_gadget
+from resoplus.gadget import constant_gadget, parity_gadget
 
 for b in (2, 4, 6, 8):
     peak = max_fourier(ip_gadget(b))
     print(f"IP on {b} bits: max |coeff| = {peak}  (= 2^-{b // 2})")
 
 print()
-spec = walsh_spectrum(ip_gadget(4), PM_ONE)
+spec = walsh_spectrum(ip_gadget(4))
 print("IP(4) spectrum, first 8 coefficients:")
 for mask in range(8):
     print(f"  S={mask:04b}  {spec.coeff(mask)}")
@@ -25,10 +23,3 @@ print("Parseval (sum of squares = 1):", spec.parseval_holds())
 print()
 print("constant-0 gadget coeff(empty):", walsh_spectrum(constant_gadget(3, 0)).coeff(0))
 print("parity gadget coeff(full set): ", walsh_spectrum(parity_gadget(3)).coeff(0b111))
-
-# The 0/1-valued spectrum exists too, but its empty-set coefficient is just
-# the gadget's average, which is why the norm bounds all use PM_ONE.
-zo = walsh_spectrum(ip_gadget(4), ZERO_ONE)
-print()
-print("ZERO_ONE coeff(empty) for IP(4):", zo.coeff(0), " -- the average of the table")
-assert zo.coeff(0) == Fraction(6, 16)

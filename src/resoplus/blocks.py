@@ -306,15 +306,6 @@ def closure(rows: Sequence[int], layout: BlockLayout) -> frozenset[int]:
     return ClosureTable(layout).extend(rows).closure()
 
 
-def blockset_sort_key(blocks: Iterable[int]) -> int:
-    """Sort key realizing the block-set order: indicator read as a binary number.
-
-    Equivalent to comparing descending-sorted index sequences elementwise with
-    longer-prefix-wins.
-    """
-    return sum(1 << i for i in blocks)
-
-
 def blockset_lex_ge(a: Iterable[int], b: Iterable[int]) -> bool:
     """Reference comparator: descending sequences, elementwise, longer prefix wins."""
     sa, sb = sorted(a, reverse=True), sorted(b, reverse=True)

@@ -73,6 +73,13 @@ def _unread_graph_options(args) -> str | None:
     return None
 
 
+def _unread_hardness_options(args) -> str | None:
+    """Why hardness-experiment rejects the line, or None: --ip needs --lifted, then the graph source's checks."""
+    if args.ip is not None and not args.lifted:
+        return "argument --ip: only read with --lifted"
+    return _unread_graph_options(args)
+
+
 def _gadget_from_args(args) -> Gadget:
     return ip_gadget(args.ip) if args.ip is not None else Gadget.from_text(_read(args.gadget))
 
@@ -101,7 +108,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_gen_tseitin(args) -> int:
     g = tseitin.Graph.from_text(_read(args.graph))
-    charge = tuple(parse_bits(bit, 1) for bit in args.charge) if args.charge else None
+    charge = tuple(parse_bits(bit, 1) for bit in args.charge) if args.charge is not None else None
     t = tseitin.tseitin_cnf(g, charge=charge, contradiction=not args.no_contradiction)
     _emit(t.cnf.to_dimacs(), args.out)
     return 0
@@ -232,9 +239,6 @@ def cmd_closure_laws(args) -> int:
 
 def cmd_hardness_experiment(args) -> int:
     g = _graph_from_args(args)
-    if args.ip is not None and not args.lifted:
-        print("error: --ip applies only with --lifted", file=sys.stderr)
-        return 2
     if args.lifted:
         gadget = ip_gadget(2 if args.ip is None else args.ip)
         report = pdt.lifted_hardness_experiment(g, gadget, args.q, args.trials, args.seed, args.budget)
@@ -375,16 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, check in (
         ("exponential-sum", lemmalab.check_exponential_sum), ("uniform-coset", lemmalab.check_uniform_coset)
     ):
-        lemmas.add_parser(name, prog=sp.prog, func=cmd_safe_space_lemma, parents=sampled).set_defaults(check=check)
-    lp = lemmas.add_parser("conditional-fooling", prog=sp.prog, func=cmd_conditional_fooling, parents=sampled)
+        lemmas.add_parser(name, func=cmd_safe_space_lemma, parents=sampled).set_defaults(check=check)
+    lp = lemmas.add_parser("conditional-fooling", func=cmd_conditional_fooling, parents=sampled)
     lp.add_argument("--k", type=nonnegative_int, default=1)
-    lemmas.add_parser("counterexample", prog=sp.prog, func=cmd_counterexample, parents=[blocks, out])
-    lp = lemmas.add_parser("closure-laws", prog=sp.prog, func=cmd_closure_laws, parents=[seed, out])
+    lemmas.add_parser("counterexample", func=cmd_counterexample, parents=[blocks, out])
+    lp = lemmas.add_parser("closure-laws", func=cmd_closure_laws, parents=[seed, out])
     lp.add_argument("--trials", type=nonnegative_int, default=1000)
 
     sp = sub.add_parser(
         "hardness-experiment", help="Monte Carlo decision-tree hardness", func=cmd_hardness_experiment,
-        parents=[_graph_options("random", vertices=51, degree=6), fmt, out], reject=_unread_graph_options,
+        parents=[_graph_options("random", vertices=51, degree=6), fmt, out], reject=_unread_hardness_options,
     )
     sp.add_argument("--q", type=nonnegative_int, required=True)
     sp.add_argument("--trials", type=nonnegative_int, required=True)

@@ -84,11 +84,11 @@ def _clause_masks(cnf: Cnf) -> list[tuple[int, int]]:
     return masks
 
 
-def satisfying_chunks(cnf: Cnf, chunk_bits: int = f2.CHUNK_BITS) -> Iterator[np.ndarray]:
+def satisfying_chunks(cnf: Cnf) -> Iterator[np.ndarray]:
     """Yield arrays of satisfying assignments, sweeping all 2^num_vars points
-    2^chunk_bits at a time (`f2.cube_chunks`)."""
+    2^f2.CHUNK_BITS at a time (`f2.cube_chunks`)."""
     masks = _clause_masks(cnf)
-    for x in f2.cube_chunks(cnf.num_vars, chunk_bits):
+    for x in f2.cube_chunks(cnf.num_vars):
         ok = np.ones(len(x), dtype=bool)
         for pos, neg in masks:
             # clause false iff all positive vars are 0 and all negative vars are 1

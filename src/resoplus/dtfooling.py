@@ -39,7 +39,6 @@ class Many:
 class RootedSample:
     assignment: FVec  # one bit per edge
     root: int
-    source_rho: EdgePartialAssignment
 
 
 def bfs_tree(g: Graph, edge_subset: Iterable[int], root: int) -> tuple[list[int], dict[int, int]]:
@@ -192,7 +191,7 @@ def sample(rho: EdgePartialAssignment, rng: random.Random) -> RootedSample:
     bits = rho.bits
     for k, bit in values.items():
         bits |= bit << k
-    return RootedSample(FVec(forest.graph.num_edges, bits), root, rho)
+    return RootedSample(FVec(forest.graph.num_edges, bits), root)
 
 
 def root_of(g: Graph, z: int) -> int | Many:

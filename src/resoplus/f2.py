@@ -269,33 +269,25 @@ def _check_cap(dim: int, what: str) -> None:
         raise EnumerationCapError(f"{what} {dim} exceeds cap {ENUMERATION_CAP}")
 
 
-def cube_chunks(width: int, chunk_bits: int) -> Iterator[np.ndarray]:
-    """Every point of F2^width as uint64 bitmasks in counter order, 2^chunk_bits at a time.
+def cube_chunks(width: int) -> Iterator[np.ndarray]:
+    """Every point of F2^width as uint64 bitmasks in counter order, 2^CHUNK_BITS at a time.
 
     The one exhaustive cube sweep; a small chunk stays in cache and keeps
     the peak small.  The cap is checked on the call, before any chunk.
     """
     _check_cap(width, "width")
-    step = 1 << min(width, chunk_bits)
+    step = 1 << min(width, CHUNK_BITS)
     return (np.arange(start, start + step, dtype=np.uint64) for start in range(0, 1 << width, step))
 
 
 def enumerate_points(a: AffineSpace | _EmptySpace) -> Iterator[FVec]:
-    """All members in deterministic order (counter over free coordinates)."""
-    if a is EMPTY:
-        return
-    free = a.free_coords()
-    _check_cap(len(free), "free dimension")
-    for counter in range(1 << len(free)):
-        bits = 0
-        for j, i in enumerate(free):
-            if (counter >> j) & 1:
-                bits |= 1 << i
-        yield FVec(a.width, _solve_pivots(a, bits))
+    """All members as FVecs, in the counter order of `points_array`."""
+    for bits in points_array(a):
+        yield FVec(a.width, bits)
 
 
 def points_array(a: AffineSpace | _EmptySpace) -> list[int]:
-    """All members as int bitmasks at any width, in `enumerate_points`' counter order."""
+    """All members as int bitmasks at any width, in counter order over the free coordinates, lowest first."""
     if a is EMPTY:
         return []
     free = a.free_coords()

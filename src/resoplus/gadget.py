@@ -1,9 +1,8 @@
 """Boolean gadgets: truth tables, Walsh spectra, lifting, preimage counting.
 
-Spectra are exact dyadic rationals (integer numerators over 2^b).  The
-working convention for all norm bounds is PM_ONE, the spectrum of (-1)^g;
-the literal 0/1 spectrum is computable but never used in bounds because its
-empty-set coefficient is ~1/2 for any roughly balanced gadget.
+Spectra are exact dyadic rationals (integer numerators over 2^b), and a
+spectrum is always that of (-1)^g: its coefficients are g's correlations
+with the parities, which the norm bounds read.
 
 Counting and sampling in lifted fibres share one engine.  `_block_tables`
 splits a space's rows into local rows, which only filter one block's
@@ -29,9 +28,6 @@ from ._text import Lines, expect, parse_bits, parse_int
 from .blocks import BlockLayout
 from .cnf import Cnf
 from .f2 import EMPTY, AffineSpace, FVec
-
-PM_ONE = "pm_one"
-ZERO_ONE = "zero_one"
 
 SPECTRUM_ARITY_CAP = 24
 SYNDROME_DIM_CAP = 20
@@ -125,10 +121,9 @@ def ip_gadget(b: int) -> Gadget:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Walsh coefficients: coeff(S) = numerators[S] / 2^b, S encoded as a mask."""
+    """Walsh coefficients of (-1)^g: coeff(S) = numerators[S] / 2^b, S encoded as a mask."""
 
     b: int
-    convention: str
     numerators: tuple[int, ...]
 
     @property
@@ -168,19 +163,15 @@ def _fwht_inplace(vals: np.ndarray) -> None:
         h *= 2
 
 
-def walsh_spectrum(g: Gadget, convention: str = PM_ONE) -> Spectrum:
-    """Exact Walsh transform; coefficients are dyadic with denominator 2^b."""
+def walsh_spectrum(g: Gadget) -> Spectrum:
+    """Exact Walsh transform of (-1)^g; coefficients are dyadic with denominator 2^b."""
     _check_arity(g.b)
-    if convention not in (PM_ONE, ZERO_ONE):
-        raise ValueError(f"unknown convention {convention!r}")
-    vals = np.array(g.table, dtype=np.int64)
-    if convention == PM_ONE:
-        vals = 1 - 2 * vals
+    vals = 1 - 2 * np.array(g.table, dtype=np.int64)
     _fwht_inplace(vals)
-    return Spectrum(g.b, convention, tuple(vals.tolist()))
+    return Spectrum(g.b, tuple(vals.tolist()))
 
 
-def walsh_spectrum_direct(g: Gadget, convention: str = PM_ONE) -> Spectrum:
+def walsh_spectrum_direct(g: Gadget) -> Spectrum:
     """Quadratic-time summation; oracle for the fast transform (b <= 6)."""
     if g.b > 6:
         raise ValueError("direct summation oracle is for b <= 6")
@@ -189,17 +180,14 @@ def walsh_spectrum_direct(g: Gadget, convention: str = PM_ONE) -> Spectrum:
         total = 0
         for v in range(1 << g.b):
             chi = -1 if parity(v & mask) else 1
-            if convention == PM_ONE:
-                total += (1 - 2 * g.table[v]) * chi
-            else:
-                total += g.table[v] * chi
+            total += (1 - 2 * g.table[v]) * chi
         nums.append(total)
-    return Spectrum(g.b, convention, tuple(nums))
+    return Spectrum(g.b, tuple(nums))
 
 
 def max_fourier(g: Gadget) -> Fraction:
-    """The infinity norm of the PM_ONE spectrum."""
-    return walsh_spectrum(g, PM_ONE).max_abs()
+    """The infinity norm of the spectrum of (-1)^g."""
+    return walsh_spectrum(g).max_abs()
 
 
 def lift_eval(g: Gadget, layout: BlockLayout, x: FVec) -> FVec:
@@ -466,14 +454,6 @@ class LiftedDistribution:
             if not 0 <= z_bits < (1 << self.layout.n):
                 raise ValueError("base point out of range")
         object.__setattr__(self, "totals", tuple(itertools.accumulate(w for _, w in self.base)))
-
-    @classmethod
-    def point_mass(cls, layout: BlockLayout, g: Gadget, z: FVec) -> "LiftedDistribution":
-        return cls(layout, g, ((z.bits, 1),))
-
-    @classmethod
-    def uniform_on(cls, layout: BlockLayout, g: Gadget, zs: Sequence[FVec]) -> "LiftedDistribution":
-        return cls(layout, g, tuple((z.bits, 1) for z in zs))
 
 
 def _pick(totals: Sequence[int], rng) -> int:

@@ -5,8 +5,8 @@ syndrome counting (`gadget.count_in_space`), which needs no enumeration of
 the cube; `cube_counts`, the exhaustive full-cube sweep, is kept as the
 oracle that tests compare it with.  The asymptotic slack terms of the
 source bounds are replaced by the explicit finite-scale budget
-eta = (1 + 2*maxcoeff)^n - 1, where maxcoeff bounds the gadget's PM_ONE
-Fourier coefficients; this equals the error summation
+eta = (1 + 2*maxcoeff)^n - 1, where maxcoeff bounds the Fourier
+coefficients of (-1)^g; this equals the error summation
 sum_k C(n,k) 2^k maxcoeff^k term by term.
 """
 from __future__ import annotations
@@ -126,7 +126,7 @@ def cube_counts(layout: BlockLayout, g: Gadget, z: FVec, spaces: Sequence[Affine
     integer counts.  This is the oracle for the syndrome counting that the
     checks use.
     """
-    chunks = f2.cube_chunks(layout.width, f2.CHUNK_BITS)
+    chunks = f2.cube_chunks(layout.width)
     if z.width != layout.n:
         raise ValueError("target width must be the block count")
     table = np.frombuffer(bytes(g.table), dtype=np.uint8)
@@ -446,8 +446,8 @@ def closure_law_suite(trials: int, seed: int) -> ClosureLawReport:
         counts["augmentation"] += 1
         if closure(augmented, layout) != cl or amortized_closure(augmented, layout)[0] != am:
             fail("augmentation", ctx)
-        counts["span-invariance"] += 1
         if len(rows) >= 2:
+            counts["span-invariance"] += 1
             rewritten = list(rows)
             i1, i2 = rng.sample(range(len(rewritten)), 2)
             rewritten[i1] ^= rewritten[i2]

@@ -85,10 +85,6 @@ class Pdt:
     root: PdtNode
 
 
-def empty_tree(width: int) -> Pdt:
-    return Pdt(width, Leaf())
-
-
 def coordinate_tree(width: int, coords: Sequence[int]) -> Pdt:
     """Queries the given coordinates in order; subtrees are shared."""
     node: PdtNode = Leaf()
@@ -138,15 +134,14 @@ def _walk(t: Pdt, x: int) -> Iterator[tuple[PdtNode, AffineSpace]]:
         yield node, space
 
 
-def run_pdt(t: Pdt, x: int, steps: int | None = None) -> tuple[PdtNode, AffineSpace]:
-    """Follow the point x for the given number of queries (all when steps is None).
+def run_pdt(t: Pdt, x: int) -> tuple[PdtNode, AffineSpace]:
+    """Follow the point x to a leaf.
 
-    Returns the node reached and the space of inputs answering the same way;
-    x is always a member, and the codim is at most the start's plus the steps.
+    Returns the leaf and the space of inputs answering the same way; x is
+    always a member, and the codim is at most the start's plus the queries made.
     """
-    for made, (node, space) in enumerate(_walk(t, x)):
-        if steps is not None and made >= steps:
-            break
+    for node, space in _walk(t, x):
+        pass
     return node, space
 
 

@@ -323,11 +323,6 @@ class EdgePartialAssignment:
             raise ValueError(f"edge {k} already fixed to {self.bits >> k & 1}")
         return EdgePartialAssignment(self.graph, self.mask | new.mask, self.bits | new.bits)
 
-    def unfix(self, edge: int) -> "EdgePartialAssignment":
-        values = self.as_dict()
-        values.pop(edge)
-        return EdgePartialAssignment.from_dict(self.graph, values)
-
     @cached_property
     def analysis(self) -> "PartialAnalysis":
         """Components, parity residues and validity; computed once per assignment.

@@ -173,19 +173,17 @@ def test_hardness_experiment_and_determinism(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, error",
     [
-        (["--ip", "4"], "error: --ip applies only with --lifted\n"),
+        (["--ip", "4"], "error: resoplus hardness-experiment: argument --ip: only read with --lifted\n"),
         (["--lifted", "--strategy", "greedy-cut"],
          "error: resoplus hardness-experiment: argument --strategy: not allowed with argument --lifted\n"),
     ],
 )
 def test_hardness_experiment_rejects_options_it_would_ignore(capsys, extra, error):
     argv = ["hardness-experiment", "--type", "cycle", "--vertices", "3", "--q", "2", "--trials", "2", "--seed", "1"]
-    try:
-        code = main(argv + extra)
-    except SystemExit as exc:  # argparse rejects the pair; the --ip check runs in the handler
-        code = exc.code
+    with pytest.raises(SystemExit) as exc:
+        main(argv + extra)
     captured = capsys.readouterr()
-    assert code == 2
+    assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err == error
 
@@ -217,6 +215,8 @@ HARDNESS = ["hardness-experiment", "--q", "2", "--trials", "2", "--seed", "1"]
         HARDNESS + ["--graph", "{graph}", "--degree", "4"],
         HARDNESS + ["--type", "cycle", "--vertices", "5", "--degree", "2"],
         HARDNESS + ["--type", "k5", "--vertices", "5"],
+        # this one reported the missing file: --ip was checked only once the graph was read
+        HARDNESS + ["--graph", "/nonexistent", "--ip", "4"],
     ],
 )
 def test_an_option_the_run_would_not_read_is_usage_error(tmp_path, capsys, argv):
@@ -505,8 +505,9 @@ def test_negative_seed_or_count_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    # one line, without argparse's usage block
-    assert err.count("\n") == 1 and err.startswith(f"error: resoplus {argv[0]}: argument ")
+    # one line, without argparse's usage block, naming the command (and the lemma)
+    command = " ".join(argv[:2] if argv[0] == "verify-lemma" else argv[:1])
+    assert err.count("\n") == 1 and err.startswith(f"error: resoplus {command}: argument ")
     assert "must be nonnegative, got -" in err
 
 

@@ -103,7 +103,7 @@ def test_enumerate_cap():
     # every exhaustive sweep has the one cap, checked before any point is made
     wide = ENUMERATION_CAP + 1
     with pytest.raises(EnumerationCapError):
-        cube_chunks(wide, 16)
+        cube_chunks(wide)
     with pytest.raises(EnumerationCapError):
         find_model(Cnf(wide, ()))
     with pytest.raises(EnumerationCapError):

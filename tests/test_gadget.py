@@ -14,9 +14,7 @@ from resoplus._bits import parity, string_to_bits
 from resoplus.blocks import BlockLayout
 from resoplus.f2 import EMPTY, EnumerationCapError, FVec, enumerate_points, full_space, random_space, space_from_pairs
 from resoplus.gadget import (
-    PM_ONE,
     SYNDROME_DIM_CAP,
-    ZERO_ONE,
     EmptyPreimageError,
     EmptySupportError,
     Gadget,
@@ -43,15 +41,15 @@ from resoplus.cnf import Cnf
 
 
 def test_spectrum_examples():
-    s = walsh_spectrum(constant_gadget(3, 0), PM_ONE)
+    s = walsh_spectrum(constant_gadget(3, 0))
     assert s.coeff(0) == 1
     assert all(s.coeff(m) == 0 for m in range(1, 8))
 
-    s = walsh_spectrum(parity_gadget(2), PM_ONE)
+    s = walsh_spectrum(parity_gadget(2))
     assert s.coeff(0b11) == 1
     assert all(s.coeff(m) == 0 for m in range(3))
 
-    s = walsh_spectrum(ip_gadget(2), PM_ONE)
+    s = walsh_spectrum(ip_gadget(2))
     assert all(abs(s.coeff(m)) == Fraction(1, 2) for m in range(4))
 
 
@@ -60,7 +58,7 @@ def test_parseval_holds_for_random_gadgets():
     for _ in range(60):
         b = rng.randint(1, 6)
         g = Gadget(b, tuple(rng.getrandbits(1) for _ in range(1 << b)))
-        assert walsh_spectrum(g, PM_ONE).parseval_holds()
+        assert walsh_spectrum(g).parseval_holds()
 
 
 def test_fast_transform_matches_direct_summation():
@@ -68,8 +66,7 @@ def test_fast_transform_matches_direct_summation():
     for _ in range(40):
         b = rng.randint(1, 6)
         g = Gadget(b, tuple(rng.getrandbits(1) for _ in range(1 << b)))
-        for conv in (PM_ONE, ZERO_ONE):
-            assert walsh_spectrum(g, conv).numerators == walsh_spectrum_direct(g, conv).numerators
+        assert walsh_spectrum(g).numerators == walsh_spectrum_direct(g).numerators
 
 
 def test_vectorised_fwht_matches_direct_summation():
@@ -77,21 +74,14 @@ def test_vectorised_fwht_matches_direct_summation():
     for b in range(7):
         for _ in range(6):
             g = Gadget(b, tuple(rng.getrandbits(1) for _ in range(1 << b)))
-            for conv, signal in ((PM_ONE, [1 - 2 * t for t in g.table]), (ZERO_ONE, list(g.table))):
-                vals = np.array(signal, dtype=np.int64)
-                _fwht_inplace(vals)
-                assert vals.tolist() == list(walsh_spectrum_direct(g, conv).numerators)
-
-
-def test_zero_one_empty_set_coefficient_is_average():
-    g = ip_gadget(4)
-    s = walsh_spectrum(g, ZERO_ONE)
-    assert s.coeff(0) == Fraction(g.table.count(1), 16)
+            vals = np.array([1 - 2 * t for t in g.table], dtype=np.int64)
+            _fwht_inplace(vals)
+            assert vals.tolist() == list(walsh_spectrum_direct(g).numerators)
 
 
 @pytest.mark.parametrize("b", [2, 4, 6, 8])
 def test_ip_is_bent(b):
-    s = walsh_spectrum(ip_gadget(b), PM_ONE)
+    s = walsh_spectrum(ip_gadget(b))
     want = Fraction(1, 1 << (b // 2))
     assert all(abs(s.coeff(m)) == want for m in range(1 << b))
     assert max_fourier(ip_gadget(b)) == want
@@ -474,7 +464,7 @@ def test_sample_lifted_matches_preimage_counting():
     # frequencies within 4 sigma over 10^4 draws, unconditioned
     lay = BlockLayout(2, 2)
     g = ip_gadget(2)
-    dist = LiftedDistribution.uniform_on(lay, g, [FVec(2, 0b01), FVec(2, 0b11)])
+    dist = LiftedDistribution(lay, g, ((0b01, 1), (0b11, 1)))
     rng = random.Random(9)
     draws = 10_000
     counts = Counter(sample_lifted(dist, None, rng).bits for _ in range(draws))
@@ -493,7 +483,7 @@ def test_sample_lifted_matches_preimage_counting():
 def test_sample_lifted_conditioned():
     lay = BlockLayout(2, 2)
     g = ip_gadget(2)
-    dist = LiftedDistribution.point_mass(lay, g, FVec(2, 0b00))
+    dist = LiftedDistribution(lay, g, ((0b00, 1),))
     # condition on the first block's first bit being 1
     cond = space_from_pairs(4, [(1, 1)])
     rng = random.Random(3)

@@ -296,6 +296,13 @@ def test_closure_law_suite_small():
     assert dict(rep.checked)["containment"] == 200
 
 
+def test_closure_law_suite_counts_only_the_rewrites_it_checks():
+    # span invariance rewrites one row by another, so a trial that draws fewer than two rows checks none
+    counts = dict(closure_law_suite(200, 11).checked)
+    assert 0 < counts.pop("span-invariance") < 200
+    assert counts == dict.fromkeys(["augmentation", "containment", "continuity", "monotonicity", "oracle-agreement"], 200)
+
+
 def test_closure_law_suite_draws_every_layout_size(monkeypatch):
     # the report counts instances per law, which does not show the layouts drawn
     drawn = []

@@ -47,7 +47,6 @@ from resoplus.pdt import (
     block_complete,
     coin_game,
     coordinate_tree,
-    empty_tree,
     exact_lifted_root_law,
     hardness_experiment,
     lifted_dtfooling_distribution,
@@ -68,7 +67,7 @@ from resoplus.tseitin import (
 
 
 def test_run_pdt_depth_zero():
-    node, space = run_pdt(empty_tree(4), 0b1010)
+    node, space = run_pdt(Pdt(4, Leaf()), 0b1010)
     assert isinstance(node, Leaf)
     assert space == full_space(4)
 
@@ -89,15 +88,14 @@ def test_run_pdt_fuzz_membership():
         x = rng.getrandbits(w)
         _, space = run_pdt(t, x)
         assert space.contains(x)
-        steps = rng.randint(0, 3)
-        _, partial = run_pdt(t, x, steps)
-        assert partial.codim <= steps
+        for made, (_, partial) in enumerate(pdt._walk(t, x)):
+            assert partial.contains(x) and partial.codim <= made
 
 
 def test_block_complete_trivial_cases():
     lay = BlockLayout(2, 2)
     y = ClosureAssignment.from_dict(lay, {})
-    out = block_complete(empty_tree(4), lay, full_space(4), y)
+    out = block_complete(Pdt(4, Leaf()), lay, full_space(4), y)
     assert isinstance(out.root, Leaf)
     # querying a coordinate of an already-closed block leaves the tree bare
     rows = [(1 << lay.flat(0, 0), 1), (1 << lay.flat(0, 1), 0)]
@@ -202,10 +200,9 @@ def test_a_tree_completed_in_a_smaller_space_walks_from_it():
         assert len(inside) == 64 >> start.codim
         for x in inside:
             assert run_pdt(out, x)[0] is run_pdt(orig, x)[0]
-            for steps in range(4):
-                _, space = run_pdt(out, x, steps)
+            for made, (_, space) in enumerate(pdt._walk(out, x)):
                 assert is_subspace(space, start) and space.contains(x)
-                assert space.codim <= start.codim + steps
+                assert space.codim <= start.codim + made
         outside = next(x for x in range(64) if not start.contains(x))
         with pytest.raises(ValueError, match="outside the space the tree was completed in"):
             run_pdt(out, outside)

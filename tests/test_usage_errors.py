@@ -84,6 +84,19 @@ def test_a_charge_outside_ascii_bits_is_usage_error(tmp_path, capsys, charge, ba
     assert not out.exists()
 
 
+def test_an_empty_charge_is_usage_error(tmp_path, capsys):
+    # read as if --charge were left out, it wrote K5's CNF under the all-ones charge
+    graph = tmp_path / "k5.graph"
+    graph.write_text(complete_graph(5).to_text())
+    out = tmp_path / "k5.cnf"
+    code = main(["gen-tseitin", "--graph", str(graph), "--charge", "", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: charge must be 5 bits 0 or 1, got ()\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "extra, option",
     [
@@ -105,6 +118,16 @@ def test_a_budget_or_bound_out_of_range_is_usage_error(capsys, extra, option):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: resoplus hardness-experiment: argument {option}: must be ")
+
+
+@pytest.mark.parametrize(
+    "lemma", ["exponential-sum", "uniform-coset", "conditional-fooling", "counterexample", "closure-laws"]
+)
+def test_each_lemma_help_names_the_lemma(capsys, lemma):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma", lemma, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: resoplus verify-lemma {lemma} [-h]")
 
 
 @pytest.mark.parametrize("lemma", ["counterexample", "closure-laws"])
