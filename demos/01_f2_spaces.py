@@ -6,7 +6,8 @@ the distinguished EMPTY value lets set algebra compose without exceptions.
 """
 import random
 
-from resoplus import enumerate_points, rank_of_rows, sample_point, space_from_pairs
+from resoplus import enumerate_points, rank_of_rows, space_from_pairs
+from resoplus.oracles import sample_point
 
 # A 4-coordinate space cut out by two parity equations.
 space = space_from_pairs(4, [(0b0011, 1), (0b0110, 0)])  # x0+x1 = 1 and x1+x2 = 0

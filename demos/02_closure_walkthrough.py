@@ -7,7 +7,7 @@ amortized closure is the lexicographically largest block set that supports
 one independent column per block.
 """
 from resoplus import BlockLayout, amortized_closure, closure, is_safe
-from resoplus.blocks import closure_bruteforce, amortized_closure_bruteforce
+from resoplus.oracles import amortized_closure_bruteforce, closure_bruteforce
 
 lay = BlockLayout(n=2, b=2)
 e = lambda i, j: 1 << lay.flat(i, j)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from resoplus import BlockLayout, ErrorBudget, FVec, check_conditional_fooling, check_exponential_sum, check_uniform_coset, counterexample_demo, ip_gadget
 from resoplus.lemmalab import nested_pair_with_gap, random_safe_space
+from resoplus.oracles import eta_by_summation
 
 layout = BlockLayout(2, 12)
 gadget = ip_gadget(12)
@@ -18,7 +19,7 @@ rng = random.Random(2024)
 
 budget = ErrorBudget.for_gadget(gadget, 2)
 print("eta =", budget.eta, "=", float(budget.eta))
-assert budget.eta == budget.summation_form()
+assert budget.eta == eta_by_summation(budget.n, budget.maxcoeff)
 
 print("\n-- point-count equidistribution on a random safe space --")
 space = random_safe_space(layout, 2, rng)

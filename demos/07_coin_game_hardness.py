@@ -10,15 +10,14 @@ from fractions import Fraction
 
 from resoplus import EdgePartialAssignment, complete_graph, hardness_experiment, random_regular_graph
 from resoplus.dtfooling import sample
-from resoplus.pdt import GreedyCutStrategy, ScriptedStrategy, run_unlifted_game
+from resoplus.pdt import GreedyCutStrategy, run_unlifted_game
 
-# One transcript in detail: a scripted adversary isolates vertex 0 of K5.
+# One transcript in detail: the greedy-cut adversary carves a corner off K5.
 k5 = complete_graph(5)
 rho = EdgePartialAssignment.empty(k5)
 rng = random.Random(3)
 drawn = sample(rho, rng)
-script = ScriptedStrategy([k for k, _ in k5.incident(0)])
-transcript, final = run_unlifted_game(rho, script, drawn.assignment, q=4, budget=Fraction(2), rng=rng)
+transcript, final = run_unlifted_game(rho, GreedyCutStrategy(), drawn.assignment, q=4, budget=Fraction(2), rng=rng)
 print("root was vertex", transcript.root)
 for step in transcript.steps:
     print(f"  revealed {step.revealed}: odd {step.odd_before} -> {step.odd_after},"

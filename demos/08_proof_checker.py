@@ -7,7 +7,8 @@ querying; the checker verifies all four conditions semantically.
 """
 import random
 
-from resoplus import Cnf, check, complete_graph, cycle_graph, metrics, pdt_refute, trace, tseitin_cnf
+from resoplus import Cnf, check, complete_graph, cycle_graph, metrics, pdt_refute, tseitin_cnf
+from resoplus.oracles import trace
 from resoplus.resproof import LEAF, ProofDag, ProofNode, parse_text, to_text
 
 tri = tseitin_cnf(cycle_graph(3)).cnf

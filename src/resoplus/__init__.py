@@ -18,7 +18,7 @@ from .blocks import (
     substitute,
 )
 from .cnf import Cnf
-from .dtfooling import RootedSample, exact_root_distribution, root_of, root_space, tree_complete
+from .dtfooling import RootedSample, exact_root_distribution, root_of, root_space
 from .f2 import (
     EMPTY,
     AffineSpace,
@@ -26,7 +26,6 @@ from .f2 import (
     enumerate_points,
     full_space,
     rank_of_rows,
-    sample_point,
     space_from_pairs,
 )
 from .gadget import (
@@ -55,11 +54,10 @@ from .pdt import (
     block_complete,
     coin_game,
     hardness_experiment,
-    run_pdt,
     run_unlifted_game,
     wilson_interval,
 )
-from .resproof import ProofDag, check, metrics, parse_text, pdt_refute, trace
+from .resproof import ProofDag, check, metrics, parse_text, pdt_refute
 from .tseitin import (
     EdgePartialAssignment,
     Graph,
@@ -127,15 +125,11 @@ __all__ = [
     "restrict",
     "root_of",
     "root_space",
-    "run_pdt",
     "run_unlifted_game",
     "sample_lifted",
-    "sample_point",
     "space_from_pairs",
     "substitute",
-    "trace",
     "tseitin_cnf",
-    "tree_complete",
     "walsh_spectrum",
     "wilson_interval",
 ]

@@ -19,8 +19,6 @@ down each path of the transformed tree.
 """
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -29,7 +27,7 @@ from typing import Iterable, Sequence
 from . import f2
 from ._bits import bits_to_string, mask_bits, parity, set_bits
 from ._text import Lines, parse_bits, parse_int
-from .f2 import EMPTY, AffineSpace, _tagged_insert, _tagged_reduce, rank_of_rows
+from .f2 import EMPTY, AffineSpace, _tagged_insert
 
 
 class NotExtendableError(ValueError):
@@ -65,9 +63,6 @@ class BlockLayout:
     def block_value(self, bits: int, i: int) -> int:
         return (bits >> (i * self.b)) & mask_bits(self.b)
 
-    def blocks_touched(self, form: int) -> frozenset[int]:
-        return frozenset(i for i in range(self.n) if form & self.block_mask(i))
-
     def without(self, blocks: Iterable[int]) -> tuple["BlockLayout", tuple[int, ...]]:
         """Reduced layout after deleting blocks, with the kept original indices."""
         removed = set(blocks)
@@ -85,10 +80,6 @@ def project_rows(rows: Sequence[int], layout: BlockLayout, kept_blocks: Sequence
             new |= ((row >> (blk * layout.b)) & bmask) << (pos * layout.b)
         out.append(new)
     return out
-
-
-def _independent(cols: Sequence[int]) -> bool:
-    return rank_of_rows(cols) == len(cols)
 
 
 def _join(res: list[int], tags: list[int], sol: list[int], c: int) -> None:
@@ -296,23 +287,9 @@ def is_safe(rows: Sequence[int], layout: BlockLayout) -> bool:
     return not closure(rows, layout)
 
 
-def is_deviolator(rows: Sequence[int], layout: BlockLayout, blocks: Iterable[int]) -> bool:
-    sub_layout, kept = layout.without(blocks)
-    return is_safe(project_rows(rows, layout, kept), sub_layout)
-
-
 def closure(rows: Sequence[int], layout: BlockLayout) -> frozenset[int]:
     """The minimal deviolator: `ClosureTable.closure` of the empty table extended by the rows."""
     return ClosureTable(layout).extend(rows).closure()
-
-
-def blockset_lex_ge(a: Iterable[int], b: Iterable[int]) -> bool:
-    """Reference comparator: descending sequences, elementwise, longer prefix wins."""
-    sa, sb = sorted(a, reverse=True), sorted(b, reverse=True)
-    for x, y in zip(sa, sb):
-        if x != y:
-            return x > y
-    return len(sa) >= len(sb)
 
 
 def amortized_closure(rows: Sequence[int], layout: BlockLayout) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
@@ -336,118 +313,6 @@ def amortized_closure(rows: Sequence[int], layout: BlockLayout) -> tuple[frozens
             usable |= cols
     cert = tuple(sorted((c // layout.b, c) for c in sol))
     return frozenset(chosen), cert
-
-
-# Brute-force references used as oracles by the property suites.
-
-
-def _coordinates(masks: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
-    """(residue, tag) of each column over an echelon basis of the independent
-    masks, tagged with the solution indices whose masks sum to each basis row:
-    a column equals its residue plus the masks its tag marks.  The
-    from-scratch form of the coordinates a `ClosureTable` carries."""
-    basis: list[tuple[int, int, int]] = []
-    for j, m in enumerate(masks):
-        _tagged_insert(basis, m, 1 << j)
-    return [_tagged_reduce(basis, col) for col in cols]
-
-
-def _exchangeable(coord: tuple[int, int], x: int) -> bool:
-    """True iff solution - x + y is independent, for y with these coordinates."""
-    residue, tag = coord
-    return residue != 0 or (tag >> x) & 1 == 1
-
-
-def _columns_by_block(rows: Sequence[int], layout: BlockLayout) -> dict[int, list[int]]:
-    """Per block, ascending: the mask over row indices of every nonzero column, by definition."""
-    by_block: dict[int, list[int]] = {}
-    for c in range(layout.width):
-        col = sum(((row >> c) & 1) << r for r, row in enumerate(rows))
-        if col:
-            by_block.setdefault(layout.block_of(c), []).append(col)
-    return by_block
-
-
-def is_safe_bruteforce(rows: Sequence[int], layout: BlockLayout) -> bool:
-    """Exhaustive column-choice form of the safety test."""
-    r = rank_of_rows(rows)
-    if r == 0:
-        return True
-    by_block = _columns_by_block(rows, layout)
-    for combo in itertools.combinations(sorted(by_block), r):
-        for pick in itertools.product(*[by_block[blk] for blk in combo]):
-            if _independent(pick):
-                return True
-    return False
-
-
-def is_safe_span_bruteforce(rows: Sequence[int], layout: BlockLayout) -> bool:
-    """Direct span form: any k independent span vectors touch >= k blocks."""
-    reduced = f2.space_from_pairs(layout.width, [(row, 0) for row in rows]).forms()
-    r = len(reduced)
-    span = []
-    for coeffs in range(1, 1 << len(reduced)):
-        v = 0
-        for j in range(len(reduced)):
-            if (coeffs >> j) & 1:
-                v ^= reduced[j]
-        span.append(v)
-    for k in range(1, r + 1):
-        for combo in itertools.combinations(span, k):
-            if rank_of_rows(combo) < k:
-                continue
-            touched = set()
-            for v in combo:
-                touched |= layout.blocks_touched(v)
-            if len(touched) < k:
-                return False
-    return True
-
-
-def closure_bruteforce(rows: Sequence[int], layout: BlockLayout) -> frozenset[int]:
-    """Minimum-size deviolator by scanning all block subsets; asserts uniqueness."""
-    best: list[frozenset[int]] = []
-    best_size = layout.n + 1
-    for size in range(layout.n + 1):
-        for S in itertools.combinations(range(layout.n), size):
-            if is_deviolator(rows, layout, S):
-                best = [frozenset(S)]
-                best_size = size
-                break
-        if best:
-            break
-    for S in itertools.combinations(range(layout.n), best_size):
-        fs = frozenset(S)
-        if fs not in best and is_deviolator(rows, layout, S):
-            best.append(fs)
-    if len(best) != 1:
-        raise AssertionError(f"minimum deviolator not unique: {best}")
-    return best[0]
-
-
-def acceptable_sets_bruteforce(rows: Sequence[int], layout: BlockLayout) -> list[frozenset[int]]:
-    by_block = _columns_by_block(rows, layout)
-    blocks = sorted(by_block)
-    out = [frozenset()]
-    for size in range(1, len(blocks) + 1):
-        for combo in itertools.combinations(blocks, size):
-            ok = any(
-                _independent(pick)
-                for pick in itertools.product(*[by_block[blk] for blk in combo])
-            )
-            if ok:
-                out.append(frozenset(combo))
-    return out
-
-
-def amortized_closure_bruteforce(rows: Sequence[int], layout: BlockLayout) -> frozenset[int]:
-    best: frozenset[int] | None = None
-    for S in acceptable_sets_bruteforce(rows, layout):
-        if best is None or blockset_lex_ge(S, best):
-            best = S
-    if best is None:
-        raise RuntimeError("the empty block set is always acceptable")
-    return best
 
 
 @dataclass(frozen=True)
@@ -520,16 +385,6 @@ class ClosureAssignment:
                         raise ValueError(f"block {blk} is assigned twice")
                     values[blk] = parse_bits(val_s, layout.b)
         return cls.from_dict(layout, values)
-
-
-def fixed_blocks(a: AffineSpace, layout: BlockLayout) -> frozenset[int]:
-    """Blocks whose every coordinate is constant on the space.
-
-    A unit vector is in the span of reduced echelon rows exactly when it is
-    one of the rows, so a block is fixed iff its b unit forms are all rows.
-    """
-    units = Counter(layout.block_of(f.bit_length() - 1) for f in a.forms() if f & (f - 1) == 0)
-    return frozenset(i for i, k in units.items() if k == layout.b)
 
 
 def is_extendable(a: AffineSpace, y: ClosureAssignment) -> bool:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when every assertion made by the command holds, 1 when a
-verification fails (with the offending report printed), 2 on usage errors,
+verification fails (with the offending report printed, or a broken
+certificate as one `CertificateError` line on stderr), 2 on usage errors,
 on unreadable or malformed input files and on library errors for
 out-of-scope input (a cap exceeded, an empty space or preimage, an unsafe
 space), reported in one line on stderr.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from . import dtfooling, lemmalab, pdt, resproof, tseitin
 from .blocks import BlockLayout
 from .cnf import Cnf
-from .f2 import FVec
+from .f2 import CertificateError, FVec
 from .gadget import Gadget, ip_gadget, lift_cnf, walsh_spectrum
 from ._text import parse_bits, parse_int
 
@@ -416,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:  # a certificate the library built is broken: verification failed
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,12 +25,6 @@ class Cnf:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range")
 
-    def eval_bits(self, x: int) -> bool:
-        for clause in self.clauses:
-            if not any((x >> (abs(l) - 1)) & 1 == (1 if l > 0 else 0) for l in clause):
-                return False
-        return True
-
     def clause_falsified_by(self, clause_idx: int, x: int) -> bool:
         clause = self.clauses[clause_idx]
         return all((x >> (abs(l) - 1)) & 1 == (0 if l > 0 else 1) for l in clause)

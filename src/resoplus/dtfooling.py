@@ -41,14 +41,6 @@ class RootedSample:
     root: int
 
 
-def bfs_tree(g: Graph, edge_subset: Iterable[int], root: int) -> tuple[list[int], dict[int, int]]:
-    """Deterministic BFS over the given edges: ascending-neighbor order.
-
-    Returns the visit order and, per non-root visited vertex, its parent edge.
-    """
-    return _bfs(_adjacency(g, set(edge_subset)), root)
-
-
 def _adjacency(g: Graph, edges: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
     """Per vertex touched by the edges, its (neighbour, edge) pairs in ascending order."""
     adj: dict[int, list[tuple[int, int]]] = {}
@@ -62,7 +54,7 @@ def _adjacency(g: Graph, edges: Iterable[int]) -> dict[int, list[tuple[int, int]
 
 
 def _bfs(adj: Mapping[int, list[tuple[int, int]]], root: int) -> tuple[list[int], dict[int, int]]:
-    """`bfs_tree` over an `_adjacency` already built."""
+    """BFS from root over an `_adjacency`: the visit order, and each other visited vertex's parent edge."""
     order = [root]
     parent_edge: dict[int, int] = {}
     seen = {root}
@@ -73,35 +65,6 @@ def _bfs(adj: Mapping[int, list[tuple[int, int]]], root: int) -> tuple[list[int]
                 parent_edge[w] = k
                 order.append(w)
     return order, parent_edge
-
-
-def tree_complete(
-    g: Graph,
-    component: Iterable[int],
-    component_edges: Iterable[int],
-    targets: Mapping[int, int],
-    root: int,
-    nontree: Mapping[int, int],
-) -> dict[int, int]:
-    """The unique extension of the non-tree values meeting targets off the root.
-
-    The parity of the chosen edges at every vertex u != root equals
-    targets[u]; the root's parity comes out as forced by the total parity.
-    """
-    comp = set(component)
-    edges = set(component_edges)
-    if root not in comp:
-        raise ValueError("root must belong to the component")
-    order, parent_edge = bfs_tree(g, edges, root)
-    if set(order) != comp:
-        raise ValueError("component is not connected by the given edges")
-    tree_edges = set(parent_edge.values())
-    out = dict(nontree)
-    for k in edges - tree_edges:
-        if k not in out:
-            raise ValueError(f"missing value for non-tree edge {k}")
-    _solve_tree_edges(g, edges, order, parent_edge, targets, out)
-    return {k: out[k] for k in edges}
 
 
 def _solve_tree_edges(

@@ -14,7 +14,6 @@ single reduction, through the same insertion step.
 from __future__ import annotations
 
 import bisect
-import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,6 +31,10 @@ class EnumerationCapError(ValueError):
 
 class EmptySpaceError(ValueError):
     """Raised when an operation requires a non-empty affine space."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate the library built, or a reference it was checked against, is broken."""
 
 
 @dataclass(frozen=True)
@@ -252,18 +255,6 @@ def _solve_pivots(space: AffineSpace, free_bits: int) -> int:
     return x
 
 
-def sample_point(a: AffineSpace | _EmptySpace, rng: random.Random) -> FVec:
-    """Uniform member: free coordinates drawn uniformly, pivots solved."""
-    if a is EMPTY:
-        raise EmptySpaceError("cannot sample from EMPTY")
-    free = a.free_coords()
-    bits = 0
-    for i in free:
-        if rng.getrandbits(1):
-            bits |= 1 << i
-    return FVec(a.width, _solve_pivots(a, bits))
-
-
 def _check_cap(dim: int, what: str) -> None:
     if dim > ENUMERATION_CAP:
         raise EnumerationCapError(f"{what} {dim} exceeds cap {ENUMERATION_CAP}")
@@ -299,9 +290,3 @@ def points_array(a: AffineSpace | _EmptySpace) -> list[int]:
         pts += [p ^ shifted for p in pts]
     return pts
 
-
-def random_space(width: int, n_rows: int, rng: random.Random) -> AffineSpace | _EmptySpace:
-    """Random equation system; mostly a test helper."""
-    forms = [rng.getrandbits(width) for _ in range(n_rows)]
-    rhs = rng.getrandbits(n_rows) if n_rows else 0
-    return space_from_pairs(width, [(f, (rhs >> i) & 1) for i, f in enumerate(forms)])

@@ -32,7 +32,6 @@ from .f2 import EMPTY, AffineSpace, FVec
 SPECTRUM_ARITY_CAP = 24
 SYNDROME_DIM_CAP = 20
 _LIFT_CLAUSE_CAP = 1 << 20  # most clauses lift_cnf writes
-_REJECTION_TRIES = 100_000  # draws rejection_sample_lifted makes before it gives up
 
 
 class EmptyPreimageError(ValueError):
@@ -98,11 +97,6 @@ def _check_arity(b: int) -> None:
         raise ValueError(f"arity {b} exceeds spectrum cap {SPECTRUM_ARITY_CAP}")
 
 
-def constant_gadget(b: int, bit: int) -> Gadget:
-    _check_arity(b)
-    return Gadget(b, (bit,) * (1 << b))
-
-
 def parity_gadget(b: int) -> Gadget:
     _check_arity(b)
     return Gadget(b, tuple(parity(v) for v in range(1 << b)))
@@ -130,14 +124,8 @@ class Spectrum:
     def denominator(self) -> int:
         return 1 << self.b
 
-    def coeff(self, mask: int) -> Fraction:
-        return Fraction(self.numerators[mask], self.denominator)
-
     def max_abs(self) -> Fraction:
         return Fraction(max(map(abs, self.numerators)), self.denominator)
-
-    def parseval_holds(self) -> bool:
-        return sum(v * v for v in self.numerators) == self.denominator ** 2
 
     def to_csv(self) -> str:
         lines = ["S_mask,numerator,denominator"]
@@ -169,20 +157,6 @@ def walsh_spectrum(g: Gadget) -> Spectrum:
     vals = 1 - 2 * np.array(g.table, dtype=np.int64)
     _fwht_inplace(vals)
     return Spectrum(g.b, tuple(vals.tolist()))
-
-
-def walsh_spectrum_direct(g: Gadget) -> Spectrum:
-    """Quadratic-time summation; oracle for the fast transform (b <= 6)."""
-    if g.b > 6:
-        raise ValueError("direct summation oracle is for b <= 6")
-    nums = []
-    for mask in range(1 << g.b):
-        total = 0
-        for v in range(1 << g.b):
-            chi = -1 if parity(v & mask) else 1
-            total += (1 - 2 * g.table[v]) * chi
-        nums.append(total)
-    return Spectrum(g.b, tuple(nums))
 
 
 def max_fourier(g: Gadget) -> Fraction:
@@ -515,17 +489,6 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     if totals[-1] == 0:
         raise EmptySupportError("conditioning removes the whole support")
     return sample_in_space(conditioning, layout, g, zs[_pick(totals, rng)], rng)
-
-
-def rejection_sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) -> FVec:
-    """Oracle sampler: draw from the unconditioned lift, reject outside C."""
-    layout, g = d.layout, d.gadget
-    for _ in range(_REJECTION_TRIES):
-        z = d.base[_pick(d.totals, rng)][0]
-        x = sample_in_space(f2.full_space(layout.width), layout, g, z, rng)
-        if conditioning is None or conditioning.contains(x.bits):
-            return x
-    raise EmptySupportError("rejection sampler exhausted its tries")
 
 
 def lift_cnf(phi: Cnf, g: Gadget) -> Cnf:

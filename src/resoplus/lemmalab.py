@@ -2,40 +2,25 @@
 
 Probabilities are exact rationals from integer counts made by per-block
 syndrome counting (`gadget.count_in_space`), which needs no enumeration of
-the cube; `cube_counts`, the exhaustive full-cube sweep, is kept as the
-oracle that tests compare it with.  The asymptotic slack terms of the
+the cube; `oracles.cube_counts`, the exhaustive full-cube sweep, is the
+reference that tests compare it with.  The asymptotic slack terms of the
 source bounds are replaced by the explicit finite-scale budget
 eta = (1 + 2*maxcoeff)^n - 1, where maxcoeff bounds the Fourier
 coefficients of (-1)^g; this equals the error summation
-sum_k C(n,k) 2^k maxcoeff^k term by term.
+sum_k C(n,k) 2^k maxcoeff^k (`oracles.eta_by_summation`).
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
 
 from . import f2
-from ._bits import mask_bits, parity, parity_u64
-from .blocks import (
-    BlockLayout,
-    ClosureAssignment,
-    amortized_closure,
-    amortized_closure_bruteforce,
-    closure,
-    closure_bruteforce,
-    is_extendable,
-    is_safe,
-    is_safe_bruteforce,
-    is_safe_span_bruteforce,
-    substitute,
-)
+from ._bits import mask_bits, parity
+from .blocks import BlockLayout, ClosureAssignment, amortized_closure, closure, is_safe, restrict, substitute
 from .f2 import EMPTY, AffineSpace, FVec, is_subspace, space_from_pairs
 from .gadget import Gadget, count_in_space, count_preimages, lift_eval, max_fourier
+from .oracles import amortized_closure_bruteforce, closure_bruteforce, is_safe_bruteforce, is_safe_span_bruteforce
 
 _SAFE_SPACE_TRIES = 1000  # random systems random_safe_space draws before it gives up
 _NESTED_PAIR_TRIES = 2000  # witness draws nested_pair_with_gap makes before it gives up
@@ -63,12 +48,6 @@ class ErrorBudget:
     @property
     def eta(self) -> Fraction:
         return (1 + 2 * self.maxcoeff) ** self.n - 1
-
-    def summation_form(self) -> Fraction:
-        return sum(
-            (math.comb(self.n, k) * (2**k) * self.maxcoeff**k for k in range(1, self.n + 1)),
-            start=Fraction(0),
-        )
 
     @classmethod
     def for_gadget(cls, g: Gadget, n: int) -> "ErrorBudget":
@@ -117,36 +96,6 @@ class LemmaReport:
             ]
         )
         return LEMMA_CSV_HEADER + "\n" + row + "\n"
-
-
-def cube_counts(layout: BlockLayout, g: Gadget, z: FVec, spaces: Sequence[AffineSpace | f2._EmptySpace]) -> tuple[int, list[int]]:
-    """Full-cube sweep: |G^-1(z)| and |space ∩ G^-1(z)| for each space.
-
-    Enumerates all 2^(n*b) points in chunks (`f2.cube_chunks`); exact
-    integer counts.  This is the oracle for the syndrome counting that the
-    checks use.
-    """
-    chunks = f2.cube_chunks(layout.width)
-    if z.width != layout.n:
-        raise ValueError("target width must be the block count")
-    table = np.frombuffer(bytes(g.table), dtype=np.uint8)
-    bmask = np.uint64(mask_bits(layout.b))
-    gz_total = 0
-    counts = [0] * len(spaces)
-    for x in chunks:
-        gmatch = np.ones(len(x), dtype=bool)
-        for i in range(layout.n):
-            vals = ((x >> np.uint64(i * layout.b)) & bmask).astype(np.int64)
-            gmatch &= table[vals] == z.get(i)
-        gz_total += int(np.count_nonzero(gmatch))
-        for si, space in enumerate(spaces):
-            if space is EMPTY:
-                continue
-            member = gmatch.copy()
-            for form, bit in space.rows:
-                member &= parity_u64(x & np.uint64(form)) == bit
-            counts[si] += int(np.count_nonzero(member))
-    return gz_total, counts
 
 
 def check_exponential_sum(a: AffineSpace, layout: BlockLayout, g: Gadget, z: FVec) -> LemmaReport:
@@ -231,16 +180,11 @@ def check_conditional_fooling(
         raise ValueError("B must be contained in A")
     if _amortized_gap(b_space, a_space, layout) != k:
         raise ValueError("amortized closure gap does not match k")
-    cl_a = closure(a_space.forms(), layout)
-    if y.blocks != cl_a:
-        raise ValueError("y must assign exactly the closure blocks of A")
-    if not is_extendable(a_space, y):
-        raise ValueError("y must be extendable in A")
-    for blk in sorted(cl_a):
+    a_sub = restrict(a_space, y)
+    for blk in sorted(y.blocks):
         if g.table[y.value(blk)] != z.get(blk):
             raise ValueError("G(y) must agree with z on the closure blocks")
-    sub_layout, kept = layout.without(cl_a)
-    a_sub = substitute(a_space, y)
+    sub_layout, kept = layout.without(y.blocks)
     b_sub = substitute(b_space, y)
     z_sub = FVec(sub_layout.n, sum(z.get(blk) << pos for pos, blk in enumerate(kept)))
     cnt_a = count_in_space(a_sub, sub_layout, g, z_sub)
@@ -251,7 +195,7 @@ def check_conditional_fooling(
         ("n", str(layout.n)),
         ("b", str(layout.b)),
         ("k", str(k)),
-        ("cl_A", ",".join(map(str, sorted(cl_a)))),
+        ("cl_A", ",".join(map(str, sorted(y.blocks)))),
         ("z", z.to_string()),
         ("eta_restricted", str(eta)),
         ("count_A", str(cnt_a)),
@@ -394,7 +338,7 @@ class ClosureLawReport:
 
 
 def closure_law_suite(trials: int, seed: int) -> ClosureLawReport:
-    """Randomized check of the closure laws against the brute-force oracles,
+    """Randomized check of the closure laws against the brute-force references of `oracles`,
     on layouts of 1-4 blocks of 1-3 bits.
 
     Laws: closure contained in amortized closure; double monotonicity under

@@ -3,8 +3,8 @@
 Trees may hold lazy children (zero-argument callables resolved on first
 visit), so the block-completing transform and adaptive adversaries never
 materialize branches that no sampled input reaches.  Block-completed nodes
-carry the space of the answers on their path, and `run_pdt` and the coin
-game follow a point through one walk (`_walk`).
+carry the space of the answers on their path, and the coin game follows a
+point through them (`_walk`).
 
 The coin game charges a tree for shrinking the odd component of the revealed
 base assignment: when the revealed blocks split the component and the root
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import f2
 from .blocks import BlockLayout, ClosureAssignment, ClosureTable, amortized_closure
 from ._bits import mask_bits, parity, set_bits
 from .dtfooling import root_of, root_space, sample as dtf_sample, valid_analysis
-from .f2 import EMPTY, AffineSpace, FVec, full_space, points_array
+from .f2 import EMPTY, AffineSpace, CertificateError, FVec, full_space, points_array
 from .gadget import (
     EmptyPreimageError,
     Gadget,
@@ -85,14 +85,6 @@ class Pdt:
     root: PdtNode
 
 
-def coordinate_tree(width: int, coords: Sequence[int]) -> Pdt:
-    """Queries the given coordinates in order; subtrees are shared."""
-    node: PdtNode = Leaf()
-    for c in reversed(coords):
-        node = Query(1 << c, node, node)
-    return Pdt(width, node)
-
-
 def random_linear_tree(width: int, depth: int, rng: random.Random) -> Pdt:
     """Complete tree of independent uniformly random nonzero forms."""
     if depth > 14:
@@ -132,17 +124,6 @@ def _walk(t: Pdt, x: int) -> Iterator[tuple[PdtNode, AffineSpace]]:
         if space is EMPTY:
             raise RuntimeError("a point left the space of its own answers")
         yield node, space
-
-
-def run_pdt(t: Pdt, x: int) -> tuple[PdtNode, AffineSpace]:
-    """Follow the point x to a leaf.
-
-    Returns the leaf and the space of inputs answering the same way; x is
-    always a member, and the codim is at most the start's plus the queries made.
-    """
-    for node, space in _walk(t, x):
-        pass
-    return node, space
 
 
 def block_complete(
@@ -204,7 +185,7 @@ class _Stage:
         self.closed = closed | grown.closure()
         # |Cl| <= |amortized Cl| <= starting amortized closure + one per query
         if len(self.closed) > limit:
-            raise AssertionError("closure grew faster than one block per query")
+            raise CertificateError("closure grew faster than one block per query")
         self.orig = orig
         self.coords = [layout.flat(i, j) for i in sorted(self.closed - closed) for j in range(layout.b)]
         self.check = grown.extend([1 << c for c in self.coords] + [orig.form])
@@ -227,9 +208,9 @@ class _Stage:
         if nxt is EMPTY:
             return Leaf("dead")
         if self.check.rank != nxt.codim:
-            raise AssertionError("the closure table and the space of the path differ")
+            raise CertificateError("the closure table and the space of the path differ")
         if self.check.closure() != self.closed:
-            raise AssertionError("closure after a stage differs from the queried blocks")
+            raise CertificateError("closure after a stage differs from the queried blocks")
         return _descend(self.orig.child(bit), nxt, self.check, self.limit + 1)
 
 
@@ -397,8 +378,8 @@ def _unit_rows(layout: BlockLayout, units: int, space: AffineSpace) -> tuple[int
 
     A coordinate the space determines is a unit row of its reduced echelon
     form, so a path's unit rows only grow.  A new equation can complete
-    blocks it does not touch, so every row is read; `blocks.fixed_blocks` is
-    the from-scratch form.
+    blocks it does not touch, so every row is read; `oracles.fixed_blocks`,
+    which decides by rank, is the from-scratch form.
     """
     new = sum(f for f, _ in space.rows if f & (f - 1) == 0) & ~units  # pivots are distinct
     if not new:
@@ -448,22 +429,6 @@ class EdgeQueryStrategy:
 
     def next_edge(self, analysis: PartialAnalysis, graph: Graph, free: int, rng: random.Random) -> int | None:
         raise NotImplementedError
-
-
-class ScriptedStrategy(EdgeQueryStrategy):
-    name = "scripted"
-
-    def __init__(self, edges: Sequence[int]):
-        self.edges = list(edges)
-        self._pos = 0
-
-    def next_edge(self, analysis, graph, free, rng):
-        while self._pos < len(self.edges):
-            e = self.edges[self._pos]
-            self._pos += 1
-            if free >> e & 1:
-                return e
-        return None
 
 
 class RandomEdgeStrategy(EdgeQueryStrategy):

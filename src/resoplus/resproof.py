@@ -1,4 +1,4 @@
-"""Res(oplus) refutations as affine DAGs: parser, checker, metrics, tracing.
+"""Res(oplus) refutations as affine DAGs: parser, checker, metrics, refuter.
 
 Every node carries its own affine space (stored as explicit equations in the
 proof file) and the checker verifies the four DAG conditions semantically,
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import f2
-from ._bits import bits_to_string, parity
+from ._bits import bits_to_string
 from ._text import Lines, expect, parse_bits, parse_int
 from .cnf import Cnf, _clause_masks
 from .f2 import EMPTY, AffineSpace, FVec, full_space, is_subspace, space_from_pairs
@@ -22,7 +22,6 @@ WEAK = "WEAK"
 QRY = "QRY"
 
 REFUTE_VAR_CAP = 20
-_TRACE_WIDTH_CAP = 16  # widest proof all_inputs_trace_ok traces on every input
 
 
 class DanglingNodeError(ValueError):
@@ -132,21 +131,13 @@ def _reverse_postorder(nodes: Sequence[ProofNode], by_id: dict[int, ProofNode]) 
     return tuple(finished)
 
 
-def clause_negation_space(width: int, clause: tuple[int, ...]) -> AffineSpace | f2._EmptySpace:
-    """Points falsifying an ordinary clause: every literal forced false."""
-    pairs = []
-    for lit in clause:
-        pairs.append((1 << (abs(lit) - 1), 0 if lit > 0 else 1))
-    return space_from_pairs(width, pairs)
-
-
 def _falsifies(space: AffineSpace | f2._EmptySpace, clause: tuple[int, ...]) -> bool:
     """Whether every point of the space falsifies the clause.
 
     A unit equation x_v = c holds on all of a space exactly when (1 << v, c)
     is one of its reduced rows: the XOR of several rows keeps all their
-    pivots.  So no negation space is built; `clause_negation_space` with
-    `is_subspace` is the oracle.
+    pivots.  So no negation space is built; `oracles.clause_negation_space`
+    with `is_subspace` is the reference.
     """
     if space is EMPTY:
         return True
@@ -300,34 +291,6 @@ def metrics(dag: ProofDag) -> tuple[int, int]:
     return len(dag.nodes), depth
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    leaf_id: int
-    clause_index: int
-    path_length: int
-
-
-def trace(dag: ProofDag, cnf: Cnf, x: int) -> TraceResult:
-    """Follow the path of the point x from the root to a leaf whose clause x falsifies."""
-    if x < 0 or x >> dag.width:
-        raise ValueError("point out of range for width")
-    node = dag.root
-    length = 0
-    while True:
-        if node.space is EMPTY or not node.space.contains(x):
-            raise AssertionError(f"input left the node space at {node.node_id}")
-        if node.kind == LEAF:
-            if not cnf.clause_falsified_by(node.clause, x):
-                raise AssertionError(f"leaf clause {node.clause} not falsified")
-            return TraceResult(node.node_id, node.clause, length)
-        if node.kind == WEAK:
-            node = dag.by_id[node.child]
-            continue
-        bit = parity(node.form & x)
-        node = dag.by_id[node.child0 if bit == 0 else node.child1]
-        length += 1
-
-
 def pdt_refute(cnf: Cnf) -> ProofDag:
     """Tree-like refutation by coordinate querying with early falsification leaves.
 
@@ -372,11 +335,3 @@ def pdt_refute(cnf: Cnf) -> ProofDag:
             nodes[node_id] = ProofNode(node_id, QRY, space, form=bit, child0=node_id + 1, child1=child1[node_id])
     return ProofDag.build(n, nodes)
 
-
-def all_inputs_trace_ok(dag: ProofDag, cnf: Cnf) -> bool:
-    """Exhaustively re-run trace on every input; oracle for small widths."""
-    if dag.width > _TRACE_WIDTH_CAP:
-        raise f2.EnumerationCapError("width too large for exhaustive tracing")
-    for bits in range(1 << dag.width):
-        trace(dag, cnf, bits)
-    return True

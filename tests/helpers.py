@@ -1,8 +1,53 @@
-"""Shared test utilities: proof corruption for mutation testing, and oracles."""
+"""Shared test utilities: proof corruption for mutation testing, fixtures, and oracles."""
 import random
 
+from resoplus import pdt
 from resoplus.f2 import EMPTY, enumerate_points, space_from_pairs
+from resoplus.gadget import Gadget
 from resoplus.resproof import LEAF, QRY, CycleError, DanglingNodeError, ProofDag, ProofNode
+
+
+def random_space(width, n_rows, rng):
+    """A random equation system of n_rows rows: the space it cuts, or EMPTY."""
+    forms = [rng.getrandbits(width) for _ in range(n_rows)]
+    rhs = rng.getrandbits(n_rows) if n_rows else 0
+    return space_from_pairs(width, [(f, (rhs >> i) & 1) for i, f in enumerate(forms)])
+
+
+def constant_gadget(b, bit):
+    return Gadget(b, (bit,) * (1 << b))
+
+
+def coordinate_tree(width, coords):
+    """A tree querying the given coordinates in order; subtrees are shared."""
+    node = pdt.Leaf()
+    for c in reversed(coords):
+        node = pdt.Query(1 << c, node, node)
+    return pdt.Pdt(width, node)
+
+
+def run_pdt(t, x):
+    """The leaf the point x reaches, and the space of the inputs that answer the same way."""
+    *_, last = pdt._walk(t, x)
+    return last
+
+
+class ScriptedStrategy(pdt.EdgeQueryStrategy):
+    """Queries the scripted edges in order, skipping those already fixed."""
+
+    name = "scripted"
+
+    def __init__(self, edges):
+        self.edges = list(edges)
+        self._pos = 0
+
+    def next_edge(self, analysis, graph, free, rng):
+        while self._pos < len(self.edges):
+            e = self.edges[self._pos]
+            self._pos += 1
+            if free >> e & 1:
+                return e
+        return None
 
 
 def proof_mutation(dag, cnf, rng: random.Random):

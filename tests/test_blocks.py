@@ -10,24 +10,15 @@ from hypothesis import strategies as st
 from resoplus.blocks import (
     BlockLayout,
     _augment,
-    _coordinates,
-    _exchangeable,
     _join,
     ClosureAssignment,
     ClosureTable,
     NotExtendableError,
     amortized_closure,
-    amortized_closure_bruteforce,
-    acceptable_sets_bruteforce,
-    blockset_lex_ge,
     closure,
-    closure_bruteforce,
-    fixed_blocks,
-    is_deviolator,
     is_extendable,
     is_safe,
-    is_safe_bruteforce,
-    is_safe_span_bruteforce,
+    project_rows,
     restrict,
     substitute,
 )
@@ -38,8 +29,20 @@ from resoplus.f2 import (
     enumerate_points,
     full_space,
     rank_of_rows,
-    sample_point,
     space_from_pairs,
+)
+from resoplus.oracles import (
+    _coordinates,
+    _exchangeable,
+    acceptable_sets_bruteforce,
+    amortized_closure_bruteforce,
+    blockset_lex_ge,
+    closure_bruteforce,
+    fixed_blocks,
+    is_deviolator,
+    is_safe_bruteforce,
+    is_safe_span_bruteforce,
+    sample_point,
 )
 from resoplus.gadget import ip_gadget, sample_lifted
 from resoplus.pdt import Leaf, Pdt, Query, block_complete, coin_game, lifted_dtfooling_distribution
@@ -398,8 +401,13 @@ def test_closure_at_64_blocks():
         rows.append((rng.randrange(1, 1 << lay.b) << (i * lay.b)) | (rng.randrange(1, 1 << lay.b) << (j * lay.b)))
     cl = closure(rows, lay)
     assert 12 < len(cl) < lay.n
-    assert is_deviolator(rows, lay, cl)
-    assert not any(is_deviolator(rows, lay, cl - {i}) for i in cl)
+
+    def safe_without(blocks):
+        sub, kept = lay.without(blocks)
+        return is_safe(project_rows(rows, lay, kept), sub)
+
+    assert safe_without(cl)
+    assert not any(safe_without(cl - {i}) for i in cl)
     perm = list(range(lay.n))
     rng.shuffle(perm)
     assert closure(relabel(rows, lay, perm), lay) == frozenset(perm[i] for i in cl)

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from resoplus import pdt
 from resoplus.cli import main
 from resoplus.lemmalab import LEMMA_CSV_HEADER
 from resoplus.tseitin import complete_graph, tseitin_cnf
@@ -114,6 +115,25 @@ def test_library_cap_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "EnumerationCapError" in captured.err
+
+
+def test_broken_certificate_is_a_failed_verification(monkeypatch, capsys):
+    # a block-completion stage whose closed set disagrees with its path: exit 1 and one stderr line
+    init = pdt._Stage.__init__
+
+    def broken(self, *args):
+        init(self, *args)
+        self.closed = self.closed | {-1}
+
+    monkeypatch.setattr(pdt._Stage, "__init__", broken)
+    code = main([
+        "hardness-experiment", "--lifted", "--type", "cycle", "--vertices", "5", "--ip", "4", "--q", "4",
+        "--trials", "5", "--seed", "7",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: CertificateError: closure after a stage differs from the queried blocks\n"
 
 
 def test_root_dist_counts_by_rank_past_22_free_edges(tmp_path, capsys):

@@ -16,15 +16,14 @@ from resoplus.dtfooling import (
     InvalidAssignmentError,
     Many,
     RootLawReport,
-    bfs_tree,
     exact_root_distribution,
     root_of,
     root_space,
     sample,
-    tree_complete,
     valid_analysis,
 )
 from resoplus.f2 import EMPTY, points_array
+from resoplus.oracles import bfs_tree, tree_complete
 from resoplus.tseitin import (
     EdgePartialAssignment,
     Graph,

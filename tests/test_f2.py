@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import intersect_space
+from helpers import intersect_space, random_space
 from resoplus._bits import parity, string_to_bits
 from resoplus.blocks import BlockLayout
 from resoplus.cnf import Cnf, find_model
@@ -22,13 +22,11 @@ from resoplus.f2 import (
     full_space,
     is_subspace,
     points_array,
-    random_space,
     rank_of_rows,
-    sample_point,
     space_from_pairs,
 )
 from resoplus.gadget import parity_gadget
-from resoplus.lemmalab import cube_counts
+from resoplus.oracles import cube_counts, sample_point
 
 
 def test_rank_identity_and_dependent_rows():

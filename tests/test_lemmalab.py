@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import constant_gadget
 from resoplus import lemmalab
 from resoplus._bits import parity
 from resoplus.blocks import BlockLayout, ClosureAssignment, closure
@@ -19,10 +20,10 @@ from resoplus.lemmalab import (
     check_uniform_coset,
     closure_law_suite,
     counterexample_demo,
-    cube_counts,
     nested_pair_with_gap,
     random_safe_space,
 )
+from resoplus.oracles import cube_counts, eta_by_summation
 
 # most unit-level checks run at b=8 to stay quick; the acceptance suite
 # exercises the full b=12 scale.  The checks count by syndrome counting;
@@ -33,7 +34,7 @@ def test_error_budget_matches_summation():
     for n in range(1, 7):
         for maxcoeff in (Fraction(1, 64), Fraction(1, 16), Fraction(1, 2)):
             eb = ErrorBudget(n, 12, maxcoeff)
-            assert eb.eta == eb.summation_form()
+            assert eb.eta == eta_by_summation(n, maxcoeff)
     assert ErrorBudget(2, 12, Fraction(1, 64)).eta == Fraction(65, 1024)
 
 
@@ -42,7 +43,7 @@ def _parity(x: int) -> int:
 
 
 def _single_block_rows(space, lay) -> int:
-    return sum(len(lay.blocks_touched(f)) == 1 for f in space.forms())
+    return sum(len({i for i in range(lay.n) if f & lay.block_mask(i)}) == 1 for f in space.forms())
 
 
 def _mixed_space(lay, rng):
@@ -283,7 +284,6 @@ def test_counterexample_demo():
 
 
 def test_counterexample_needs_a_sensitive_coordinate():
-    from resoplus.gadget import constant_gadget
     from resoplus.lemmalab import NoSensitiveCoordinateError
 
     with pytest.raises(NoSensitiveCoordinateError):

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import greedy_cut_by_sets, random_edge_by_sets
+from helpers import ScriptedStrategy, coordinate_tree, greedy_cut_by_sets, random_edge_by_sets, run_pdt
 from resoplus import dtfooling, pdt
 from resoplus._bits import parity, set_bits
-from resoplus.blocks import BlockLayout, ClosureAssignment, ClosureTable, closure, fixed_blocks, is_safe
+from resoplus.blocks import BlockLayout, ClosureAssignment, ClosureTable, closure, is_safe
 from resoplus.f2 import (
     EMPTY,
     AffineSpace,
+    CertificateError,
     EmptySpaceError,
     FVec,
     enumerate_points,
@@ -36,6 +37,7 @@ from resoplus.gadget import (
     sample_lifted,
 )
 from resoplus.lemmalab import ErrorBudget
+from resoplus.oracles import fixed_blocks
 from resoplus.pdt import (
     EdgeQueryStrategy,
     GreedyCutStrategy,
@@ -43,16 +45,13 @@ from resoplus.pdt import (
     Pdt,
     Query,
     RandomEdgeStrategy,
-    ScriptedStrategy,
     block_complete,
     coin_game,
-    coordinate_tree,
     exact_lifted_root_law,
     hardness_experiment,
     lifted_dtfooling_distribution,
     lifted_hardness_experiment,
     random_linear_tree,
-    run_pdt,
     run_unlifted_game,
     wilson_interval,
 )
@@ -173,7 +172,7 @@ def test_stage_checks_raise_on_a_mismatch():
         stage = pdt._Stage(Query(ell, Leaf(), Leaf()), ClosureTable(lay), 1)
         run_pdt(Pdt(4, stage.fill(0, full_space(4))), 0)
         setattr(stage, field, wrong)
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(CertificateError, match=message):
             run_pdt(Pdt(4, stage.fill(0, full_space(4))), 0)
 
 

@@ -19,17 +19,15 @@ from resoplus.resproof import (
     ProofDag,
     ProofNode,
     SatisfiableError,
-    all_inputs_trace_ok,
     check,
-    clause_negation_space,
     _falsifies,
     _reverse_postorder,
     metrics,
     parse_text,
     pdt_refute,
     to_text,
-    trace,
 )
+from resoplus.oracles import all_inputs_trace_ok, clause_negation_space, eval_bits, trace
 from resoplus.tseitin import complete_graph, cycle_graph, tseitin_cnf
 
 UNIT_PAIR = Cnf(1, ((1,), (-1,)))
@@ -206,7 +204,7 @@ def test_satisfiable_input_rejected_with_model():
     sat = Cnf(2, ((1, 2),))
     with pytest.raises(SatisfiableError) as exc:
         pdt_refute(sat)
-    assert sat.eval_bits(exc.value.model.bits)
+    assert eval_bits(sat, exc.value.model.bits)
 
 
 def _mutations(dag, cnf, rng):

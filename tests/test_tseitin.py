@@ -9,6 +9,7 @@ from resoplus import dtfooling, f2, tseitin
 from resoplus._text import ParseError
 from resoplus.cnf import Cnf, find_model, satisfying_chunks
 from resoplus.gadget import ip_gadget, lift_cnf
+from resoplus.oracles import eval_bits
 from resoplus.tseitin import (
     EdgePartialAssignment,
     Graph,
@@ -121,7 +122,7 @@ def test_brute_unsat_examples():
 def test_sweep_is_independent_of_chunk_size(case):
     n, clauses = case
     cnf = Cnf(n, tuple(tuple(c) for c in clauses))
-    want = [x for x in range(1 << n) if cnf.eval_bits(x)]
+    want = [x for x in range(1 << n) if eval_bits(cnf, x)]
     for bits in (0, 3, 16, 20):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(f2, "CHUNK_BITS", bits)

@@ -1,8 +1,10 @@
 """One error rule for the CLI: every library exception for bad or out-of-scope input is a ValueError.
 
-The CLI turns a ValueError into exit 2 and one stderr line.  The one
-exception that is not such an error is `SatisfiableError`, which
-`pdt-refute` reports as a failed verification (exit 1).
+The CLI turns a ValueError into exit 2 and one stderr line.  The two
+exceptions that are not such errors are `SatisfiableError`, which
+`pdt-refute` reports as a failed verification (exit 1), and
+`CertificateError`, a broken certificate, which every command reports as a
+failed verification in one stderr line (exit 1).
 """
 import importlib
 import inspect
@@ -15,7 +17,7 @@ from resoplus.cli import main
 from resoplus.cnf import Cnf
 from resoplus.tseitin import complete_graph
 
-NOT_USAGE_ERRORS = {"resoplus.resproof.SatisfiableError"}
+NOT_USAGE_ERRORS = {"resoplus.resproof.SatisfiableError", "resoplus.f2.CertificateError"}
 HARDNESS = ["hardness-experiment", "--type", "k5", "--q", "1", "--trials", "1", "--seed", "1"]
 
 
