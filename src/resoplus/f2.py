@@ -9,12 +9,14 @@ as sets exactly when their dataclass fields compare equal.
 `AffineSpace.with_equation` is the one place a (form, bit) row enters that
 form: every other constructor here is a fold of it.
 `AffineSpace.split` gives both halves of a space under one form from a
-single reduction, through the same insertion step.
+single reduction, through the same insertion step.  Beside its rows a space
+keeps the OR of their forms, which tells an insertion in constant time
+whether its row is appended.
 """
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -127,10 +129,17 @@ class AffineSpace:
     bit, rows are sorted by pivot and every pivot appears in exactly one row.
     Construct via `space_from_pairs`, `full_space` or `with_equation`, which
     return EMPTY on an inconsistent system.
+
+    `touched` is the OR of the row forms, kept by `_insert`, so that
+    `reduce` and `_inserted_rows` decide their shortcuts in constant time.
+    It takes no part in equality, hashing or repr.  Its default -1 holds
+    every bit: a space built from bare rows takes no shortcut, and is still
+    reduced and extended correctly.
     """
 
     width: int
     rows: tuple[tuple[int, int], ...]
+    touched: int = field(default=-1, compare=False, repr=False)
 
     @property
     def codim(self) -> int:
@@ -164,17 +173,15 @@ class AffineSpace:
 
         It holds on self exactly when the reduced one does.  The form is
         reduced by every row whose pivot it contains; as each pivot sits in
-        one row, the order does not matter.
+        one row, the order does not matter.  A form clear of every bit the
+        rows touch holds no pivot and is returned at once.
         """
         if form < 0 or form >> self.width:
             raise ValueError("form out of range for width")
         bit &= 1
-        rows = self.rows
-        # rows are sorted by pivot, so a form clear of every bit up to the
-        # last pivot holds none of them
-        if not rows or form & (((rows[-1][0] & -rows[-1][0]) << 1) - 1) == 0:
+        if not form & self.touched:
             return form, bit
-        for f, c in rows:
+        for f, c in self.rows:
             if form & f & -f:
                 form ^= f
                 bit ^= c
@@ -195,30 +202,48 @@ class AffineSpace:
         return self._insert(form, bit), self._insert(form, bit ^ 1)
 
     def _insert(self, form: int, bit: int) -> "AffineSpace":
-        """The space with a nonzero reduced row added (`_inserted_rows`)."""
-        return AffineSpace(self.width, _inserted_rows(self.rows, form, bit))
+        """The space with a nonzero reduced row added (`_inserted_rows`).
+
+        The new rows touch exactly the old ones' bits and the form's: the
+        form is a row, and XORing it into a row clears only bits it holds.
+        """
+        return AffineSpace(self.width, _inserted_rows(self.rows, self.touched, form, bit), self.touched | form)
 
 
-def _inserted_rows(rows: tuple[tuple[int, int], ...], form: int, bit: int) -> tuple[tuple[int, int], ...]:
+def _inserted_rows(rows: tuple[tuple[int, int], ...], touched: int, form: int, bit: int) -> tuple[tuple[int, int], ...]:
     """Echelon rows with a nonzero reduced row added: the row is cleared from
     the rows containing its pivot and inserted by pivot.
 
     Rows without the new pivot are shared, not copied, so deep trees of
-    spaces stay small.  When every row's form lies below the new pivot, no
-    row holds that pivot, which then sits above every other: the row is
-    appended.  A row may hold bits above its own pivot, so a new pivot
-    above the last one is only the first, constant-time test.
+    spaces stay small.  `touched` holds at least every bit of the rows'
+    forms (-1: all bits).  When it lies below the new pivot, no row holds
+    that pivot, which then sits above every other: the row is appended.
+    (The last pivot alone cannot tell, as a row may hold bits above its own
+    pivot.)
     """
     low = form & -form
-    if not rows or (low > rows[-1][0] & -rows[-1][0] and max(rows)[0] < low):
+    if 0 <= touched < low:
         return rows + ((form, bit),)
     out = [(fc[0] ^ form, fc[1] ^ bit) if fc[0] & low else fc for fc in rows]
     out.insert(bisect.bisect(out, low, key=lambda fc: fc[0] & -fc[0]), (form, bit))
     return tuple(out)
 
 
+def _rows_are_inserted(got: tuple[tuple[int, int], ...], rows: tuple[tuple[int, int], ...], touched: int, form: int,
+                       bit: int) -> bool:
+    """Whether `got` equals `_inserted_rows(rows, touched, form, bit)`.
+
+    When the row is appended, `got` is compared in place: its last row with
+    the new one and the rest with `rows`, so no expected rows are built.
+    """
+    if 0 <= touched < form & -form:
+        n = len(rows)
+        return len(got) == n + 1 and got[n] == (form, bit) and got[:n] == rows
+    return got == _inserted_rows(rows, touched, form, bit)
+
+
 def full_space(width: int) -> AffineSpace:
-    return AffineSpace(width, ())
+    return AffineSpace(width, (), 0)
 
 
 def space_from_pairs(width: int, pairs: Sequence[tuple[int, int]]) -> AffineSpace | _EmptySpace:

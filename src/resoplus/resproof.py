@@ -154,15 +154,18 @@ def _split_violation(space: AffineSpace | f2._EmptySpace, form: int, kid0: Affin
 
     Child b must be the space cut by <form, x> = b.  One reduction serves
     both sides; a child is then compared by rows with the parent's rows plus
-    the reduced row (`f2._inserted_rows`), so no expected space is built.
+    the reduced row (`f2._rows_are_inserted`), so no expected space is built.
     """
     if space is EMPTY:
         halves = (EMPTY, EMPTY)
     else:
         form, bit = space.reduce(form)
         if form:
+            rows, touched = space.rows, space.touched
             for side, kid in enumerate((kid0, kid1)):
-                if kid is EMPTY or kid.width != space.width or kid.rows != f2._inserted_rows(space.rows, form, bit ^ side):
+                if kid is EMPTY or kid.width != space.width:
+                    return _SPLIT_RULES[side]
+                if not f2._rows_are_inserted(kid.rows, rows, touched, form, bit ^ side):
                     return _SPLIT_RULES[side]
             return None
         halves = (EMPTY, space) if bit else (space, EMPTY)
@@ -285,9 +288,11 @@ def metrics(dag: ProofDag) -> tuple[int, int]:
             continue
         if node.kind == QRY:
             here += 1
-        depth = max(depth, here)
+        if here > depth:
+            depth = here
         for c in node.children():
-            best[c] = max(best[c], here)
+            if best[c] < here:
+                best[c] = here
     return len(dag.nodes), depth
 
 
@@ -300,16 +305,25 @@ def pdt_refute(cnf: Cnf) -> ProofDag:
 
     Clauses are grouped by the level at which their last variable is fixed.
     A node at level L tests only group L: its parent falsified no clause of
-    a lower level, and fixing one more variable changes none of them.  The
-    tree is built in preorder from an explicit stack, so no closure refers
-    to itself and a dropped DAG is freed by reference counting.
+    a lower level, and fixing one more variable changes none of them.
+    Within a level, clauses on one variable mask form a table from the
+    negated variables, the one pattern of the mask's values that falsifies
+    such a clause, to the lowest index with that pattern; a node probes
+    each table once and takes the least index found.  A tautology is left
+    out: no value falsifies it, though a probe would match it.  The tree is
+    built in preorder from an explicit stack, so no closure refers to itself
+    and a dropped DAG is freed by reference counting.
     """
     n = cnf.num_vars
     if n > REFUTE_VAR_CAP:
         raise f2.EnumerationCapError(f"{n} variables exceed cap {REFUTE_VAR_CAP}")
-    by_level: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    tables: dict[int, dict[int, int]] = {}  # variable mask -> {falsifying values: least clause index}
     for idx, (pos, neg) in enumerate(_clause_masks(cnf)):
-        by_level[(pos | neg).bit_length()].append((idx, pos, neg))
+        if not pos & neg:
+            tables.setdefault(pos | neg, {}).setdefault(neg, idx)
+    by_level: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n + 1)]
+    for mask, table in tables.items():
+        by_level[mask.bit_length()].append((mask, table))
     nodes: list = []  # a query node holds its (space, form) until its child 1 is built
     child1: dict[int, int] = {}
     stack: list[tuple[int, int, AffineSpace, int | None]] = [(0, 0, full_space(n), None)]
@@ -318,7 +332,11 @@ def pdt_refute(cnf: Cnf) -> ProofDag:
         node_id = len(nodes)
         if parent is not None:
             child1[parent] = node_id
-        clause = next((idx for idx, pos, neg in by_level[level] if value & pos == 0 and value & neg == neg), None)
+        clause = None
+        for mask, table in by_level[level]:
+            idx = table.get(value & mask)
+            if idx is not None and (clause is None or idx < clause):
+                clause = idx
         if clause is not None:
             nodes.append(ProofNode(node_id, LEAF, space, clause=clause))
             continue

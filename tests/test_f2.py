@@ -20,6 +20,8 @@ from resoplus.f2 import (
     cube_chunks,
     enumerate_points,
     full_space,
+    _inserted_rows,
+    _rows_are_inserted,
     is_subspace,
     points_array,
     rank_of_rows,
@@ -323,3 +325,64 @@ def test_forms_above_every_pivot_match_a_from_scratch_echelon_form(case, bit):
             reduced ^= f
             rhs ^= c
     assert space.reduce(form, bit) == (reduced, rhs)
+
+
+def _inserted_by_sorting(rows, form, bit):
+    """Plain clear-and-insert with no fast path: the oracle for `_inserted_rows`."""
+    low = form & -form
+    out = [(f ^ form, c ^ bit) if f & low else (f, c) for f, c in rows] + [(form, bit)]
+    return tuple(sorted(out, key=lambda fc: fc[0] & -fc[0]))
+
+
+@st.composite
+def reduced_rows_and_forms(draw):
+    """(width, pairs, form): a system whose echelon rows often hold bits above
+    their pivots, and a form that its space reduces to a nonzero row.  Half
+    the forms put their pivot on a bit that some row holds off its own pivot,
+    and often above the last pivot, where the last pivot alone would say
+    "append"."""
+    width, pairs = draw(pairs_of_width(max_width=10, max_rows=8))
+    space = space_from_pairs(width, pairs)
+    assume(space is not EMPTY)
+    pivots = sum(f & -f for f, _ in space.rows)
+    off_pivot = [i for i in range(width) if (space.touched & ~pivots) >> i & 1]
+    if off_pivot and draw(st.booleans()):
+        top = draw(st.sampled_from(off_pivot))
+        form = 1 << top | draw(st.integers(0, (1 << width) - 1)) >> (top + 1) << (top + 1)
+    else:
+        form = draw(st.integers(1, (1 << width) - 1))
+    assume(space.reduce(form)[0])
+    return width, pairs, form
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(reduced_rows_and_forms(), st.integers(0, 1), st.data())
+def test_inserted_rows_match_a_clear_and_insert_reference(case, bit, data):
+    width, pairs, form = case
+    space = space_from_pairs(width, pairs)
+    touched = 0
+    for f, _ in space.rows:
+        touched |= f
+    assert space.touched == touched
+    form, bit = space.reduce(form, bit)
+    want = _inserted_by_sorting(space.rows, form, bit)
+    # near misses: one row's bit flipped, the last row dropped, a row too many
+    misses = [want[:i] + ((f, c ^ 1),) + want[i + 1:] for i, (f, c) in enumerate(want)]
+    misses += [want[:-1], want + ((0, 1),)]
+    for hint in (touched, -1, (1 << width) - 1):  # exact, unknown, and every bit of the width
+        assert _inserted_rows(space.rows, hint, form, bit) == want
+        assert _rows_are_inserted(want, space.rows, hint, form, bit)
+        assert not any(_rows_are_inserted(miss, space.rows, hint, form, bit) for miss in misses)
+    grown = space._insert(form, bit)
+    assert grown.rows == want and grown.touched == touched | form
+    # spaces built by other insertion orders, or from bare rows, compare and hash equal
+    # whatever their touched field holds
+    others = [space_from_pairs(width, data.draw(st.permutations(pairs + [(form, bit)]))),
+              AffineSpace(width, want),
+              AffineSpace(width, want, data.draw(st.integers(-1, (1 << width) - 1)))]
+    for other in others:
+        assert other == grown and hash(other) == hash(grown) and repr(other) == repr(grown)
+    # a bare-row space takes no shortcut and still reduces and extends correctly
+    bare = AffineSpace(width, space.rows)
+    assert bare.reduce(form, bit) == (form, bit)
+    assert bare.with_equation(form, bit) == grown

@@ -139,6 +139,38 @@ def test_refutation_leaves_name_the_first_falsified_clause():
     assert check(dag, cnf).ok
 
 
+# Every clause a leaf could name, on x1..x3.  At level 3 the mask {x2, x3} is
+# met first (clause 1), but at 011 it matches only clause 4 while the later
+# mask {x1, x3} matches clause 3.
+TABLE_RULES = Cnf(3, (
+    (1, -1),  # a tautology: a lookup by its mask and negated variable would match x1 = 1
+    (2, 3),
+    (1, 3),
+    (1, -3),  # the same mask as clause 2, with other signs
+    (-2, -3),
+    (-2, -3),  # a duplicate of clause 4 at a higher index
+    (-1, 2, -3),
+    (-1, 2, 3),
+    (-1, -2, 3),
+))
+
+
+def test_refuter_table_names_the_lowest_falsified_clause():
+    dag = pdt_refute(TABLE_RULES)
+    leaves = [node.clause for node in dag.nodes if node.kind == LEAF]
+    # one leaf per point, x1 x2 x3 = 000, 001, ..., 111 in preorder
+    assert leaves == [1, 3, 2, 3, 1, 6, 8, 4]
+    for bits, clause in enumerate(leaves):
+        point = int(f"{bits:03b}"[::-1], 2)  # x1 is bit 0
+        assert clause == next(i for i in range(len(TABLE_RULES.clauses)) if TABLE_RULES.clause_falsified_by(i, point))
+    assert check(dag, TABLE_RULES).ok
+    # an empty clause is falsified at the root, ahead of every lower index that needs a query
+    empty = Cnf(3, TABLE_RULES.clauses + ((),))
+    dag = pdt_refute(empty)
+    assert [(node.kind, node.clause) for node in dag.nodes] == [(LEAF, 9)]
+    assert check(dag, empty).ok
+
+
 def _pdt_refute_by_scan(cnf):
     """Oracle: the refuter scanning every clause at every node, recursively."""
     nodes = []
