@@ -6,13 +6,14 @@ the distinguished EMPTY value lets set algebra compose without exceptions.
 """
 import random
 
-from resoplus import enumerate_points, rank_of_rows, space_from_pairs
+from resoplus import FVec, enumerate_points, rank_of_rows, space_from_pairs
 from resoplus.oracles import sample_point
 
 # A 4-coordinate space cut out by two parity equations.
 space = space_from_pairs(4, [(0b0011, 1), (0b0110, 0)])  # x0+x1 = 1 and x1+x2 = 0
-print("space:")
-print(space.to_text())
+print("space (each row: form bits, coordinate 0 leftmost, = right-hand side):")
+for form, bit in space.rows:
+    print(" ", FVec(space.width, form), "=", bit)
 print("codim:", space.codim, " size:", space.size())
 
 print("\nall members (deterministic order):")

@@ -12,7 +12,6 @@ from .blocks import (
     ClosureAssignment,
     amortized_closure,
     closure,
-    is_extendable,
     is_safe,
     restrict,
     substitute,
@@ -111,7 +110,6 @@ __all__ = [
     "full_space",
     "hardness_experiment",
     "ip_gadget",
-    "is_extendable",
     "is_safe",
     "lift_cnf",
     "lift_eval",

@@ -25,8 +25,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from . import f2
-from ._bits import bits_to_string, mask_bits, parity, set_bits
-from ._text import Lines, parse_bits, parse_int
+from ._bits import mask_bits, parity, set_bits
 from .f2 import EMPTY, AffineSpace, _tagged_insert
 
 
@@ -370,30 +369,6 @@ class ClosureAssignment:
             value |= val << (blk * self.layout.b)
         return mask, value
 
-    def to_text(self) -> str:
-        return " ".join(f"{blk}:{bits_to_string(val, self.layout.b)}" for blk, val in self.entries)
-
-    @classmethod
-    def from_text(cls, layout: BlockLayout, text: str) -> "ClosureAssignment":
-        values = {}
-        with Lines(text, "#") as lines:
-            for fields in lines:
-                for token in fields:
-                    blk_s, _, val_s = token.partition(":")
-                    blk = parse_int(blk_s, False)
-                    if blk in values:
-                        raise ValueError(f"block {blk} is assigned twice")
-                    values[blk] = parse_bits(val_s, layout.b)
-        return cls.from_dict(layout, values)
-
-
-def is_extendable(a: AffineSpace, y: ClosureAssignment) -> bool:
-    """True iff some point of the space agrees with the assignment."""
-    if a.width != y.layout.width:
-        raise ValueError("width mismatch")
-    joint = f2.space_from_pairs(a.width, list(a.rows) + y.coordinate_pairs())
-    return joint is not EMPTY
-
 
 def substitute(a: AffineSpace, y: ClosureAssignment) -> AffineSpace | f2._EmptySpace:
     """Plug the assignment in and re-index onto the remaining blocks."""
@@ -411,13 +386,15 @@ def substitute(a: AffineSpace, y: ClosureAssignment) -> AffineSpace | f2._EmptyS
 
 
 def restrict(a: AffineSpace, y: ClosureAssignment) -> AffineSpace:
-    """Restriction by a closure assignment; the result is a safe space."""
+    """Restriction by a closure assignment; the result is a safe space.
+
+    `substitute` is EMPTY exactly when no point of the space agrees with the
+    assignment, so it decides extendability too.
+    """
     cl = closure(a.forms(), y.layout)
     if y.blocks != cl:
         raise ValueError(f"assignment blocks {sorted(y.blocks)} differ from closure {sorted(cl)}")
-    if not is_extendable(a, y):
-        raise NotExtendableError("no point of the space matches the assignment")
     result = substitute(a, y)
     if result is EMPTY:
-        raise RuntimeError("an extendable assignment substituted to the empty space")
+        raise NotExtendableError("no point of the space matches the assignment")
     return result

@@ -165,9 +165,6 @@ class AffineSpace:
     def contains(self, x: int) -> bool:
         return all(parity(x & f) == c for f, c in self.rows)
 
-    def to_text(self) -> str:
-        return "\n".join(f"{bits_to_string(f, self.width)} = {c}" for f, c in self.rows)
-
     def reduce(self, form: int, bit: int = 0) -> tuple[int, int]:
         """The equation <form, x> = bit with every pivot of self cleared.
 

@@ -72,9 +72,6 @@ class Gadget:
             raise ValueError("target bits must be 0/1")
         return tuple(self.class_values[bit].tolist())
 
-    def to_text(self) -> str:
-        return f"{self.b}\n" + "".join(str(t) for t in self.table) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Gadget":
         b = table = None
@@ -412,7 +409,11 @@ def sample_in_space(space: AffineSpace | f2._EmptySpace, layout: BlockLayout, g:
 
 @dataclass(frozen=True)
 class LiftedDistribution:
-    """Sample z from an explicit weighted base support, then uniform in G^-1(z)."""
+    """Sample z from an explicit weighted base support, then uniform in G^-1(z).
+
+    The layout's blocks have the gadget's arity, and every fibre G^-1(z) of
+    the support is nonempty.
+    """
 
     layout: BlockLayout
     gadget: Gadget
@@ -420,6 +421,8 @@ class LiftedDistribution:
     totals: tuple[int, ...] = field(init=False, repr=False, compare=False)  # running sums of the weights
 
     def __post_init__(self):
+        if self.layout.b != self.gadget.b:
+            raise ValueError("layout block size differs from gadget arity")
         if not self.base:
             raise ValueError("base support must be non-empty")
         for z_bits, w in self.base:
@@ -427,21 +430,17 @@ class LiftedDistribution:
                 raise ValueError("weights must be positive")
             if not 0 <= z_bits < (1 << self.layout.n):
                 raise ValueError("base point out of range")
+        # a table takes at least one value, so at most one class is empty
+        n0, n1 = (len(v) for v in self.gadget.class_values[:2])
+        ones = mask_bits(self.layout.n)
+        if any((not n0 and z != ones) or (not n1 and z) for z, _ in self.base):
+            raise EmptyPreimageError("base point has an empty fiber")
         object.__setattr__(self, "totals", tuple(itertools.accumulate(w for _, w in self.base)))
 
 
 def _pick(totals: Sequence[int], rng) -> int:
     """Index drawn with probability proportional to its weight, given the running sums of the weights."""
     return bisect.bisect_right(totals, rng.randrange(totals[-1]))
-
-
-def _has_empty_fibre(d: LiftedDistribution) -> bool:
-    """Whether some base point fixes a block to a value the gadget never takes."""
-    n0, n1 = (len(v) for v in d.gadget.class_values[:2])
-    if n0 and n1:
-        return False
-    ones = mask_bits(d.layout.n)
-    return any((not n0 and z != ones) or (not n1 and z != 0) for z, _ in d.base)
 
 
 def _sample_fibre(layout: BlockLayout, g: Gadget, z: int, rng) -> FVec:
@@ -474,16 +473,11 @@ def sample_lifted(d: LiftedDistribution, conditioning: AffineSpace | None, rng) 
     """
     layout, g = d.layout, d.gadget
     if conditioning is None:
-        if _has_empty_fibre(d):
-            raise EmptyPreimageError("base point has an empty fiber")
         return _sample_fibre(layout, g, d.base[_pick(d.totals, rng)][0], rng)
     zs = [z for z, _ in d.base]
     weights = []
     for (z, w), cnt in zip(d.base, counts_in_space(conditioning, layout, g, zs)):
-        fiber = count_preimages(g, layout, z)
-        if fiber == 0:
-            raise EmptyPreimageError("base point has an empty fiber")
-        weights.append(Fraction(w * cnt, fiber))
+        weights.append(Fraction(w * cnt, count_preimages(g, layout, z)))
     scale = math.lcm(*(fr.denominator for fr in weights))
     totals = list(itertools.accumulate(int(fr * scale) for fr in weights))
     if totals[-1] == 0:

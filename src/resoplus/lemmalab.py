@@ -42,7 +42,6 @@ class ErrorBudget:
     """Finite-scale error budget for n blocks of a gadget with small spectrum."""
 
     n: int
-    b: int
     maxcoeff: Fraction
 
     @property
@@ -51,7 +50,7 @@ class ErrorBudget:
 
     @classmethod
     def for_gadget(cls, g: Gadget, n: int) -> "ErrorBudget":
-        return cls(n, g.b, max_fourier(g))
+        return cls(n, max_fourier(g))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,8 @@ def random_linear_tree(width: int, depth: int, rng: random.Random) -> Pdt:
     """Complete tree of independent uniformly random nonzero forms."""
     if depth > 14:
         raise ValueError("random tree depth capped at 14")
+    if depth and not width:
+        raise ValueError("a query needs a nonzero form, and width 0 has none")
     return Pdt(width, _random_linear_node(width, depth, rng))
 
 
@@ -583,6 +585,8 @@ def _experiment(
     when its final partial assignment is still valid.  Each trial's seed is
     a hash of (seed, name, trial).
     """
+    if not graph.num_edges:
+        raise ValueError("hardness experiment expects a graph with at least one edge")
     d = graph.degree_if_regular()
     if d is None:
         raise ValueError("hardness experiment expects a regular graph")

@@ -193,7 +193,6 @@ class ExpanderMetrics:
     degree: int
     lambda_norm: float
     cheeger_ok: bool | None  # None when the exhaustive cut sweep was skipped
-    worst_cut_ratio: float | None
 
 
 def expander_metrics(g: Graph) -> ExpanderMetrics:
@@ -211,7 +210,7 @@ def expander_metrics(g: Graph) -> ExpanderMetrics:
     eigs = np.linalg.eigvalsh(g.adjacency())
     lam = float(max(abs(eigs[0]), abs(eigs[-2]))) / d if g.num_vertices > 1 else 0.0
     if g.num_vertices > CHEEGER_SWEEP_CAP:
-        return ExpanderMetrics(d, lam, None, None)
+        return ExpanderMetrics(d, lam, None)
     nv = g.num_vertices
     masks = np.arange(1, 1 << (nv - 1), dtype=np.uint64)
     cut = np.zeros(len(masks), dtype=np.int64)
@@ -222,8 +221,7 @@ def expander_metrics(g: Graph) -> ExpanderMetrics:
     sizes = np.bitwise_count(masks).astype(np.int64)
     min_side = np.minimum(sizes, nv - sizes)
     ok = bool(np.all(5 * cut >= d * min_side))
-    ratio = float(np.min(cut / np.maximum(min_side, 1)))
-    return ExpanderMetrics(d, lam, ok, ratio)
+    return ExpanderMetrics(d, lam, ok)
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,6 @@ class TseitinCnf:
     graph: Graph
     charge: tuple[int, ...]
     cnf: Cnf
-    vertex_clause_ranges: tuple[tuple[int, int], ...]
 
 
 def tseitin_cnf(g: Graph, charge: Sequence[int] | None = None, contradiction: bool = True) -> TseitinCnf:
@@ -251,10 +248,8 @@ def tseitin_cnf(g: Graph, charge: Sequence[int] | None = None, contradiction: bo
     if contradiction and sum(charge) % 2 == 0:
         raise ValueError("contradiction mode needs odd total charge")
     clauses: list[tuple[int, ...]] = []
-    ranges = []
     for v in range(g.num_vertices):
         inc = g.incident(v)
-        start = len(clauses)
         for pattern in product((0, 1), repeat=len(inc)):
             if sum(pattern) % 2 == charge[v]:
                 continue
@@ -262,8 +257,7 @@ def tseitin_cnf(g: Graph, charge: Sequence[int] | None = None, contradiction: bo
                 (k + 1) if bit == 0 else -(k + 1) for (k, _), bit in zip(inc, pattern)
             )
             clauses.append(clause)
-        ranges.append((start, len(clauses)))
-    return TseitinCnf(g, charge, Cnf(g.num_edges, tuple(clauses)), tuple(ranges))
+    return TseitinCnf(g, charge, Cnf(g.num_edges, tuple(clauses)))
 
 
 def brute_unsat(formula: Cnf | TseitinCnf) -> bool:
@@ -349,9 +343,6 @@ class EdgePartialAssignment:
         that a dropped assignment is freed by reference counting.
         """
         return {}
-
-    def to_text(self) -> str:
-        return "".join(f"{k} {bit}\n" for k, bit in self.entries)
 
     @classmethod
     def from_text(cls, g: Graph, text: str) -> "EdgePartialAssignment":

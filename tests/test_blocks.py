@@ -16,7 +16,6 @@ from resoplus.blocks import (
     NotExtendableError,
     amortized_closure,
     closure,
-    is_extendable,
     is_safe,
     project_rows,
     restrict,
@@ -551,33 +550,29 @@ def test_safety_oracles_agree():
         assert len(flags) == 1
 
 
-def test_closure_assignment_text_round_trip():
-    lay = BlockLayout(3, 4)
-    y = ClosureAssignment.from_dict(lay, {0: 0b1010, 2: 0b0001})
-    assert y.blocks == frozenset({0, 2})
-    parsed = ClosureAssignment.from_text(lay, y.to_text())
-    assert parsed == y
-    assert y.value(2) == 0b0001
-
-
-def test_is_extendable():
-    lay = BlockLayout(2, 2)
-    full = full_space(lay.width)
-    y = ClosureAssignment.from_dict(lay, {0: 0b11})
-    assert is_extendable(full, y)
-    a = space_from_pairs(lay.width, [(unit(lay, 0, 0), 1)])
-    y0 = ClosureAssignment.from_dict(lay, {0: 0b00})
-    assert not is_extendable(a, y0)
-    # consistent construction: read y off a member point
+def test_restrict_raises_exactly_when_no_point_matches():
+    # restrict reads extendability off substitute: it must reject exactly the
+    # assignments of the closure blocks that no point of the space agrees with
     rng = random.Random(2)
-    for _ in range(100):
-        rows = [(rng.getrandbits(4), rng.getrandbits(1)) for _ in range(rng.randint(0, 3))]
-        sp = space_from_pairs(4, rows)
+    seen = set()
+    for _ in range(200):
+        n, b = rng.randint(1, 3), rng.randint(1, 3)
+        lay = BlockLayout(n, b)
+        rows = [(rng.getrandbits(lay.width), rng.getrandbits(1)) for _ in range(rng.randint(0, 4))]
+        sp = space_from_pairs(lay.width, rows)
         if sp is EMPTY:
             continue
-        x = sample_point(sp, rng)
-        y = ClosureAssignment.from_point(lay, {rng.randrange(2)}, x.bits)
-        assert is_extendable(sp, y)
+        y = ClosureAssignment.from_dict(lay, {i: rng.getrandbits(b) for i in closure(sp.forms(), lay)})
+        extendable = any(
+            all(lay.block_value(p.bits, blk) == val for blk, val in y.entries) for p in enumerate_points(sp)
+        )
+        seen.add(extendable)
+        if extendable:
+            assert restrict(sp, y).width == lay.width - b * len(y.entries)
+        else:
+            with pytest.raises(NotExtendableError):
+                restrict(sp, y)
+    assert seen == {False, True}
 
 
 def test_restrict_examples():
@@ -593,6 +588,7 @@ def test_restrict_examples():
     a2 = space_from_pairs(4, rows)
     assert closure(a2.forms(), lay) == frozenset({0})
     y = ClosureAssignment.from_dict(lay, {0: 0b01})
+    assert y.blocks == frozenset({0}) and y.value(0) == 0b01
     out = restrict(a2, y)
     assert out == full_space(2)
     # inconsistent value is rejected

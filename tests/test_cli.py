@@ -485,6 +485,16 @@ def test_metrics_of_an_edgeless_graph_is_usage_error(tmp_path, capsys):
     assert captured.err == "error: ValueError: expander metrics require at least one edge\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--budget", "1"], ["--lifted"], ["--lifted", "--budget", "1"]])
+def test_hardness_on_an_edgeless_graph_is_usage_error(capsys, extra):
+    # the default budget |V|/(50d) divides by the degree, and a width-0 tree has no query forms
+    argv = ["hardness-experiment", "--type", "complete", "--vertices", "1", "--q", "1", "--trials", "1", "--seed", "1"]
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: ValueError: hardness experiment expects a graph with at least one edge\n"
+
+
 def test_lifted_hardness_csv_is_pinned(capsys):
     # the lifted CLI path end to end: random linear trees of depth q, block-completed, in the coin game
     code, out = run(

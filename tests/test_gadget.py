@@ -109,8 +109,9 @@ def test_ip_gadget_table():
 
 
 def test_gadget_file_round_trip():
+    # the arity line, then the truth table in input-index order
     g = ip_gadget(4)
-    assert Gadget.from_text(g.to_text()) == g
+    assert Gadget.from_text("4\n" + "".join(map(str, g.table)) + "\n") == g
 
 
 def test_lift_eval():
@@ -527,31 +528,42 @@ def _gadgets(draw, b: int) -> Gadget:
 
 
 @st.composite
-def lifted_distributions(draw):
-    """n <= 4 blocks of b in {1, 2, 4}, 1-5 base points with weights 1-5."""
+def lifted_supports(draw):
+    """A layout of n <= 4 blocks of b in {1, 2, 4}, a gadget of arity b, and 1-5 base points with weights 1-5."""
     n, b = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 4]))
-    lay = BlockLayout(n, b)
     points = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
-    base = tuple((z, draw(st.integers(1, 5))) for z in points)
-    return LiftedDistribution(lay, _gadgets(draw, b), base)
+    return BlockLayout(n, b), _gadgets(draw, b), tuple((z, draw(st.integers(1, 5))) for z in points)
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(lifted_distributions(), st.integers(0, 2**32))
-def test_unconditioned_sample_lifted_matches_full_space_conditioning(dist, seed):
+@given(lifted_supports(), st.integers(0, 2**32))
+def test_unconditioned_sample_lifted_matches_full_space_conditioning(support, seed):
     # the unconditioned path skips counting; conditioning on the whole space
     # counts every fibre and must make the same draws from the same stream
+    lay, g, base = support
+    if any(g.table.count((z >> i) & 1) == 0 for z, _ in base for i in range(lay.n)):
+        with pytest.raises(EmptyPreimageError):  # a base point fixes a block to a value g never takes
+            LiftedDistribution(lay, g, base)
+        return
+    dist = LiftedDistribution(lay, g, base)
     rng1, rng2 = random.Random(seed), random.Random(seed)
-    whole = full_space(dist.layout.width)
+    whole = full_space(lay.width)
     for _ in range(8):
-        try:
-            x = sample_lifted(dist, None, rng1)
-        except EmptyPreimageError:
-            with pytest.raises(EmptyPreimageError):
-                sample_lifted(dist, whole, rng2)
-            return
-        assert x == sample_lifted(dist, whole, rng2)
+        assert sample_lifted(dist, None, rng1) == sample_lifted(dist, whole, rng2)
     assert rng1.random() == rng2.random()
+
+
+def test_a_lifted_distribution_checks_its_layout_at_construction():
+    # a layout of 3-bit blocks under a 2-bit gadget would draw points of the wrong width
+    with pytest.raises(ValueError, match="^layout block size differs from gadget arity$"):
+        LiftedDistribution(BlockLayout(2, 3), ip_gadget(2), ((0b11, 1),))
+    with pytest.raises(EmptyPreimageError, match="^base point has an empty fiber$"):
+        LiftedDistribution(BlockLayout(2, 2), Gadget(2, (0, 0, 0, 0)), ((0b00, 1), (0b10, 1)))
+    with pytest.raises(EmptyPreimageError):
+        LiftedDistribution(BlockLayout(2, 2), Gadget(2, (1, 1, 1, 1)), ((0b11, 1), (0b01, 1)))
+    # an all-ones point under a constant-one gadget, and all-zeros under constant zero, have fibres
+    assert LiftedDistribution(BlockLayout(2, 2), Gadget(2, (1, 1, 1, 1)), ((0b11, 1),)).totals == (1,)
+    assert LiftedDistribution(BlockLayout(2, 2), Gadget(2, (0, 0, 0, 0)), ((0b00, 2),)).totals == (2,)
 
 
 @st.composite

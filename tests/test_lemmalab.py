@@ -33,9 +33,9 @@ from resoplus.oracles import cube_counts, eta_by_summation
 def test_error_budget_matches_summation():
     for n in range(1, 7):
         for maxcoeff in (Fraction(1, 64), Fraction(1, 16), Fraction(1, 2)):
-            eb = ErrorBudget(n, 12, maxcoeff)
+            eb = ErrorBudget(n, maxcoeff)
             assert eb.eta == eta_by_summation(n, maxcoeff)
-    assert ErrorBudget(2, 12, Fraction(1, 64)).eta == Fraction(65, 1024)
+    assert ErrorBudget(2, Fraction(1, 64)).eta == Fraction(65, 1024)
 
 
 def _parity(x: int) -> int:

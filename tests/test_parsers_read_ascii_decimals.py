@@ -19,5 +19,5 @@ def test_no_parser_calls_the_builtin_int():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
                     found.append(f"{path.relative_to(SRC)}:{node.lineno}")
-    assert len(parsers) == 6, parsers
+    assert len(parsers) == 5, parsers
     assert not found, "builtin int called in a parser: " + ", ".join(found)

@@ -91,6 +91,14 @@ def test_run_pdt_fuzz_membership():
             assert partial.contains(x) and partial.codim <= made
 
 
+def test_a_random_tree_of_width_zero_has_no_queries():
+    # width 0 has no nonzero form: a query used to redraw its form forever
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match="^a query needs a nonzero form, and width 0 has none$"):
+        random_linear_tree(0, 1, rng)
+    assert isinstance(random_linear_tree(0, 0, rng).root, Leaf)
+
+
 def test_block_complete_trivial_cases():
     lay = BlockLayout(2, 2)
     y = ClosureAssignment.from_dict(lay, {})

@@ -2,7 +2,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resoplus._text import ParseError
@@ -198,12 +198,22 @@ def _pdt_refute_by_scan(cnf):
 @st.composite
 def small_cnfs(draw):
     """Random CNFs on up to 6 variables whose clauses may be empty,
-    tautological or repeat a literal."""
+    tautological or repeat a literal; about half hold a planted level where
+    a later mask group has the lower falsified index."""
     n = draw(st.integers(0, 6))
     clauses = []
     if n:
         literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
         clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(tuple), max_size=24))
+    if n >= 2 and draw(st.booleans()):
+        # (u, t), then (t), then (-u, t), all on level t: where u and t falsify (-u, t),
+        # the group of (u, t), made first, holds a higher index than (t)'s; (-t) makes it unsatisfiable
+        t = draw(st.integers(2, n))
+        u, sign = draw(st.integers(1, t - 1)) * draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        at = sorted(draw(st.lists(st.integers(0, len(clauses)), min_size=3, max_size=3)), reverse=True)
+        for pos, clause in zip(at, ((-u, sign * t), (sign * t,), (u, sign * t))):
+            clauses.insert(pos, clause)
+        clauses.append((-sign * t,))
     if draw(st.integers(0, 7)) == 0:  # now and then an empty clause, which closes the root
         clauses.insert(draw(st.integers(0, len(clauses))), ())
     return Cnf(n, tuple(clauses))
@@ -211,6 +221,7 @@ def small_cnfs(draw):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(small_cnfs())
+@example(Cnf(2, ((1, 2), (2,), (-1, 2), (-2,))))  # at x1 x2 = 10 the later mask {x2} holds the lower index
 def test_level_indexed_refuter_matches_clause_scan(cnf):
     try:
         want = _pdt_refute_by_scan(cnf)

@@ -3,20 +3,17 @@ ParseError naming it, and a well-formed text reads back to what wrote it."""
 import pytest
 
 from resoplus._text import Lines, ParseError, expect, parse_bits, parse_int
-from resoplus.blocks import BlockLayout, ClosureAssignment
 from resoplus.cnf import Cnf
 from resoplus.gadget import Gadget, ip_gadget
 from resoplus.resproof import parse_text, pdt_refute, to_text
 from resoplus.tseitin import EdgePartialAssignment, Graph, complete_graph, tseitin_cnf
 
 K5 = complete_graph(5)
-LAYOUT = BlockLayout(3, 2)
 PARSERS = {
     "graph": Graph.from_text,
     "rho": lambda text: EdgePartialAssignment.from_text(K5, text),
     "dimacs": Cnf.from_dimacs,
     "gadget": Gadget.from_text,
-    "closure": lambda text: ClosureAssignment.from_text(LAYOUT, text),
     "proof": parse_text,
 }
 
@@ -36,7 +33,6 @@ PARSERS = {
         ("dimacs", "p cnf 1 1 1\n1 0\n", 1),
         ("gadget", "2 0001\n", 1),
         ("gadget", "2\n0001 1\n", 2),
-        ("closure", "0:11 1\n", 1),
         ("proof", "rxp 1 1\n0 k=LEAF 0 0\n", 2),
         ("proof", "rxp 1 1\n0 k=WEAK 0 0\n", 2),
         ("proof", "rxp 1 1\n0 k=QRY 1 1 2 3\n", 2),
@@ -47,13 +43,11 @@ PARSERS = {
         ("rho", "x 1\n", 1),
         ("dimacs", "p cnf 1 1\nx 0\n", 2),
         ("gadget", "x\n0001\n", 1),
-        ("closure", "x:11\n", 1),
         ("proof", "rxp 1 1\nx k=LEAF 0\n", 2),
         # a bit other than 0/1
         ("rho", "0 2\n", 1),
         ("rho", "0 -1\n", 1),
         ("gadget", "2\n0021\n", 2),
-        ("closure", "0:12\n", 1),
         ("proof", "rxp 1 1\n0 k=LEAF 0\neq 1 2\n", 3),
         ("proof", "rxp 1 1\n0 k=LEAF 0\neq 1 -1\n", 3),
         # a second header, or a second value for one key
@@ -61,7 +55,6 @@ PARSERS = {
         ("rho", "0 1\n# c\n0 1\n", 3),
         ("dimacs", "p cnf 1 1\n1 0\np cnf 1 1\n", 3),
         ("gadget", "2\n0001\n2\n", 3),
-        ("closure", "0:11\n0:11\n", 2),
         ("proof", "rxp 1 1\nrxp 1 1\n", 2),
         # the text as a whole
         ("graph", "# no header\n", 0),
@@ -83,7 +76,6 @@ PARSERS = {
         ("dimacs", "p cnf 1 1\n--1 0\n", 2),
         ("dimacs", "p cnf 1 1\n-\uff11 0\n", 2),
         ("gadget", "+2\n0001\n", 1),
-        ("closure", "0_0:11\n", 1),
         ("proof", "rxp 1 1\n\uff10 k=LEAF 0\n", 2),  # a full-width zero
         ("proof", "rxp 1 1\n0 k=LEAF -0\n", 2),
         ("proof", "rxp 1 +1\n0 k=LEAF 0\n", 1),
@@ -100,13 +92,11 @@ def test_well_formed_texts_read_back():
     g = K5
     assert Graph.from_text("# K2\nv 2\n\ne 0 1\n") == Graph.from_pairs(2, [(0, 1)])
     rho = EdgePartialAssignment.from_dict(g, {0: 1, 7: 0})
-    assert EdgePartialAssignment.from_text(g, rho.to_text()) == rho
+    assert EdgePartialAssignment.from_text(g, "0 1\n7 0\n") == rho
     assert EdgePartialAssignment.from_text(g, "") == EdgePartialAssignment.empty(g)
     cnf = tseitin_cnf(g).cnf
     assert Cnf.from_dimacs("c a comment\n" + cnf.to_dimacs()) == cnf
-    assert Gadget.from_text("# IP_4\n" + ip_gadget(4).to_text()) == ip_gadget(4)
-    y = ClosureAssignment.from_dict(LAYOUT, {0: 0b01, 2: 0b11})
-    assert ClosureAssignment.from_text(LAYOUT, y.to_text()) == y
+    assert Gadget.from_text("# IP_2\n2\n0001\n") == ip_gadget(2)
     text = to_text(pdt_refute(cnf))
     assert to_text(parse_text(text)) == text
 
